@@ -130,6 +130,13 @@ def summarize(csv_paths: list[str]) -> int:
             ncol, ecol = header.index("N"), header.index("eps")
             ns = np.array([float(r[ncol]) for r in rows])
             eps = np.array([float(r[ecol]) for r in rows])
+            bad = [r for r, e in zip(rows, eps) if not (math.isfinite(e) and e > 0)]
+            if bad:
+                print(f"FAIL {path}: eps must be finite and positive to fit a slope")
+                for r in bad:
+                    print(f"  bad eps row: {','.join(r)}")
+                any_fail = True
+                continue
             slope = np.polyfit(np.log(ns), np.log(eps), 1)[0]
             extra = f" slope={slope:.3f}"
         print(f"{verdict} {path}{extra}")

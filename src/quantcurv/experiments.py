@@ -214,6 +214,11 @@ def _check_sphere(p: dict) -> dict:
         or sorted(n_list) != n_list
     ):
         raise ConfigError("N_list must be an ascending list of positive integers")
+    if n_list[-1] > sphere.EXACT_LEVEL_MAX:
+        raise ConfigError(
+            f"N_list entries must be <= {sphere.EXACT_LEVEL_MAX}, "
+            "the largest level verified for the closed-form pairings"
+        )
     hams = p.get("hamiltonians", ["harmonic_real", "zonal_harmonic"])
     if not isinstance(hams, list) or len(hams) != 2:
         raise ConfigError("hamiltonians must name exactly two fields")
@@ -256,6 +261,11 @@ def _check_schrodinger(p: dict) -> dict:
         "schrodinger-intertwine parameters",
     )
     n = int(_positive(p, "N", "schrodinger", int))
+    if n > sphere.GRID_LEVEL_MAX:
+        raise ConfigError(
+            f"schrodinger N must be <= {sphere.GRID_LEVEL_MAX}, "
+            "the largest level the quadrature grid resolves"
+        )
     dt = _positive(p, "dt", "schrodinger")
     t_end = _positive(p, "t_end", "schrodinger")
     if not 0 < t_end <= 2:

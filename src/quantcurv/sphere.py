@@ -9,10 +9,18 @@ and the generator of the lifted flow at
 
     G = nabla_xi + i N H,     nabla_dz = d/dz - N zbar/(1+|z|^2).
 
-Everything compressed to the holomorphic range is computed symbolically in a
-small algebra of functions p(z, zbar)/(1+|z|^2)^m, so quadrature with the
-level-matched grid evaluates every matrix element exactly (the radial
-substitution u = t/(1-t) turns each integrand into a polynomial in t).
+Quantities that stay in the small algebra of functions p(z, zbar)/(1+|z|^2)^m
+are closed-form: pairing z^a zbar^b/(1+|z|^2)^m with the section z^j is zero
+unless a = b + j, and then equals the Beta integral
+
+    pi Gamma(a+1) Gamma(N+m+1-a) / Gamma(N+m+2),
+
+evaluated in log space (`SectionBasis`).  Section coefficients, the
+compressed generator, the generator curvature, the Toeplitz operator of a
+chart function and its phase-space average are computed this way, with no
+grid.  The quadrature grid (`SphereGrid`, `SectionSpace`) is used only where
+flows leave that algebra: flowed frames in transport and in `curvature_fd`,
+multiplication by sampled grid values (`compress_mult`) and the Gram check.
 """
 
 from __future__ import annotations
@@ -37,7 +45,11 @@ __all__ = [
     "harmonic_real",
     "harmonic_imag",
     "zonal_harmonic",
+    "SectionBasis",
     "SectionSpace",
+    "GRID_LEVEL_MAX",
+    "EXACT_LEVEL_MAX",
+    "phase_average",
     "GridOperator",
     "build_projector",
     "generator_apply",
@@ -45,7 +57,6 @@ __all__ = [
     "prequantum_generator",
     "characteristic_rhs",
     "eval_batch",
-    "toeplitz_mult",
     "op_full",
     "pullback_frame",
     "projector_curve",
@@ -67,7 +78,7 @@ class ChartFunction:
     The class is closed under +, *, d/dz, d/dzbar and conjugation, which is
     what makes projector and curvature matrix elements exactly integrable:
     against monomial sections and the fiber weight, every inner product is a
-    Beta-type integral the radial rule resolves without error.
+    closed-form Beta integral (`SectionBasis`).
     """
 
     __slots__ = ("terms", "denom")
@@ -309,50 +320,140 @@ def zonal_harmonic() -> HamiltonianField:
     )
 
 
-def _monomial_norms(N: int) -> np.ndarray:
-    """Closed-form norms: ||z^k||^2 = pi k! (N-k)! / (N+1)!."""
-    k = np.arange(N + 1)
-    logsq = (
-        math.log(math.pi)
-        + np.vectorize(math.lgamma)(k + 1.0)
-        + np.vectorize(math.lgamma)(N - k + 1.0)
-        - math.lgamma(N + 2.0)
-    )
-    return np.exp(0.5 * logsq)
+# Largest level whose `SphereGrid.for_level` frame passes the Gram check of
+# `SectionSpace`: every N <= 72 does (defect <= 4e-13).  Beyond it the fiber
+# weight on the outermost radial ring goes subnormal (defect 1.7e-9 at N = 73)
+# and then underflows to zero (9.6e-3 at N = 80).
+GRID_LEVEL_MAX = 72
+# Largest level at which the closed-form ladder has been checked: the rational
+# oracles of tests/test_sphere.py hold there to 1e-11 relative, and eps keeps
+# its N^-2 law (local slope -1.99 over 1024 -> 2048).
+EXACT_LEVEL_MAX = 2048
+_GRAM_TOL = 1e-10
+_LOG_PI = math.log(math.pi)
 
 
-class SectionSpace:
-    """Level-N holomorphic sections sampled on a grid, in half-weighted form.
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
-    Vectors carry sqrt(quadrature weight x fiber weight), so the weighted L2
-    pairing is the plain complex dot product and the normalized monomial frame
-    has an exactly diagonal Gram matrix.
+
+def _log_pairing(N: int, a: np.ndarray, m: np.ndarray, logf: np.ndarray) -> np.ndarray:
+    """log of pi a! (N+m-a)! / (N+m+1)!, the level-N pairing of z^a zbar^b/(1+w)^m
+    with z^(a-b); `logf` holds log k! up to N + max(m) + 1."""
+    return _LOG_PI + logf[a] + logf[N + m - a] - logf[N + m + 1]
+
+
+def _flat_terms(fs: list[ChartFunction]):
+    """Terms of several chart functions as arrays (owner index, a, b, m, coeff)."""
+    idx = np.array(
+        [(i, a, b, f.denom) for i, f in enumerate(fs) for (a, b) in f.terms], dtype=int
+    ).reshape(-1, 4)
+    coeff = np.array([c for f in fs for c in f.terms.values()], dtype=complex)
+    return (*idx.T, coeff)
+
+
+def phase_average(f: ChartFunction) -> float:
+    """Exact average (1/pi) int f dmu of a real chart function.
+
+    Only the radial terms a = b survive the angular integral; each is the
+    Beta integral a! (m-a)! / (m+1)!.
+    """
+    _i, a, b, m, c = _flat_terms([f])
+    keep = a == b
+    a, m, c = a[keep], m[keep], c[keep]
+    if np.any(a > m):
+        raise ValueError("chart function is not integrable over the sphere")
+    logf = _log_factorials(int(m.max(initial=0)) + 1)
+    return float(np.sum(c * np.exp(_log_pairing(0, a, m, logf) - _LOG_PI)).real)
+
+
+class SectionBasis:
+    """Level-N holomorphic sections in the orthonormal basis e_k = z^k/||z^k||.
+
+    Grid-free: every pairing of a section with a chart function is the
+    closed-form Beta integral of the module docstring.  Each matrix entry is
+    formed as exp(log Beta - log||z^j|| - log||z^k||), so entries stay O(1)
+    even at levels where ||z^k||^2 itself underflows a double.
     """
 
-    def __init__(self, N: int, grid: SphereGrid):
-        if grid.n_angular < 4 * N + 8 or grid.n_radial < 2 * N + 16:
-            raise ValueError("grid too coarse for level N (needs 4N+8 x 2N+16)")
+    def __init__(self, N: int):
         self.N = N
-        self.grid = grid
-        u = grid.u
-        self.section_weights = grid.weights * (1.0 + u) ** (-N)
-        self.sqrtw = np.sqrt(self.section_weights)
-        self.norms = _monomial_norms(N)
-        z = grid.points
-        cols = [self.sqrtw * z**k / self.norms[k] for k in range(N + 1)]
-        self.frame = np.column_stack(cols)
+        logf = _log_factorials(N + 1)
+        k = np.arange(N + 1)
+        # ||z^k||^2 = pi k! (N-k)! / (N+1)!
+        self.log_norms = 0.5 * (_LOG_PI + logf[k] + logf[N - k] - logf[N + 1])
 
     @property
     def dim(self) -> int:
         return self.N + 1
 
-    def sample(self, f: ChartFunction) -> np.ndarray:
-        """Half-weighted grid vector of a chart function."""
-        return self.sqrtw * f.eval(self.grid.points)
+    def _pairings(self, fs: list[ChartFunction], log_scale: np.ndarray) -> np.ndarray:
+        """Matrix <e_j, f_k> * exp(-log_scale[k]) with one column per function."""
+        N = self.N
+        k, a, b, m, c = _flat_terms(fs)
+        j = a - b
+        keep = (j >= 0) & (j <= N)
+        k, a, j, m, c = k[keep], a[keep], j[keep], m[keep], c[keep]
+        if np.any(a > N + m):
+            raise ValueError(f"pairing with level-{N} sections diverges")
+        logf = _log_factorials(N + int(m.max(initial=0)) + 1)
+        logv = _log_pairing(N, a, m, logf) - self.log_norms[j] - log_scale[k]
+        out = np.zeros((N + 1, len(fs)), dtype=complex)
+        np.add.at(out, (j, k), c * np.exp(logv))
+        return out
 
     def coeffs(self, f: ChartFunction) -> np.ndarray:
         """Coefficients <e_k, f> against the orthonormal monomial sections."""
-        return self.frame.conj().T @ self.sample(f)
+        return self._pairings([f], np.zeros(1))[:, 0]
+
+    def operator_matrix(self, images: list[ChartFunction]) -> np.ndarray:
+        """Matrix <e_j, A e_k> of an operator from its images A z^k, k = 0..N."""
+        return self._pairings(images, self.log_norms)
+
+    def toeplitz(self, f: ChartFunction) -> np.ndarray:
+        """Toeplitz compression <e_j, f e_k> of multiplication by f."""
+        return self.operator_matrix(
+            [f * ChartFunction.monomial(k) for k in range(self.dim)]
+        )
+
+
+class SectionSpace(SectionBasis):
+    """Level-N holomorphic sections sampled on a grid, in half-weighted form.
+
+    Vectors carry sqrt(quadrature weight x fiber weight), so the weighted L2
+    pairing is the plain complex dot product and the normalized monomial frame
+    has an exactly diagonal Gram matrix.  Construction checks that Gram against
+    the identity and refuses a level the grid cannot resolve.
+    """
+
+    def __init__(self, N: int, grid: SphereGrid):
+        if grid.n_angular < 4 * N + 8 or grid.n_radial < 2 * N + 16:
+            raise ValueError("grid too coarse for level N (needs 4N+8 x 2N+16)")
+        super().__init__(N)
+        self.norms = np.exp(self.log_norms)
+        self.grid = grid
+        u = grid.u
+        self.section_weights = grid.weights * (1.0 + u) ** (-N)
+        self.sqrtw = np.sqrt(self.section_weights)
+        z = grid.points
+        cols = [self.sqrtw * z**k / self.norms[k] for k in range(N + 1)]
+        self.frame = np.column_stack(cols)
+        gram = self.frame.conj().T @ self.frame
+        defect = float(np.max(np.abs(gram - np.eye(N + 1))))
+        if not defect <= _GRAM_TOL:
+            raise ValueError(
+                f"level N={N}: grid frame Gram deviates from the identity by "
+                f"{defect:.3g} (tolerance {_GRAM_TOL:g})"
+            )
+
+    # Closed form, as in the base class; bound here as well so that
+    # per-class instrumentation (perfbench/tracing.py) finds it on SectionSpace.
+    coeffs = SectionBasis.coeffs
+
+    def sample(self, f: ChartFunction) -> np.ndarray:
+        """Half-weighted grid vector of a chart function."""
+        return self.sqrtw * f.eval(self.grid.points)
 
     def compress_mult(self, values: np.ndarray) -> np.ndarray:
         """Toeplitz compression of multiplication by a real grid function."""
@@ -395,14 +496,12 @@ def generator_apply(ham: HamiltonianField, f: ChartFunction, N: int) -> ChartFun
     return out
 
 
-def compress_generator(ham: HamiltonianField, space: SectionSpace) -> np.ndarray:
-    """Matrix <e_j, G e_k> of the compressed prequantum generator."""
+def compress_generator(ham: HamiltonianField, space: SectionBasis) -> np.ndarray:
+    """Matrix <e_j, G e_k> of the compressed prequantum generator (closed form)."""
     N = space.N
-    cols = []
-    for k in range(N + 1):
-        gk = generator_apply(ham, ChartFunction.monomial(k), N)
-        cols.append(space.coeffs(gk) / space.norms[k])
-    return np.column_stack(cols)
+    return space.operator_matrix(
+        [generator_apply(ham, ChartFunction.monomial(k), N) for k in range(N + 1)]
+    )
 
 
 def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
@@ -463,22 +562,6 @@ def prequantum_generator(
     matrix on the range is materialized.
     """
     return compress_generator(ham, SectionSpace(N, grid))
-
-
-def toeplitz_mult(symbol, N: int, grid: SphereGrid) -> np.ndarray:
-    """Compression Pi M_f Pi of multiplication by a real symbol.
-
-    `symbol` may be a ChartFunction, a HamiltonianField, or an array of grid
-    values.
-    """
-    space = SectionSpace(N, grid)
-    if isinstance(symbol, HamiltonianField):
-        values = symbol.h.eval(grid.points).real
-    elif isinstance(symbol, ChartFunction):
-        values = symbol.eval(grid.points).real
-    else:
-        values = np.asarray(symbol, dtype=float)
-    return space.compress_mult(values)
 
 
 def op_full(ham: HamiltonianField, N: int, grid: SphereGrid) -> np.ndarray:
@@ -643,27 +726,25 @@ def chi_field(h1: HamiltonianField, h2: HamiltonianField, grid=None):
 
 
 def curvature_commutator(
-    h1: HamiltonianField, h2: HamiltonianField, space: SectionSpace
+    h1: HamiltonianField, h2: HamiltonianField, space: SectionBasis
 ) -> np.ndarray:
     """Curvature along two Hamiltonian directions from the generators.
 
     Builds Pi [G2, G1] Pi - [Pi G2 Pi, Pi G1 Pi] on the holomorphic range; the
-    double application runs in the symbolic chart algebra, so entries carry
-    quadrature error of zero and rounding only.
+    double application runs in the symbolic chart algebra and every entry is
+    a closed-form pairing, so entries carry rounding error only.
     """
     N = space.N
     b1 = compress_generator(h1, space)
     b2 = compress_generator(h2, space)
     term2 = b2 @ b1 - b1 @ b2
-    cols = []
+    inner = []
     for k in range(N + 1):
         mk = ChartFunction.monomial(k)
         g1 = generator_apply(h1, mk, N)
         g2 = generator_apply(h2, mk, N)
-        inner = generator_apply(h2, g1, N) - generator_apply(h1, g2, N)
-        cols.append(space.coeffs(inner) / space.norms[k])
-    term1 = np.column_stack(cols)
-    return term1 - term2
+        inner.append(generator_apply(h2, g1, N) - generator_apply(h1, g2, N))
+    return space.operator_matrix(inner) - term2
 
 
 def curvature_fd(
@@ -745,28 +826,25 @@ def symbol_decay_experiment(
     h1: HamiltonianField,
     h2: HamiltonianField,
     n_list: list[int],
-    grid_policy=SphereGrid.for_level,
 ) -> list[dict]:
     """Deviation of the calibrated curvature from the Toeplitz operator of chi.
 
     For each level N: eps = ||Y/c - T_chi||_HS^2 / (N+1) with Y the generator
-    curvature, c the flat calibration constant, and T_chi the multiplication
+    curvature, c the flat calibration constant, and T_chi the Toeplitz
     compression of chi.  Also reports both sides of the normalized trace
-    identity (operator trace vs. phase-space average of chi).
+    identity (operator trace vs. phase-space average of chi); for Hamiltonian
+    pairs both vanish identically.  Everything is closed-form: no grid.
     """
     c = curvature_calibration()
     chi = chi_field(h1, h2)
+    trace_rhs = phase_average(chi)
     rows = []
     for N in n_list:
-        grid = grid_policy(N)
-        space = SectionSpace(N, grid)
-        y = curvature_commutator(h1, h2, space) / c
-        t = space.compress_mult(chi.eval(grid.points).real)
+        basis = SectionBasis(N)
+        y = curvature_commutator(h1, h2, basis) / c
+        t = basis.toeplitz(chi)
         eps = float(np.linalg.norm(y - t) ** 2 / (N + 1))
         trace_lhs = float(np.trace(y).real / (N + 1))
-        trace_rhs = float(
-            np.dot(grid.weights, chi.eval(grid.points).real) / math.pi
-        )
         rows.append(
             {
                 "N": N,

@@ -156,6 +156,20 @@ def test_summarize_reports_pass_and_slope(tmp_path, capsys):
     assert "slope=-1.000" in out
 
 
+def test_summarize_refuses_non_finite_eps(tmp_path, capsys):
+    conv = tmp_path / "conv.csv"
+    conv.write_text(
+        "config_hash,N,eps,passed\n"
+        "abc,8,1.0,true\n"
+        "abc,16,nan,true\n"
+        "abc,32,0.25,true\n"
+    )
+    assert summarize([str(conv)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "slope=" not in out
+    assert "abc,16,nan,true" in out
+
+
 def test_summarize_missing_passed_column(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("config_hash,value\nabc,1.0\n")

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from quantcurv.experiments import ConfigError, validate_config
 from quantcurv.linalg import anti_hermiticity_defect, hermiticity_defect, hs_norm
 from quantcurv.sphere import (
+    EXACT_LEVEL_MAX,
+    GRID_LEVEL_MAX,
     ChartFunction,
+    SectionBasis,
     SectionSpace,
     SphereGrid,
     build_projector,
@@ -19,13 +23,13 @@ from quantcurv.sphere import (
     harmonic_imag,
     harmonic_real,
     op_full,
+    phase_average,
     rotation_x,
     rotation_y,
     rotation_z,
     tangent_structure,
     tangent_structure_fd,
     symbol_decay_experiment,
-    toeplitz_mult,
     zonal_harmonic,
 )
 
@@ -95,7 +99,7 @@ def test_projector_properties(space):
 
 def test_toeplitz_identity_is_identity(space):
     one = ChartFunction.monomial(0, 0)
-    t = toeplitz_mult(one, 8, space.grid)
+    t = space.toeplitz(one)
     assert np.max(np.abs(t - np.eye(space.dim))) < 1e-13
 
 
@@ -114,7 +118,7 @@ def test_projection_zbar_rational_oracle(space):
 def test_toeplitz_diagonal_rational_oracle(space):
     # the symbol |z|^2/(1+|z|^2) compresses to the diagonal (k+1)/(N+2)
     big_n = 8
-    t = toeplitz_mult(ChartFunction.monomial(1, 1, denom=1), big_n, space.grid)
+    t = space.toeplitz(ChartFunction.monomial(1, 1, denom=1))
     expect = np.diag([(k + 1.0) / (big_n + 2.0) for k in range(big_n + 1)])
     assert np.max(np.abs(t - expect)) < 1e-12
 
@@ -274,3 +278,99 @@ def test_symbol_decay_experiment_rows():
     for r in rows:
         assert r["eps"] > 0
         assert "trace_lhs" in r and "trace_rhs" in r
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("big_n", [8, 16, 64])
+def test_exact_coeffs_match_grid_on_generator_columns(big_n):
+    # the closed-form pairing against the independent quadrature
+    # frame^H @ sample(f), on every column G z^k of two generators
+    space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    for ham in (harmonic_real(), zonal_harmonic()):
+        for k in range(big_n + 1):
+            gk = generator_apply(ham, ChartFunction.monomial(k), big_n)
+            grid = space.frame.conj().T @ space.sample(gk)
+            assert _rel(space.coeffs(gk), grid) <= 1e-11, (ham.name, k)
+
+
+@pytest.mark.parametrize("big_n", [8, 16, 64])
+def test_exact_toeplitz_of_chi_matches_grid(big_n):
+    space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    chi = chi_field(harmonic_real(), zonal_harmonic())
+    grid = space.compress_mult(chi.eval(space.grid.points).real)
+    assert _rel(space.toeplitz(chi), grid) <= 1e-11
+
+
+def test_symbol_decay_beyond_grid_levels():
+    # closed-form eps past the levels the quadrature grid resolves
+    rows = symbol_decay_experiment(harmonic_real(), zonal_harmonic(), [64, 80, 96, 128])
+    expect = [0.9961417429, 0.6678276926, 0.4784119188, 0.2798117438]
+    for r, e in zip(rows, expect):
+        assert r["eps"] == pytest.approx(e, rel=1e-8)
+        assert r["trace_lhs"] == 0.0 and r["trace_rhs"] == 0.0
+
+
+def test_symbol_decay_needs_no_grid(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("grid path used")
+
+    monkeypatch.setattr(ChartFunction, "eval", forbidden)
+    monkeypatch.setattr(SphereGrid, "build", forbidden)
+    monkeypatch.setattr(SectionSpace, "__init__", forbidden)
+    rows = symbol_decay_experiment(harmonic_real(), zonal_harmonic(), [8, 16])
+    assert rows[1]["eps"] < rows[0]["eps"]
+
+
+def test_exact_oracles_at_largest_level():
+    # rational closed forms at EXACT_LEVEL_MAX, where ||z^k||^2 underflows
+    # a double and only the log-space entries stay finite
+    big_n = EXACT_LEVEL_MAX
+    basis = SectionBasis(big_n)
+    k = np.arange(big_n + 1)
+    t = basis.toeplitz(ChartFunction.monomial(1, 1, denom=1))
+    assert _rel(t, np.diag((k + 1.0) / (big_n + 2.0))) < 1e-11
+    # zbar lowers the degree: <e_{k-1}, zbar e_k> = sqrt(k / (N-k+1))
+    t = basis.toeplitz(ChartFunction.monomial(0, 1))
+    expect = np.sqrt(k[1:] / (big_n - k[1:] + 1.0))
+    assert np.max(np.abs(np.diag(t, 1) / expect - 1.0)) < 1e-11
+    assert np.count_nonzero(t - np.diag(np.diag(t, 1), 1)) == 0
+    g = compress_generator(rotation_z(), basis)
+    assert _rel(g, np.diag(1j * k)) < 1e-11
+
+
+def test_phase_average_oracles():
+    # |z|^2/(1+|z|^2)^2 averages to 1/6; the zonal harmonic to 0
+    assert phase_average(ChartFunction.monomial(1, 1, denom=2)) == pytest.approx(1 / 6)
+    assert phase_average(zonal_harmonic().h) == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        phase_average(ChartFunction.monomial(1, 1))
+
+
+def test_grid_frame_gram_checked_at_construction():
+    SectionSpace(GRID_LEVEL_MAX, SphereGrid.for_level(GRID_LEVEL_MAX))
+    for big_n in (GRID_LEVEL_MAX + 1, 80):
+        with pytest.raises(ValueError, match=f"N={big_n}"):
+            SectionSpace(big_n, SphereGrid.for_level(big_n))
+
+
+def _entry(experiment, parameters):
+    return {
+        "seed": 1,
+        "experiments": [
+            {"experiment": experiment, "parameters": parameters, "output_path": "x.csv"}
+        ],
+    }
+
+
+def test_config_rejects_levels_past_verified_range():
+    ok = {"N_list": [8, EXACT_LEVEL_MAX]}
+    validate_config(_entry("sphere-convergence", ok))
+    with pytest.raises(ConfigError, match="N_list"):
+        validate_config(_entry("sphere-convergence", {"N_list": [8, EXACT_LEVEL_MAX + 1]}))
+    transport = {"dt": 1e-3, "t_end": 0.1, "cases": [{"hamiltonian": "rotation_z", "tol": 1e-6}]}
+    validate_config(_entry("schrodinger-intertwine", dict(transport, N=GRID_LEVEL_MAX)))
+    with pytest.raises(ConfigError, match="schrodinger N"):
+        validate_config(_entry("schrodinger-intertwine", dict(transport, N=GRID_LEVEL_MAX + 1)))
