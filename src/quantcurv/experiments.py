@@ -270,6 +270,12 @@ def _check_schrodinger(p: dict) -> dict:
     t_end = _positive(p, "t_end", "schrodinger")
     if not 0 < t_end <= 2:
         raise ConfigError("t_end must lie in (0, 2]")
+    if round(t_end / dt) > transport.TRANSPORT_STEPS_MAX:
+        raise ConfigError(
+            f"t_end/dt = {t_end / dt:.6g} steps exceeds "
+            f"{transport.TRANSPORT_STEPS_MAX}, the most the stored transport "
+            "path allows; raise dt"
+        )
     cases = p["cases"]
     if not isinstance(cases, list) or not cases:
         raise ConfigError("cases must be a nonempty list")

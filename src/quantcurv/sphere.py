@@ -508,7 +508,7 @@ def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
     """Evaluate many chart functions at once, sharing the power tables.
 
     Saves the repeated z**a work when the same point set is hit by a family
-    of functions (generator columns along a flow, stage evaluations in time
+    of functions (the flow field and phase rate at each stage of time
     stepping).
     """
     z = np.asarray(z, dtype=complex)

@@ -13,6 +13,21 @@ generator at t = 0 for time-independent Hamiltonians, which is exactly the
 statement that pullback followed by the Schrodinger propagator IS parallel
 transport; numerically B(t) is rebuilt from the flowed frames at every stage,
 so the agreement C_T = S_T is a measurement, not an assumption.
+
+On holomorphic sections the generator acts as
+
+    G z^k = k a z^(k-1) + q z^k,
+
+with a the flow field and q = -N a zbar/(1+|z|^2) + i N h the phase rate
+(`sphere._phase_rate`).  So G F needs only a and q at the flowed points, the
+two functions the characteristic equations already evaluate, and F*(G F)
+is F* diag(q) F plus F* diag(a) F shifted by one column, scaled by
+k ||z^(k-1)|| / ||z^k||.
+
+A flow that leaves the chart (a field growing like z^2 at the far pole
+carries grid points through it in finite time) overflows; the integration
+runs under `np.errstate(over="raise", invalid="raise")` and reports that as
+a `ValueError` naming the Hamiltonian, the level and the time reached.
 """
 
 from __future__ import annotations
@@ -24,16 +39,16 @@ import numpy as np
 
 from .linalg import OdeStepper, orthonormal_columns
 from .sphere import (
-    ChartFunction,
     HamiltonianField,
     SectionSpace,
+    _phase_rate,
     characteristic_rhs,
     compress_generator,
     eval_batch,
-    generator_apply,
 )
 
 __all__ = [
+    "TRANSPORT_STEPS_MAX",
     "TransportResult",
     "schrodinger_propagate",
     "parallel_transport",
@@ -52,6 +67,13 @@ _DERIV_STENCIL = (
     (-4, -1.0 / 360.0),
 )
 
+# Largest step count round(t_end / dt) a config may ask for.  The coefficient
+# path is kept whole, (n_steps + 1) x d x d complex: at the largest transport
+# level N = 72 (d = 73) that is 85 kB a step, 0.43 GB at this bound, where
+# dt = 1e-6 over t_end = 2 would ask for 170 GB.  A step there costs ~0.55 s
+# (2 vCPU, one BLAS thread), so a run at the bound takes ~46 min.
+TRANSPORT_STEPS_MAX = 5000
+
 
 @dataclass
 class TransportResult:
@@ -67,7 +89,7 @@ class TransportResult:
     generator: np.ndarray = field(repr=False)  # B at t = 0 (compressed)
     gram_end: np.ndarray = field(repr=False)  # F_T^* F_T
     cross_end: np.ndarray = field(repr=False)  # F_0^* F_T
-    gram_defect: float  # max ||F*F - I|| seen along the way
+    gram_defect: float  # max |F*F - I| over every generator build
     min_coeff_sv: float  # rank monitor for C
     sample_steps: tuple = ()  # step indices where states were kept
     snapshots: dict = field(default_factory=dict, repr=False)  # half-step -> (z, c)
@@ -111,13 +133,17 @@ def schrodinger_propagate(
 def _frame_from_state(
     space: SectionSpace, z: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Half-weighted frame columns c(x) z_t(x)^k / ||z^k|| from flowed states."""
-    d = space.dim
-    pows = np.empty((len(z), d), dtype=complex)
-    pows[:, 0] = 1.0
-    for k in range(1, d):
-        pows[:, k] = pows[:, k - 1] * z
-    return (space.sqrtw * c)[:, None] * pows / space.norms[None, :]
+    """Half-weighted frame columns c(x) z_t(x)^k / ||z^k|| from flowed states.
+
+    Column k is built as a contiguous row from column k-1 times
+    z ||z^(k-1)|| / ||z^k||; the (points, dim) frame is the transposed view.
+    """
+    ratio = space.norms[:-1] / space.norms[1:]
+    rows = np.empty((space.dim, len(z)), dtype=complex)
+    rows[0] = space.sqrtw * c / space.norms[0]
+    for k in range(1, space.dim):
+        np.multiply(rows[k - 1], ratio[k - 1] * z, out=rows[k])
+    return rows.T
 
 
 class _MovingFrame:
@@ -126,17 +152,17 @@ class _MovingFrame:
 
     def __init__(self, ham: HamiltonianField, space: SectionSpace, dt: float):
         self.space = space
+        self.a = ham.a
+        self.q = _phase_rate(ham, space.N)
         self.rhs = characteristic_rhs(ham, space.N, inverse=True)
         self.stepper = OdeStepper(dt=0.5 * dt)
         n = space.grid.points
         self.state = np.stack(
             [n.astype(complex), np.ones(len(n), dtype=complex)]
         )
-        self.gcfs = [
-            (1.0 / space.norms[k])
-            * generator_apply(ham, ChartFunction.monomial(k), space.N)
-            for k in range(space.dim)
-        ]
+        k = np.arange(1, space.dim)
+        # G e_k = k a (||z^(k-1)|| / ||z^k||) e_(k-1) + q e_k on the frame
+        self.shift_scale = k * space.norms[:-1] / space.norms[1:]
         self.half_index = 0
         self.gram_defect = 0.0
 
@@ -144,16 +170,18 @@ class _MovingFrame:
         self.state = self.stepper.step(self.rhs, 0.0, self.state)
         self.half_index += 1
 
-    def generator_matrix(self, monitor: bool = False) -> np.ndarray:
+    def generator_matrix(self) -> np.ndarray:
+        """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect."""
         z, c = self.state
-        f = _frame_from_state(self.space, z, c)
-        weighted = (self.space.sqrtw * c)[:, None]
-        gcols = weighted * np.column_stack(eval_batch(self.gcfs, z))
-        gram = f.conj().T @ f
-        if monitor:
-            defect = float(np.max(np.abs(gram - np.eye(self.space.dim))))
-            self.gram_defect = max(self.gram_defect, defect)
-        return np.linalg.solve(gram, f.conj().T @ gcols)
+        rows = _frame_from_state(self.space, z, c).T
+        av, qv = eval_batch([self.a, self.q], z)
+        rows_h = rows.conj()
+        gram = rows_h @ rows.T
+        g_f = rows_h @ (rows * qv).T
+        g_f[:, 1:] += (rows_h @ (rows[:-1] * av).T) * self.shift_scale
+        defect = float(np.max(np.abs(gram - np.eye(self.space.dim))))
+        self.gram_defect = max(self.gram_defect, defect)
+        return np.linalg.solve(gram, g_f)
 
 
 def parallel_transport(
@@ -170,6 +198,9 @@ def parallel_transport(
     is the coefficient matrix.  States at `n_samples` interior times (plus a
     derivative stencil around each) are kept so the defining equations can be
     residual-checked afterwards by `transport_residuals`.
+
+    Raises ValueError if the flow leaves the chart (overflow or an invalid
+    value while integrating).
     """
     d = space.dim
     n_steps = max(8, round(t_end / dt))
@@ -199,26 +230,35 @@ def parallel_transport(
     c_mat = np.eye(d, dtype=complex)
     path = np.empty((n_steps + 1, d, d), dtype=complex)
     path[0] = c_mat
-    maybe_snap()
-    b_here = frame.generator_matrix(monitor=True)
-    b0 = b_here.copy()
-    for i in range(n_steps):
-        frame.advance_half()
-        b_mid = frame.generator_matrix(monitor=(i % 64 == 0))
-        maybe_snap()
-        frame.advance_half()
-        b_next = frame.generator_matrix(monitor=(i % 64 == 0))
-        maybe_snap()
-        k1 = b_here @ c_mat
-        k2 = b_mid @ (c_mat + 0.5 * dt * k1)
-        k3 = b_mid @ (c_mat + 0.5 * dt * k2)
-        k4 = b_next @ (c_mat + dt * k3)
-        c_mat = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        path[i + 1] = c_mat
-        b_here = b_next
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            maybe_snap()
+            b_here = frame.generator_matrix()
+            b0 = b_here.copy()
+            for i in range(n_steps):
+                frame.advance_half()
+                b_mid = frame.generator_matrix()
+                maybe_snap()
+                frame.advance_half()
+                b_next = frame.generator_matrix()
+                maybe_snap()
+                k1 = b_here @ c_mat
+                k2 = b_mid @ (c_mat + 0.5 * dt * k1)
+                k3 = b_mid @ (c_mat + 0.5 * dt * k2)
+                k4 = b_next @ (c_mat + dt * k3)
+                c_mat = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                path[i + 1] = c_mat
+                b_here = b_next
+            z, c = frame.state
+            f_end = _frame_from_state(space, z, c)
+            min_coeff_sv = float(np.linalg.svd(c_mat, compute_uv=False)[-1])
+    except FloatingPointError as exc:
+        t_reached = 0.5 * dt * frame.half_index
+        raise ValueError(
+            f"transport of {ham.name} at N={space.N}: the flow left the chart "
+            f"after t={t_reached:.4g} of t_end={t_end:g} ({exc})"
+        ) from exc
 
-    z, c = frame.state
-    f_end = _frame_from_state(space, z, c)
     s_mat = schrodinger_propagate(ham, space, t_end, dt)
     return TransportResult(
         ham_name=ham.name,
@@ -232,7 +272,7 @@ def parallel_transport(
         gram_end=f_end.conj().T @ f_end,
         cross_end=space.frame.conj().T @ f_end,
         gram_defect=frame.gram_defect,
-        min_coeff_sv=float(np.linalg.svd(c_mat, compute_uv=False)[-1]),
+        min_coeff_sv=min_coeff_sv,
         sample_steps=tuple(samples),
         snapshots=snapshots,
     )

@@ -1,15 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
+from quantcurv import sphere, transport
+from quantcurv.cli import run
+from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, validate_config
 from quantcurv.sphere import (
     ChartFunction,
     SectionSpace,
     SphereGrid,
+    compress_generator,
+    generator_apply,
     hamiltonian_from_chart,
     harmonic_real,
+    rotation_x,
     rotation_z,
 )
 from quantcurv.transport import (
+    TRANSPORT_STEPS_MAX,
     intertwine_check,
     parallel_transport,
     schrodinger_propagate,
@@ -20,6 +29,11 @@ from quantcurv.transport import (
 @pytest.fixture(scope="module")
 def space():
     return SectionSpace(6, SphereGrid.for_level(6))
+
+
+@pytest.fixture(scope="module")
+def space16():
+    return SectionSpace(16, SphereGrid.for_level(16))
 
 
 def _constant_field(value):
@@ -100,3 +114,124 @@ def test_transport_result_fields(space):
     assert res.coeffs.shape == (7, 7)
     assert res.min_coeff_sv > 0.9
     assert len(res.sample_steps) == len(set(res.sample_steps)) == 3
+
+
+def test_gram_defect_covers_every_state(space):
+    # the end state is the last one the generator is built at, so the
+    # recorded maximum cannot be below its Gram defect
+    res = parallel_transport(harmonic_real(), space, t_end=0.1, dt=2e-3, n_samples=2)
+    end_defect = float(np.max(np.abs(res.gram_end - np.eye(res.dim))))
+    assert end_defect > 0.0
+    assert res.gram_defect >= end_defect - 1e-15
+
+
+def _chart_hamiltonians():
+    hams = [make() for make in HAMILTONIAN_LIBRARY.values()]
+    return hams + [_constant_field(0.7)]
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_generator_matrix_matches_per_column_images(n):
+    # reference: each column G e_k evaluated from its symbolic image at the
+    # flowed points; the transport code only evaluates a and q there
+    space = SectionSpace(n, SphereGrid.for_level(n))
+    for ham in _chart_hamiltonians():
+        frame = transport._MovingFrame(ham, space, dt=2e-3)
+        images = [
+            generator_apply(ham, ChartFunction.monomial(k), n) for k in range(space.dim)
+        ]
+        for _ in range(3):
+            z, c = frame.state
+            f = transport._frame_from_state(space, z, c)
+            weighted = (space.sqrtw * c)[:, None]
+            g_cols = weighted * np.column_stack(
+                [img.eval(z) / space.norms[k] for k, img in enumerate(images)]
+            )
+            fh = f.conj().T
+            ref = np.linalg.solve(fh @ f, fh @ g_cols)
+            got = frame.generator_matrix()
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), ham.name
+            frame.advance_half()
+            frame.advance_half()
+
+
+def test_generator_at_start_is_compressed_generator(space16):
+    for ham in _chart_hamiltonians():
+        res = parallel_transport(ham, space16, t_end=0.016, dt=2e-3, n_samples=1)
+        ref = compress_generator(ham, space16)
+        assert np.max(np.abs(res.generator - ref)) <= 1e-12 * np.max(np.abs(ref)), ham.name
+
+
+def test_stepping_evaluates_two_chart_functions(space, monkeypatch):
+    # the moving-frame generator needs a and q only; no symbolic generator
+    # image is formed or evaluated while stepping
+    assert not hasattr(transport, "generator_apply")
+    seen = []
+    real_eval_batch = transport.eval_batch
+
+    def counting_eval_batch(cfs, z):
+        seen.append(len(cfs))
+        return real_eval_batch(cfs, z)
+
+    images = []
+
+    def counting_generator_apply(*args):
+        images.append(args)
+        return generator_apply(*args)
+
+    monkeypatch.setattr(transport, "eval_batch", counting_eval_batch)
+    monkeypatch.setattr(sphere, "generator_apply", counting_generator_apply)
+    n_steps = 10
+    parallel_transport(harmonic_real(), space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
+    assert seen == [2] * (2 * n_steps + 1)
+    # only schrodinger_propagate's closed-form compression, once per column
+    assert len(images) == space.dim
+
+
+def test_flow_leaving_chart_fails_loudly(space16):
+    # rotation_x moves points like z^2 near the far pole and carries the
+    # outer grid ring through it before t = 0.1
+    with pytest.raises(ValueError, match=r"rotation_x at N=16: the flow left the chart after t="):
+        parallel_transport(rotation_x(), space16, t_end=0.1, dt=1e-3)
+
+
+def test_short_rotation_x_transport_intertwines(space16):
+    res = parallel_transport(rotation_x(), space16, t_end=0.02, dt=1e-3, n_samples=2)
+    assert intertwine_check(rotation_x(), space16, result=res) <= 1e-6
+
+
+def _transport_entry(out_path, **params):
+    base = {
+        "N": 16,
+        "dt": 1e-3,
+        "t_end": 0.1,
+        "cases": [{"hamiltonian": "rotation_x", "tol": 1e-6}],
+    }
+    return {
+        "experiment": "schrodinger-intertwine",
+        "parameters": dict(base, **params),
+        "output_path": str(out_path),
+    }
+
+
+def test_cli_flow_leaving_chart_exits_one_without_csv(tmp_path, capsys):
+    out_path = tmp_path / "transport.csv"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "experiments": [_transport_entry(out_path)]}))
+    assert run(str(path)) == 1
+    err = capsys.readouterr().err
+    assert "rotation_x at N=16: the flow left the chart" in err
+    assert not out_path.exists()
+
+
+def test_step_count_bound_at_validation():
+    # validation only: the rejected run is never built
+    def validate(**params):
+        validate_config({"seed": 1, "experiments": [_transport_entry("t.csv", **params)]})
+
+    validate(t_end=1.0, dt=1e-3)  # criterion 8
+    validate(t_end=2.0, dt=2.0 / TRANSPORT_STEPS_MAX)
+    with pytest.raises(ConfigError, match="exceeds"):
+        validate(t_end=2.0, dt=2.0 / (TRANSPORT_STEPS_MAX + 1))
+    with pytest.raises(ConfigError, match="exceeds"):
+        validate(N=72, t_end=2.0, dt=1e-6)
