@@ -3,13 +3,10 @@ parallel transport, and a hyperbolic slice pairing, with a batch CLI."""
 
 from .linalg import (
     OdeStepper,
-    QuadratureRule,
-    central_difference,
-    derivative,
+    compressed_curvature,
     hermiticity_defect,
     hs_norm,
     orthonormal_columns,
-    projector_from_frame,
 )
 from .symplectic import (
     QuadraticHamiltonian,
@@ -39,11 +36,9 @@ from .fock import (
 )
 from .sphere import (
     ChartFunction,
-    GridOperator,
     HamiltonianField,
     SectionSpace,
     SphereGrid,
-    build_projector,
     chi_field,
     curvature_calibration,
     curvature_commutator,
@@ -51,9 +46,6 @@ from .sphere import (
     harmonic_imag,
     harmonic_real,
     hamiltonian_from_chart,
-    op_full,
-    prequantum_generator,
-    projector_curve,
     pullback_frame,
     rotation_x,
     rotation_y,

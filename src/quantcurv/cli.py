@@ -3,8 +3,8 @@
 Config files are JSON with a single integer seed and a list of experiment
 entries; see the repository README for the schema.  Randomness is drawn from
 numpy's default PCG64 generator, seeded per experiment by spawning children
-of the config seed in entry order, so results are reproducible and
-independent of worker scheduling.
+of the config seed in entry order, so results are reproducible.  Entries
+run one after another on the calling thread.
 
 Exit codes: 0 all checks passed, 1 any failed check or runtime error,
 2 usage/config errors.
@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,8 +48,8 @@ def _write_csv(path: str, columns: list, rows: list, chash: str, stamp: str) -> 
             fh.write(",".join([chash] + [_fmt(v) for v in row]) + "\n")
 
 
-def run(config_path: str, workers: int | None = None, seed: int | None = None) -> int:
-    """Execute every experiment in the config; write one CSV per entry."""
+def run(config_path: str, seed: int | None = None) -> int:
+    """Execute every experiment in the config, in order; write one CSV per entry."""
     try:
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -73,18 +72,11 @@ def run(config_path: str, workers: int | None = None, seed: int | None = None) -
 
     chash = config_hash(config)
     children = np.random.SeedSequence(config["seed"]).spawn(len(entries))
-    workers = workers or min(4, len(entries))
-
-    def job(i: int):
-        entry = entries[i]
-        rng = np.random.default_rng(children[i])
-        return run_experiment(entry["experiment"], entry["parameters"], rng)
-
     results = []
     try:
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            for cols, rows, ok in pool.map(job, range(len(entries))):
-                results.append((cols, rows, ok))
+        for entry, child in zip(entries, children):
+            rng = np.random.default_rng(child)
+            results.append(run_experiment(entry["experiment"], entry["parameters"], rng))
     except Exception as exc:  # noqa: BLE001 - surfaced as exit-code-1 failure
         print(f"experiment failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -155,13 +147,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute a config of experiments")
     p_run.add_argument("config", help="path to JSON config")
-    p_run.add_argument("--workers", type=int, default=None, help="parallel experiments")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sum = sub.add_parser("summarize", help="report verdicts from CSV outputs")
     p_sum.add_argument("csvs", nargs="+", help="CSV files produced by run")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, workers=args.workers, seed=args.seed)
+        return run(args.config, seed=args.seed)
     return summarize(args.csvs)
 
 

@@ -15,7 +15,13 @@ import math
 import numpy as np
 
 from . import fock, sphere, teichmuller, transport
-from .symplectic import omega_pairing, p_minus_basis, p_plus_basis, standard_complex_structure
+from .symplectic import (
+    QuadraticHamiltonian,
+    omega_pairing,
+    p_minus_basis,
+    p_plus_basis,
+    standard_complex_structure,
+)
 
 __all__ = [
     "ConfigError",
@@ -188,11 +194,9 @@ def _pair_alpha(n: int, m: int, l: int) -> tuple:
 
 
 def _random_p_element(c):
-    from .symplectic import QuadraticHamiltonian
-
-    xp = np.array([[0.0, 4.0], [4.0, 0.0]])
-    xm = np.array([[4.0, 0.0], [0.0, -4.0]])
-    return QuadraticHamiltonian(c[0] * xp + c[1] * xm)
+    return QuadraticHamiltonian(
+        c[0] * p_plus_basis(1)[0].generator + c[1] * p_minus_basis(1)[0].generator
+    )
 
 
 def _check_sphere(p: dict) -> dict:
@@ -326,7 +330,7 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
             [
                 case["hamiltonian"],
                 p["N"],
-                p["dt"],
+                res.dt,
                 p["t_end"],
                 inter,
                 max_range,

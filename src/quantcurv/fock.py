@@ -18,11 +18,12 @@ states (Gaussian factor included).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
+from .linalg import compressed_curvature
 from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_structure
 
 __all__ = [
@@ -200,29 +201,33 @@ class FockTruncation:
     n: int
     N: int
     D: int
+    _basis: list = field(init=False, repr=False, compare=False)
+    _pos: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.N < 1 or self.D < 0:
             raise ValueError("need n >= 1, N >= 1, D >= 0")
-
-    def basis(self) -> list[tuple[int, ...]]:
         idx = [
             alpha
             for alpha in product(range(self.D + 1), repeat=self.n)
             if sum(alpha) <= self.D
         ]
         idx.sort(key=lambda a: (sum(a), a))
-        return idx
+        object.__setattr__(self, "_basis", idx)
+        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(idx)})
+
+    def basis(self) -> list[tuple[int, ...]]:
+        return list(self._basis)
 
     @property
     def dim(self) -> int:
-        return len(self.basis())
+        return len(self._basis)
 
     def dim_up_to(self, degree: int) -> int:
-        return sum(1 for a in self.basis() if sum(a) <= degree)
+        return sum(1 for a in self._basis if sum(a) <= degree)
 
     def index(self, alpha) -> int:
-        return self.basis().index(tuple(alpha))
+        return self._basis.index(tuple(alpha))
 
     def norm_constant(self, alpha) -> float:
         """sqrt(N^|alpha| / alpha!) normalizing z^alpha."""
@@ -322,12 +327,24 @@ class FockOperator:
         k = self.trunc.dim_up_to(degree)
         return self.matrix[:, :k]
 
+    def scalar_fit(self) -> tuple[complex, float]:
+        """Fit the exact columns to scalar * identity.
+
+        Returns the scalar (mean diagonal entry) and the Hilbert-Schmidt
+        distance of the columns from scalar * identity, divided by sqrt of
+        the number of columns.
+        """
+        cols = self.columns()
+        k = cols.shape[1]
+        scalar = complex(np.trace(cols) / k)
+        deviation = np.linalg.norm(cols - scalar * np.eye(*cols.shape)) / math.sqrt(k)
+        return scalar, float(deviation)
+
 
 def _to_basis_column(p: BiPolynomial, trunc: FockTruncation, in_alpha) -> np.ndarray:
     """Coefficients of p in the e_alpha basis, for unit input e_{in_alpha}."""
-    basis = trunc.basis()
-    pos = {a: i for i, a in enumerate(basis)}
-    col = np.zeros(len(basis), dtype=complex)
+    pos = trunc._pos
+    col = np.zeros(len(pos), dtype=complex)
     c_in = trunc.norm_constant(in_alpha)
     for (alpha, beta), c in p.terms.items():
         if sum(beta):
@@ -357,19 +374,22 @@ def _curvature_matrix(d1, d2, trunc: FockTruncation) -> FockOperator:
     if trunc.D < 4:
         raise DegreeOverflowError("curvature columns need D >= 4")
     N = trunc.N
-    basis = trunc.basis()
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, alpha in enumerate(basis):
-        if sum(alpha) > trunc.D - 4:
-            break
-        f = BiPolynomial.monomial(trunc.n, alpha)
-        d1f = d1(f)
-        d2f = d2(f)
-        term1 = project(d2(d1f) - d1(d2f), N)
-        p1 = project(d1f, N)
-        p2 = project(d2f, N)
-        term2 = project(d2(p1), N) - project(d1(p2), N)
-        mat[:, i] = _to_basis_column(term1 - term2, trunc, alpha)
+    alphas = trunc.basis()[: trunc.dim_up_to(trunc.D - 2)]
+
+    def to_matrix(images):
+        return np.column_stack(
+            [_to_basis_column(project(g, N), trunc, a) for g, a in zip(images, alphas)]
+        )
+
+    cols = compressed_curvature(
+        [BiPolynomial.monomial(trunc.n, a) for a in alphas],
+        d1,
+        d2,
+        to_matrix,
+        trunc.dim_up_to(trunc.D - 4),
+    )
+    mat = np.zeros((trunc.dim, trunc.dim), dtype=complex)
+    mat[:, : cols.shape[1]] = cols
     return FockOperator(mat, trunc, trunc.D - 4)
 
 
@@ -445,12 +465,7 @@ def verify_scalar_curvature(
         if np.max(np.abs(x - x.T)) > sym_tol * max(1.0, np.max(np.abs(x))):
             raise ValueError("expected a deformation direction (symmetric generator)")
     curv = curvature_operator(hamiltonian_bipoly(q1), hamiltonian_bipoly(q2), trunc)
-    cols = curv.columns()
-    k = cols.shape[1]
-    scalar = complex(np.trace(cols[:k, :]) / k)
-    target = np.zeros_like(cols)
-    target[:k, :] = scalar * np.eye(k)
-    deviation = float(np.linalg.norm(cols - target) / math.sqrt(k))
+    scalar, deviation = curv.scalar_fit()
     omega = omega_pairing(
         q1.generator, q2.generator, standard_complex_structure(q1.n)
     )
@@ -460,5 +475,5 @@ def verify_scalar_curvature(
         "deviation": deviation,
         "omega": omega,
         "ratio": ratio,
-        "dim": k,
+        "dim": trunc.dim_up_to(curv.valid_degree),
     }

@@ -1,10 +1,11 @@
 """Dense linear-algebra and ODE helpers shared by the other modules.
 
-Everything here works on plain complex numpy arrays.  Operators that act on
-function spaces sampled on a grid are represented in "half-weighted"
-coordinates: a section s is stored as sqrt(w) * s(points), so the weighted
-L2 pairing becomes the ordinary complex dot product and adjoints/Hermiticity
-checks are the plain matrix ones.
+Everything here works on plain complex numpy arrays, except that the
+compressed curvature takes its vectors and operators as callables.
+Operators that act on function spaces sampled on a grid are represented in
+"half-weighted" coordinates: a section s is stored as sqrt(w) * s(points),
+so the weighted L2 pairing becomes the ordinary complex dot product and
+adjoints/Hermiticity checks are the plain matrix ones.
 """
 
 from __future__ import annotations
@@ -32,42 +33,6 @@ def anti_hermiticity_defect(m: np.ndarray) -> float:
     """max |M + M*| entrywise; 0 for exactly anti-Hermitian input."""
     m = np.asarray(m)
     return float(np.max(np.abs(m + m.conj().T))) if m.size else 0.0
-
-
-def assert_projector(p: np.ndarray, tol: float = 1e-10) -> None:
-    """Check idempotence and Hermiticity of a projector matrix."""
-    scale = max(1.0, float(np.max(np.abs(p))))
-    if hermiticity_defect(p) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    if np.max(np.abs(p @ p - p)) > tol * max(1.0, scale * scale):
-        raise ValueError("matrix is not idempotent within tolerance")
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights for a fixed integration rule.
-
-    `points` may be any array whose leading axis enumerates nodes (complex
-    chart coordinates in this package); `weights` is the matching 1-D real
-    array.  Integrating f means (weights * f(points)).sum().
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) != len(self.points):
-            raise ValueError("weights must be 1-D and match the nodes")
-        if np.any(w <= 0):
-            raise ValueError("quadrature weights must be positive")
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * np.asarray(values)))
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def orthonormal_columns(frame: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
@@ -104,30 +69,24 @@ def orthonormal_columns(frame: np.ndarray, cond_limit: float = 1e8) -> np.ndarra
     return frame @ inv_sqrt
 
 
-def projector_from_frame(frame: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
-    """Orthogonal projector onto the column span of `frame` (half-weighted coords)."""
-    u = orthonormal_columns(frame, cond_limit=cond_limit)
-    return u @ u.conj().T
+def compressed_curvature(basis: list, d1, d2, to_matrix, n: int) -> np.ndarray:
+    """Columns of Pi [D2, D1] Pi - [Pi D2 Pi, Pi D1 Pi] on basis[:n].
 
-
-def central_difference(f, t: float, h: float) -> np.ndarray:
-    """Symmetric difference quotient (f(t+h) - f(t-h)) / (2h)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    return (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2.0 * h)
-
-
-def derivative(f, t: float = 0.0, h: float = 1e-3, richardson: bool = True):
-    """Numerical derivative of a vector/matrix valued path.
-
-    With `richardson`, combines the h and h/2 central differences as
-    (4 D_{h/2} - D_h) / 3, cancelling the leading O(h^2) error term.
+    `d1` and `d2` apply the two operators to one vector; `to_matrix` maps a
+    list of images (entry k the image of basis[k]) to the coefficient columns
+    of their projections, row i belonging to basis[i] for i < len(basis).
+    Each operator is applied once to every basis vector and once more to the
+    other's first n images.  The compressions are multiplied on the first
+    len(basis) coefficient rows, so the projected images of basis[:n] must
+    lie in the span of `basis`.
     """
-    d_h = central_difference(f, t, h)
-    if not richardson:
-        return d_h
-    d_half = central_difference(f, t, h / 2.0)
-    return (4.0 * d_half - d_h) / 3.0
+    m = len(basis)
+    g1 = [d1(x) for x in basis]
+    g2 = [d2(x) for x in basis]
+    b1 = to_matrix(g1)
+    b2 = to_matrix(g2)
+    inner = to_matrix([d2(x) - d1(y) for x, y in zip(g1[:n], g2[:n])])
+    return inner - (b2 @ b1[:m, :n] - b1 @ b2[:m, :n])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import OdeStepper, orthonormal_columns
+from .linalg import OdeStepper, compressed_curvature, orthonormal_columns
 from .symplectic import chi_symbol, standard_complex_structure
 
 __all__ = [
@@ -50,16 +50,11 @@ __all__ = [
     "GRID_LEVEL_MAX",
     "EXACT_LEVEL_MAX",
     "phase_average",
-    "GridOperator",
-    "build_projector",
     "generator_apply",
     "compress_generator",
-    "prequantum_generator",
     "characteristic_rhs",
     "eval_batch",
-    "op_full",
     "pullback_frame",
-    "projector_curve",
     "tangent_structure",
     "tangent_structure_fd",
     "chi_field",
@@ -459,34 +454,6 @@ class SectionSpace(SectionBasis):
         """Toeplitz compression of multiplication by a real grid function."""
         return self.frame.conj().T @ (values[:, None] * self.frame)
 
-    def lift(self, core: np.ndarray) -> "GridOperator":
-        return GridOperator(frame=self.frame, core=np.asarray(core, dtype=complex))
-
-
-@dataclass(frozen=True)
-class GridOperator:
-    """Operator on half-weighted grid vectors in factored form F C F*."""
-
-    frame: np.ndarray = field(repr=False)
-    core: np.ndarray = field(repr=False)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.frame @ (self.core @ (self.frame.conj().T @ vec))
-
-    def dense(self) -> np.ndarray:
-        return self.frame @ self.core @ self.frame.conj().T
-
-    @property
-    def rank_bound(self) -> int:
-        return self.core.shape[0]
-
-
-def build_projector(N: int, grid: SphereGrid) -> GridOperator:
-    """Orthogonal projector onto the holomorphic sections at level N."""
-    space = SectionSpace(N, grid)
-    return space.lift(np.eye(N + 1))
-
-
 def generator_apply(ham: HamiltonianField, f: ChartFunction, N: int) -> ChartFunction:
     """G f = a f_z + conj(a) f_zbar - N (a zbar/(1+w)) f + i N h f, symbolically."""
     a = ham.a
@@ -553,22 +520,6 @@ def characteristic_rhs(ham: HamiltonianField, N: int, inverse: bool = True):
     return rhs
 
 
-def prequantum_generator(
-    ham: HamiltonianField, N: int, grid: SphereGrid
-) -> np.ndarray:
-    """Compression of nabla_xi + i N H to the holomorphic range (anti-Hermitian).
-
-    The full operator acts on chart functions via `generator_apply`; only its
-    matrix on the range is materialized.
-    """
-    return compress_generator(ham, SectionSpace(N, grid))
-
-
-def op_full(ham: HamiltonianField, N: int, grid: SphereGrid) -> np.ndarray:
-    """Compression of -i nabla_xi + N H (Hermitian; equals -i times the generator)."""
-    return -1j * prequantum_generator(ham, N, grid)
-
-
 def _phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
     """q = -N a zbar/(1+w) + i N h, the source term along characteristics."""
     return (-float(N)) * (ham.a * _ZBAR_OVER_1PW) + (1j * N) * ham.h
@@ -617,18 +568,6 @@ def pullback_frame(
         space.sqrtw * ct * zt**k / space.norms[k] for k in range(space.N + 1)
     ]
     return np.column_stack(cols)
-
-
-def projector_curve(
-    ham: HamiltonianField,
-    space: SectionSpace,
-    t: float,
-    n_steps: int = 32,
-) -> GridOperator:
-    """Projector onto the deformed holomorphic sections at flow time t."""
-    frame = pullback_frame(ham, space, t, n_steps=n_steps, inverse=True)
-    q = orthonormal_columns(frame)
-    return GridOperator(frame=q, core=np.eye(space.N + 1, dtype=complex))
 
 
 def tangent_structure(ham: HamiltonianField, points: np.ndarray) -> np.ndarray:
@@ -735,16 +674,13 @@ def curvature_commutator(
     a closed-form pairing, so entries carry rounding error only.
     """
     N = space.N
-    b1 = compress_generator(h1, space)
-    b2 = compress_generator(h2, space)
-    term2 = b2 @ b1 - b1 @ b2
-    inner = []
-    for k in range(N + 1):
-        mk = ChartFunction.monomial(k)
-        g1 = generator_apply(h1, mk, N)
-        g2 = generator_apply(h2, mk, N)
-        inner.append(generator_apply(h2, g1, N) - generator_apply(h1, g2, N))
-    return space.operator_matrix(inner) - term2
+    return compressed_curvature(
+        [ChartFunction.monomial(k) for k in range(N + 1)],
+        lambda f: generator_apply(h1, f, N),
+        lambda f: generator_apply(h2, f, N),
+        space.operator_matrix,
+        N + 1,
+    )
 
 
 def curvature_fd(
@@ -809,12 +745,8 @@ def curvature_calibration() -> complex:
     curv = flat_curvature_operator(
         hamiltonian_bipoly(hp), hamiltonian_bipoly(hm), trunc
     )
-    cols = curv.columns()
-    k = cols.shape[1]
-    scalar = complex(np.trace(cols[:k, :]) / k)
-    target = np.zeros_like(cols)
-    target[:k, :] = scalar * np.eye(k)
-    if np.linalg.norm(cols - target) > 1e-10 * abs(scalar) * math.sqrt(k):
+    scalar, deviation = curv.scalar_fit()
+    if deviation > 1e-10 * abs(scalar):
         raise RuntimeError("flat-model curvature is not scalar; conventions broken")
     j0 = standard_complex_structure(1)
     a1 = j0 @ (hp.generator / 2.0) - (hp.generator / 2.0) @ j0

@@ -196,7 +196,7 @@ def test_main_usage_errors():
 def test_console_script_smoke(tmp_path):
     path, _ = _config(tmp_path)
     proc = subprocess.run(
-        [sys.executable, "-m", "quantcurv.cli", "run", str(path), "--workers", "1"],
+        [sys.executable, "-m", "quantcurv.cli", "run", str(path)],
         capture_output=True,
         text=True,
     )

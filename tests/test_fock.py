@@ -7,6 +7,7 @@ import pytest
 from quantcurv.fock import (
     BiPolynomial,
     DegreeOverflowError,
+    FockOperator,
     FockTruncation,
     bargmann_generator,
     curvature_operator,
@@ -87,6 +88,60 @@ def test_truncation_basis_and_dims():
         assert tr1.norm_constant((k,)) == pytest.approx(
             math.sqrt(4.0**k / math.factorial(k)), rel=1e-14
         )
+
+
+def test_truncation_basis_is_a_copy_of_the_cache():
+    tr = FockTruncation(2, 4, 3)
+    b = tr.basis()
+    b.clear()
+    assert tr.basis()[:3] == [(0, 0), (0, 1), (1, 0)]
+    assert tr.dim == 10 and tr.index((1, 0)) == 2
+
+
+def test_scalar_fit_reports_off_identity_part():
+    tr = FockTruncation(1, 4, 6)
+    mat = np.zeros((7, 7), dtype=complex)
+    mat[:5, :5] = 2j * np.eye(5)
+    op = FockOperator(mat, tr, 4)
+    assert op.scalar_fit() == (2j, 0.0)
+    mat[6, 1] = 3.0  # a row outside the square block still counts
+    scalar, deviation = op.scalar_fit()
+    assert scalar == 2j
+    assert deviation == pytest.approx(3.0 / math.sqrt(5), rel=1e-15)
+
+
+@pytest.mark.parametrize("n, D", [(1, 8), (2, 7)])
+def test_curvature_matches_columnwise_reference(n, D):
+    # pi [G2, G1] pi - [pi G2 pi, pi G1 pi] composed symbolically, one column
+    # at a time, against the matrix products of the shared routine
+    big_n = 3
+    tr = FockTruncation(n, big_n, D)
+    rng = np.random.default_rng(5)
+    quad = [(a, b) for a in itertools.product(range(3), repeat=n)
+            for b in itertools.product(range(3), repeat=n) if sum(a) + sum(b) == 2]
+    h1, h2 = (
+        BiPolynomial(n, {key: complex(*rng.standard_normal(2)) for key in quad})
+        for _ in range(2)
+    )
+    got = flat_curvature_operator(h1, h2, tr)
+
+    def lie(h, f):
+        return bargmann_generator(h, f, big_n)
+
+    worst = 0.0
+    for i, alpha in enumerate(tr.basis()[: tr.dim_up_to(D - 4)]):
+        f = BiPolynomial.monomial(n, alpha)
+        p1, p2 = project(lie(h1, f), big_n), project(lie(h2, f), big_n)
+        ref = project(lie(h2, lie(h1, f)) - lie(h1, lie(h2, f)), big_n) - (
+            project(lie(h2, p1), big_n) - project(lie(h1, p2), big_n)
+        )
+        for (beta, _), c in ref.terms.items():
+            expect = c * tr.norm_constant(alpha) / tr.norm_constant(beta)
+            worst = max(worst, abs(got.matrix[tr.index(beta), i] - expect))
+        ref_rows = {tr.index(beta) for (beta, _) in ref.terms}
+        rest = [r for r in range(tr.dim) if r not in ref_rows]
+        worst = max(worst, float(np.max(np.abs(got.matrix[rest, i]), initial=0.0)))
+    assert worst < 1e-12 * max(1.0, float(np.max(np.abs(got.matrix))))
 
 
 def test_lie_matrix_rotation_is_diagonal():

@@ -3,15 +3,11 @@ import pytest
 
 from quantcurv.linalg import (
     OdeStepper,
-    QuadratureRule,
     anti_hermiticity_defect,
-    assert_projector,
-    central_difference,
-    derivative,
+    compressed_curvature,
     hermiticity_defect,
     hs_norm,
     orthonormal_columns,
-    projector_from_frame,
 )
 
 
@@ -33,11 +29,10 @@ def test_hermiticity_defects():
 
 
 def test_projector_from_frame_single_vector():
-    frame = np.array([[1.0], [0.0], [0.0]])
-    p = projector_from_frame(frame)
-    expect = np.zeros((3, 3))
-    expect[0, 0] = 1.0
-    assert np.max(np.abs(p - expect)) < 1e-14
+    frame = np.array([[2.0], [0.0], [0.0]])
+    u = orthonormal_columns(frame)
+    expect = np.array([[1.0], [0.0], [0.0]])
+    assert np.max(np.abs(u - expect)) < 1e-14
 
 
 def test_projector_from_frame_orthonormal_input_is_fixed():
@@ -51,62 +46,37 @@ def test_projector_from_frame_orthonormal_input_is_fixed():
 def test_projector_random_frame():
     rng = np.random.default_rng(3)
     frame = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    p = projector_from_frame(frame)
-    assert_projector(p)
-    assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
-    # projector leaves the frame columns fixed
-    assert np.max(np.abs(p @ frame - frame)) < 1e-12
+    u = orthonormal_columns(frame)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
+    # same span: projecting onto the columns of u leaves the frame fixed
+    assert np.max(np.abs(u @ (u.conj().T @ frame) - frame)) < 1e-12
 
 
 def test_projector_rank_deficient_frame_rejected():
     frame = np.ones((5, 2))
     with pytest.raises(np.linalg.LinAlgError):
-        projector_from_frame(frame)
+        orthonormal_columns(frame)
 
 
-def test_assert_projector_catches_defects():
-    assert_projector(np.diag([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        assert_projector(np.diag([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        assert_projector(np.array([[1.0, 1e-3], [0.0, 0.0]]))
-
-
-def test_quadrature_rule_basics():
-    rule = QuadratureRule(points=np.array([0.0, 1.0, 2.0]), weights=np.array([1.0, 2.0, 1.0]))
-    assert rule.total_mass == pytest.approx(4.0)
-    assert rule.integrate(np.array([1.0, 1.0, 1.0])) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        QuadratureRule(points=np.array([0.0]), weights=np.array([-1.0]))
-
-
-def test_central_difference_linear_exact():
-    d = central_difference(lambda t: np.array([2.0 * t, -t]), 0.3, 0.1)
-    assert np.max(np.abs(d - np.array([2.0, -1.0]))) < 1e-13
-
-
-def test_central_difference_even_function_vanishes():
-    assert abs(central_difference(lambda t: np.array(t * t), 0.0, 0.05)) < 1e-15
-
-
-def test_central_difference_matrix_exponential_curve():
-    a = np.array([[1.0]])
-    d = central_difference(lambda t: np.asarray(np.exp(a * t)), 0.0, 1e-3)
-    assert abs(d[0, 0] - 1.0) < 1e-6
-
-
-def test_central_difference_second_order():
-    f = lambda t: np.exp(np.array([[2.0]]) * t)
-    e1 = abs(central_difference(f, 0.0, 1e-2)[0, 0] - 2.0)
-    e2 = abs(central_difference(f, 0.0, 5e-3)[0, 0] - 2.0)
-    assert e1 / e2 > 3.5  # O(h^2): halving h should cut the error ~4x
-
-
-def test_derivative_richardson_beats_plain():
-    f = lambda t: np.array(np.exp(3.0 * t))
-    plain = abs(derivative(f, 0.0, h=1e-2, richardson=False) - 3.0)
-    rich = abs(derivative(f, 0.0, h=1e-2, richardson=True) - 3.0)
-    assert rich < plain * 1e-2
+@pytest.mark.parametrize("n", [4, 2])
+def test_compressed_curvature_matches_dense_formula(n):
+    # ambient C^6 with the range of Pi the first four coordinates
+    rng = np.random.default_rng(17)
+    a1, a2 = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(2))
+    p = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+    expect = p @ (a2 @ a1 - a1 @ a2) @ p - (
+        (p @ a2 @ p) @ (p @ a1 @ p) - (p @ a1 @ p) @ (p @ a2 @ p)
+    )
+    basis = list(np.eye(6)[:4])
+    got = compressed_curvature(
+        basis,
+        lambda x: a1 @ x,
+        lambda x: a2 @ x,
+        lambda images: np.column_stack(images)[:4],
+        n,
+    )
+    assert got.shape == (4, n)
+    assert np.max(np.abs(got - expect[:4, :n])) < 1e-12
 
 
 def test_ode_stepper_scalar_growth():

@@ -235,3 +235,17 @@ def test_step_count_bound_at_validation():
         validate(t_end=2.0, dt=2.0 / (TRANSPORT_STEPS_MAX + 1))
     with pytest.raises(ConfigError, match="exceeds"):
         validate(N=72, t_end=2.0, dt=1e-6)
+
+
+def test_cli_reports_the_step_it_integrated_with(tmp_path):
+    # t_end/dt = 4 is below the 8-step floor of parallel_transport: dt halves
+    out_path = tmp_path / "transport.csv"
+    entry = _transport_entry(
+        out_path, N=4, t_end=0.004, cases=[{"hamiltonian": "rotation_z", "tol": 1e-6}]
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "experiments": [entry]}))
+    assert run(str(path)) == 0
+    lines = [ln for ln in out_path.read_text().splitlines() if not ln.startswith("#")]
+    header, row = lines[0].split(","), lines[1].split(",")
+    assert float(row[header.index("dt")]) == 0.0005
