@@ -10,14 +10,11 @@ from .linalg import (
 )
 from .symplectic import (
     QuadraticHamiltonian,
-    cartan_split,
     chi_symbol,
-    decompose_quadratic,
     hamiltonian_from_form,
     omega_pairing,
     p_minus_basis,
     p_plus_basis,
-    poisson_bracket,
     standard_complex_structure,
     standard_symplectic,
 )

@@ -277,8 +277,8 @@ def _check_schrodinger(p: dict) -> dict:
     if round(t_end / dt) > transport.TRANSPORT_STEPS_MAX:
         raise ConfigError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds "
-            f"{transport.TRANSPORT_STEPS_MAX}, the most the stored transport "
-            "path allows; raise dt"
+            f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
+            "(~46 min at N = 72); raise dt"
         )
     cases = p["cases"]
     if not isinstance(cases, list) or not cases:

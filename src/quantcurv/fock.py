@@ -133,10 +133,6 @@ class BiPolynomial:
             self.n, {(beta, alpha): c.conjugate() for (alpha, beta), c in self.terms.items()}
         )
 
-    def coefficient(self, alpha, beta=None) -> complex:
-        beta = tuple(beta) if beta is not None else (0,) * self.n
-        return self.terms.get((tuple(alpha), beta), 0.0)
-
     @property
     def holo_degree(self) -> int:
         return max((sum(a) for (a, _b) in self.terms), default=0)

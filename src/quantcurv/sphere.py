@@ -21,6 +21,9 @@ chart function and its phase-space average are computed this way, with no
 grid.  The quadrature grid (`SphereGrid`, `SectionSpace`) is used only where
 flows leave that algebra: flowed frames in transport and in `curvature_fd`,
 multiplication by sampled grid values (`compress_mult`) and the Gram check.
+`SectionSpace.frame_at` is the one builder of half-weighted frames on the
+grid, for the grid itself and for its images under a flow; chart functions
+are evaluated on points by `eval_batch` alone.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import OdeStepper, compressed_curvature, orthonormal_columns
-from .symplectic import chi_symbol, standard_complex_structure
+from .symplectic import chi_symbol, standard_complex_structure, tangent_from_generator
 
 __all__ = [
     "ChartFunction",
@@ -175,15 +178,7 @@ class ChartFunction:
         return -0.5j * (self - self.conj())
 
     def eval(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        zb = z.conj()
-        base = 1.0 + (z * zb).real
-        out = np.zeros(z.shape, dtype=complex)
-        for (a, b), c in self.terms.items():
-            out += c * z**a * zb**b
-        if self.denom:
-            out = out / base**self.denom
-        return out
+        return eval_batch([self], z)[0]
 
     def bounded_at_infinity(self) -> bool:
         return all(a + b <= 2 * self.denom for (a, b) in self.terms)
@@ -431,9 +426,7 @@ class SectionSpace(SectionBasis):
         u = grid.u
         self.section_weights = grid.weights * (1.0 + u) ** (-N)
         self.sqrtw = np.sqrt(self.section_weights)
-        z = grid.points
-        cols = [self.sqrtw * z**k / self.norms[k] for k in range(N + 1)]
-        self.frame = np.column_stack(cols)
+        self.frame = self.frame_at(grid.points, 1.0)
         gram = self.frame.conj().T @ self.frame
         defect = float(np.max(np.abs(gram - np.eye(N + 1))))
         if not defect <= _GRAM_TOL:
@@ -441,6 +434,22 @@ class SectionSpace(SectionBasis):
                 f"level N={N}: grid frame Gram deviates from the identity by "
                 f"{defect:.3g} (tolerance {_GRAM_TOL:g})"
             )
+
+    def frame_at(self, z: np.ndarray, c) -> np.ndarray:
+        """Half-weighted frame columns c(x) z(x)^k / ||z^k||, k = 0..N.
+
+        `z` holds one point per grid point (the grid itself, or its image
+        under a flow) and `c` the matching phase factors (1 on the grid
+        itself).  Column k is built
+        as a contiguous row from column k-1 times z ||z^(k-1)|| / ||z^k||;
+        the (points, dim) frame is the transposed view.
+        """
+        ratio = self.norms[:-1] / self.norms[1:]
+        rows = np.empty((self.dim, len(z)), dtype=complex)
+        rows[0] = self.sqrtw * c / self.norms[0]
+        for k in range(1, self.dim):
+            np.multiply(rows[k - 1], ratio[k - 1] * z, out=rows[k])
+        return rows.T
 
     # Closed form, as in the base class; bound here as well so that
     # per-class instrumentation (perfbench/tracing.py) finds it on SectionSpace.
@@ -525,49 +534,24 @@ def _phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
     return (-float(N)) * (ham.a * _ZBAR_OVER_1PW) + (1j * N) * ham.h
 
 
-def _flow_states(
-    ham: HamiltonianField,
-    N: int,
-    points: np.ndarray,
-    t: float,
-    n_steps: int,
-    inverse: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate characteristics from each point: returns (z_t, phase factor c_t).
-
-    For the pullback V_t (inverse=False): (V_t s)(x) = c(x) s(psi_t(x)) with
-    c = exp(int_0^t q(psi_sigma(x)) dsigma).  For V_t^{-1} (inverse=True) the
-    path runs backward and the phase enters with the opposite sign.
-    """
-    rhs = characteristic_rhs(ham, N, inverse=inverse)
-    y0 = np.stack([points.astype(complex), np.ones(len(points), dtype=complex)])
-    stepper = OdeStepper(dt=abs(t) / max(n_steps, 1) if t else 1.0)
-    y = stepper.propagate(rhs, 0.0, y0, abs(t)) if t else y0
-    return y[0], y[1]
-
-
 def pullback_frame(
-    ham: HamiltonianField,
-    space: SectionSpace,
-    t: float,
-    n_steps: int = 32,
-    inverse: bool = True,
+    ham: HamiltonianField, space: SectionSpace, t: float, n_steps: int = 32
 ) -> np.ndarray:
-    """Columns V_t^{±1} e_k sampled on the grid (half-weighted).
+    """Columns V_t^{-1} e_k sampled on the grid (half-weighted).
 
-    With inverse=True these span the range of Pi_t = V_t^{-1} Pi_0 V_t; the
-    frame Gram stays the identity up to integration error because V_t is
-    unitary.
+    (V_t s)(x) = c(x) s(psi_t(x)) with c = exp(int_0^t q(psi_sigma(x)) dsigma);
+    for V_t^{-1} the characteristics run backward and the phase enters with
+    the opposite sign.  A negative t gives V_{|t|} e_k, since V_{-t} = V_t^{-1}.
+    The columns span the range of Pi_t = V_t^{-1} Pi_0 V_t, and their Gram
+    stays the identity up to integration error because V_t is unitary.
     """
     if t == 0.0:
         return space.frame.copy()
-    # time reversal: V_{-t} = V_t^{-1} with the roles of the two paths swapped
-    inv = inverse if t > 0 else not inverse
-    zt, ct = _flow_states(ham, space.N, space.grid.points, abs(t), n_steps, inv)
-    cols = [
-        space.sqrtw * ct * zt**k / space.norms[k] for k in range(space.N + 1)
-    ]
-    return np.column_stack(cols)
+    points = space.grid.points
+    rhs = characteristic_rhs(ham, space.N, inverse=t > 0)
+    y0 = np.stack([points.astype(complex), np.ones(len(points), dtype=complex)])
+    y = OdeStepper(dt=abs(t) / max(n_steps, 1)).propagate(rhs, 0.0, y0, abs(t))
+    return space.frame_at(*y)
 
 
 def tangent_structure(ham: HamiltonianField, points: np.ndarray) -> np.ndarray:
@@ -749,8 +733,8 @@ def curvature_calibration() -> complex:
     if deviation > 1e-10 * abs(scalar):
         raise RuntimeError("flat-model curvature is not scalar; conventions broken")
     j0 = standard_complex_structure(1)
-    a1 = j0 @ (hp.generator / 2.0) - (hp.generator / 2.0) @ j0
-    a2 = j0 @ (hm.generator / 2.0) - (hm.generator / 2.0) @ j0
+    a1 = tangent_from_generator(hp.generator / 2.0, j0)
+    a2 = tangent_from_generator(hm.generator / 2.0, j0)
     return scalar / chi_symbol(a1, j0, a2)
 
 

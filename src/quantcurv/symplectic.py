@@ -23,15 +23,11 @@ __all__ = [
     "standard_symplectic",
     "standard_complex_structure",
     "assert_sp_element",
-    "cartan_split",
     "QuadraticHamiltonian",
     "hamiltonian_from_form",
-    "poisson_bracket",
-    "decompose_quadratic",
     "p_plus_basis",
     "p_minus_basis",
     "omega_pairing",
-    "assert_compatible_structure",
     "tangent_from_generator",
     "assert_tangent_at",
     "chi_symbol",
@@ -65,20 +61,6 @@ def assert_sp_element(x: np.ndarray, tol: float = 1e-12) -> None:
     scale = max(1.0, float(np.max(np.abs(x))))
     if defect > tol * scale:
         raise ValueError(f"matrix is not in sp({n}, R): defect {defect:.3e}")
-
-
-def cartan_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split X in sp(n, R) into antisymmetric and symmetric parts.
-
-    Returns (k, p) with k = (X - X^T)/2 and p = (X + X^T)/2.  Both parts stay
-    in sp(n, R); k generates the unitary subgroup (stabilizer of the standard
-    complex structure) and p spans the directions that genuinely deform it.
-    """
-    x = np.asarray(x, dtype=float)
-    assert_sp_element(x)
-    k = 0.5 * (x - x.T)
-    p = 0.5 * (x + x.T)
-    return k, p
 
 
 @dataclass(frozen=True)
@@ -123,35 +105,6 @@ def hamiltonian_from_form(s: np.ndarray) -> QuadraticHamiltonian:
     if np.max(np.abs(s - s.T)) > 1e-12 * max(1.0, np.max(np.abs(s))):
         raise ValueError("quadratic form matrix must be symmetric")
     return QuadraticHamiltonian(2.0 * standard_symplectic(n) @ s)
-
-
-def poisson_bracket(
-    h1: QuadraticHamiltonian, h2: QuadraticHamiltonian
-) -> QuadraticHamiltonian:
-    """{H1, H2} = om(xi_{H1}, xi_{H2}); generator is [X2, X1]."""
-    x1, x2 = h1.generator, h2.generator
-    return QuadraticHamiltonian(x2 @ x1 - x1 @ x2)
-
-
-def decompose_quadratic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex coefficient blocks of the quadratic Hamiltonian of X.
-
-    Writing X = [[A, B], [C, -A^T]] in the (x, y) block ordering, returns the
-    pair (A' + iB', A'' - iB'') with A' = A - A^T, B' = B - C^T, A'' = A + A^T,
-    B'' = B + C^T.  In terms of z these carry the mixed z zbar part and the
-    holomorphic z z part of H respectively:
-
-        H(v) = (1/4) Re( i z^T (A' + iB') zbar + i z^T (A'' - iB'') z ).
-    """
-    x = np.asarray(x, dtype=float)
-    n = _dim_n(x)
-    assert_sp_element(x)
-    a = x[:n, :n]
-    b = x[:n, n:]
-    c = x[n:, :n]
-    mixed = (a - a.T) + 1j * (b - c.T)
-    holo = (a + a.T) - 1j * (b + c.T)
-    return mixed, holo
 
 
 def _pair_indices(n: int) -> list[tuple[int, int]]:
@@ -199,26 +152,6 @@ def omega_pairing(x1: np.ndarray, x2: np.ndarray, j: np.ndarray | None = None) -
     if j is None:
         j = standard_complex_structure(_dim_n(x1))
     return float(np.trace(x1 @ j @ x2))
-
-
-def assert_compatible_structure(
-    j: np.ndarray, tol: float = 1e-10, samples: int = 20, seed: int = 7
-) -> None:
-    """Check J^2 = -1, J in Sp(n, R), and positivity of om(v, Jv) by sampling."""
-    j = np.asarray(j, dtype=float)
-    n = _dim_n(j)
-    sigma = standard_symplectic(n)
-    eye = np.eye(2 * n)
-    if np.max(np.abs(j @ j + eye)) > tol:
-        raise ValueError("J^2 differs from -identity")
-    if np.max(np.abs(j.T @ sigma @ j - sigma)) > tol:
-        raise ValueError("J does not preserve the symplectic form")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        v = rng.standard_normal(2 * n)
-        v /= np.linalg.norm(v)
-        if v @ (sigma.T @ j @ v) <= 0:
-            raise ValueError("om(v, Jv) is not positive: J is not compatible")
 
 
 def tangent_from_generator(x: np.ndarray, j: np.ndarray) -> np.ndarray:

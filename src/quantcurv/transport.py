@@ -24,6 +24,10 @@ two functions the characteristic equations already evaluate, and F*(G F)
 is F* diag(q) F plus F* diag(a) F shifted by one column, scaled by
 k ||z^(k-1)|| / ||z^k||.
 
+Every frame F_t, at each generator build, at the end state and at the
+residual snapshots, is built from a characteristic state (z, c) by
+`SectionSpace.frame_at`, the one frame builder of the grid path.
+
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; the integration
 runs under `np.errstate(over="raise", invalid="raise")` and reports that as
@@ -67,11 +71,9 @@ _DERIV_STENCIL = (
     (-4, -1.0 / 360.0),
 )
 
-# Largest step count round(t_end / dt) a config may ask for.  The coefficient
-# path is kept whole, (n_steps + 1) x d x d complex: at the largest transport
-# level N = 72 (d = 73) that is 85 kB a step, 0.43 GB at this bound, where
-# dt = 1e-6 over t_end = 2 would ask for 170 GB.  A step there costs ~0.55 s
-# (2 vCPU, one BLAS thread), so a run at the bound takes ~46 min.
+# Largest step count round(t_end / dt) a config may ask for.  A step at the
+# largest transport level N = 72 costs ~0.55 s (2 vCPU, one BLAS thread), so a
+# run at this bound takes ~46 min there.
 TRANSPORT_STEPS_MAX = 5000
 
 
@@ -85,14 +87,13 @@ class TransportResult:
     dt: float
     coeffs: np.ndarray  # C at t_end (moving-frame coefficients)
     schrodinger: np.ndarray  # S at t_end, same step size
-    coeff_path: np.ndarray = field(repr=False)  # (n_steps+1, d, d)
     generator: np.ndarray = field(repr=False)  # B at t = 0 (compressed)
     gram_end: np.ndarray = field(repr=False)  # F_T^* F_T
     cross_end: np.ndarray = field(repr=False)  # F_0^* F_T
     gram_defect: float  # max |F*F - I| over every generator build
     min_coeff_sv: float  # rank monitor for C
-    sample_steps: tuple = ()  # step indices where states were kept
-    snapshots: dict = field(default_factory=dict, repr=False)  # half-step -> (z, c)
+    sample_steps: tuple = ()  # centre steps of the residual stencils
+    snapshots: dict = field(default_factory=dict, repr=False)  # step -> (z, c, C)
 
     @property
     def dim(self) -> int:
@@ -130,22 +131,6 @@ def schrodinger_propagate(
     )
 
 
-def _frame_from_state(
-    space: SectionSpace, z: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """Half-weighted frame columns c(x) z_t(x)^k / ||z^k|| from flowed states.
-
-    Column k is built as a contiguous row from column k-1 times
-    z ||z^(k-1)|| / ||z^k||; the (points, dim) frame is the transposed view.
-    """
-    ratio = space.norms[:-1] / space.norms[1:]
-    rows = np.empty((space.dim, len(z)), dtype=complex)
-    rows[0] = space.sqrtw * c / space.norms[0]
-    for k in range(1, space.dim):
-        np.multiply(rows[k - 1], ratio[k - 1] * z, out=rows[k])
-    return rows.T
-
-
 class _MovingFrame:
     """Characteristic state advanced in half steps, with the coefficient ODE
     generator rebuilt from the flowed frame on demand."""
@@ -173,7 +158,7 @@ class _MovingFrame:
     def generator_matrix(self) -> np.ndarray:
         """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect."""
         z, c = self.state
-        rows = _frame_from_state(self.space, z, c).T
+        rows = self.space.frame_at(z, c).T
         av, qv = eval_batch([self.a, self.q], z)
         rows_h = rows.conj()
         gram = rows_h @ rows.T
@@ -195,9 +180,10 @@ def parallel_transport(
 
     The parallel frame is parametrized on the flowed basis, which keeps the
     range condition Pi_t P_t = P_t exact by construction; what is integrated
-    is the coefficient matrix.  States at `n_samples` interior times (plus a
-    derivative stencil around each) are kept so the defining equations can be
-    residual-checked afterwards by `transport_residuals`.
+    is the coefficient matrix.  The state and coefficients at `n_samples`
+    interior steps, and at the derivative stencil around each, are kept in
+    `snapshots` so the defining equations can be residual-checked afterwards
+    by `transport_residuals`; no other step is stored.
 
     Raises ValueError if the flow leaves the chart (overflow or an invalid
     value while integrating).
@@ -214,43 +200,33 @@ def parallel_transport(
             for j in range(n_samples)
         }
     )
-    snap_halves = set()
-    for j in samples:
-        for m, _w in _DERIV_STENCIL:
-            snap_halves.add(2 * (j + m))
-        snap_halves.add(2 * j)
-
+    snap_steps = set(samples)
+    snap_steps.update(j + m for j in samples for m, _w in _DERIV_STENCIL)
+    # the stepper replaces the state and c_mat is rebound, never written in
+    # place, so a snapshot can hold the arrays themselves
     snapshots = {}
 
-    def maybe_snap():
-        if frame.half_index in snap_halves:
-            z, c = frame.state
-            snapshots[frame.half_index] = (z.copy(), c.copy())
-
     c_mat = np.eye(d, dtype=complex)
-    path = np.empty((n_steps + 1, d, d), dtype=complex)
-    path[0] = c_mat
     try:
         with np.errstate(over="raise", invalid="raise"):
-            maybe_snap()
+            if 0 in snap_steps:
+                snapshots[0] = (*frame.state, c_mat)
             b_here = frame.generator_matrix()
             b0 = b_here.copy()
-            for i in range(n_steps):
+            for i in range(1, n_steps + 1):
                 frame.advance_half()
                 b_mid = frame.generator_matrix()
-                maybe_snap()
                 frame.advance_half()
                 b_next = frame.generator_matrix()
-                maybe_snap()
                 k1 = b_here @ c_mat
                 k2 = b_mid @ (c_mat + 0.5 * dt * k1)
                 k3 = b_mid @ (c_mat + 0.5 * dt * k2)
                 k4 = b_next @ (c_mat + dt * k3)
                 c_mat = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                path[i + 1] = c_mat
+                if i in snap_steps:
+                    snapshots[i] = (*frame.state, c_mat)
                 b_here = b_next
-            z, c = frame.state
-            f_end = _frame_from_state(space, z, c)
+            f_end = space.frame_at(*frame.state)
             min_coeff_sv = float(np.linalg.svd(c_mat, compute_uv=False)[-1])
     except FloatingPointError as exc:
         t_reached = 0.5 * dt * frame.half_index
@@ -267,7 +243,6 @@ def parallel_transport(
         dt=dt,
         coeffs=c_mat,
         schrodinger=s_mat,
-        coeff_path=path,
         generator=b0,
         gram_end=f_end.conj().T @ f_end,
         cross_end=space.frame.conj().T @ f_end,
@@ -313,18 +288,18 @@ def transport_residuals(
     dt = result.dt
     out = []
     for j in result.sample_steps:
-        frames = {}
-        for m in [0] + [mm for mm, _ in _DERIV_STENCIL]:
-            z, c = result.snapshots[2 * (j + m)]
-            frames[m] = _frame_from_state(space, z, c)
-        q_center = orthonormal_columns(frames[0])
-        p_center = frames[0] @ result.coeff_path[j]
+        z, c, coeff = result.snapshots[j]
+        frame = space.frame_at(z, c)
+        q_center = orthonormal_columns(frame)
+        p_center = frame @ coeff
 
         pdot = np.zeros_like(p_center)
         pidot_p = np.zeros_like(p_center)
         for m, w in _DERIV_STENCIL:
-            pdot += (w / dt) * (frames[m] @ result.coeff_path[j + m])
-            qm = orthonormal_columns(frames[m])
+            z, c, coeff = result.snapshots[j + m]
+            frame = space.frame_at(z, c)
+            pdot += (w / dt) * (frame @ coeff)
+            qm = orthonormal_columns(frame)
             pidot_p += (w / dt) * (qm @ (qm.conj().T @ p_center))
 
         eq_range = np.linalg.norm(q_center.conj().T @ pdot) / math.sqrt(d)

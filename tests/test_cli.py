@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import quantcurv
 from quantcurv.cli import main, run, summarize
 from quantcurv.experiments import ConfigError, config_hash, validate_config
 
@@ -195,10 +196,15 @@ def test_main_usage_errors():
 
 def test_console_script_smoke(tmp_path):
     path, _ = _config(tmp_path)
+    # the child imports the package under test, wherever pytest found it
+    src = os.path.dirname(os.path.dirname(quantcurv.__file__))
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     proc = subprocess.run(
         [sys.executable, "-m", "quantcurv.cli", "run", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 2

@@ -22,6 +22,7 @@ from quantcurv.sphere import (
     harmonic_imag,
     harmonic_real,
     phase_average,
+    pullback_frame,
     rotation_x,
     rotation_y,
     rotation_z,
@@ -86,6 +87,24 @@ def test_section_space_frame_orthonormal(space):
     frame = getattr(space, "frame")
     gram = frame.conj().T @ frame
     assert np.max(np.abs(gram - np.eye(space.dim))) < 1e-12
+
+
+@pytest.mark.parametrize("big_n", [8, 16, GRID_LEVEL_MAX])
+def test_section_space_frame_is_normalized_monomials(big_n):
+    # reference: each column sqrtw z^k / ||z^k|| formed from its own power,
+    # not by the recurrence of `frame_at`
+    space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    z = space.grid.points
+    ref = np.column_stack([space.sqrtw * z**k / space.norms[k] for k in range(big_n + 1)])
+    assert np.max(np.abs(space.frame - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("t", [0.1, -0.1])
+def test_pullback_frame_of_rotation_is_a_phase(space, t):
+    # the rotation flow maps z^k to e^{ikt} z^k, so V_t^{-1} e_k = e^{-ikt} e_k
+    k = np.arange(space.dim)
+    expect = space.frame * np.exp(-1j * k * t)
+    assert np.max(np.abs(pullback_frame(rotation_z(), space, t) - expect)) <= 1e-12
 
 
 def test_projector_properties(space):

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from quantcurv.symplectic import (
-    QuadraticHamiltonian,
-    assert_compatible_structure,
     assert_sp_element,
     assert_tangent_at,
-    cartan_split,
     chi_symbol,
-    decompose_quadratic,
     hamiltonian_from_form,
     omega_pairing,
     p_minus_basis,
     p_plus_basis,
-    poisson_bracket,
     standard_complex_structure,
     standard_symplectic,
     tangent_from_generator,
@@ -26,15 +21,6 @@ def test_standard_matrices():
     assert np.array_equal(sigma, j0)
     assert np.max(np.abs(sigma @ sigma + np.eye(4))) == 0.0
     assert_sp_element(j0)
-    assert_compatible_structure(j0)
-
-
-def test_cartan_split_oracle():
-    x = np.array([[1.0, 2.0], [0.0, -1.0]])
-    k, p = cartan_split(x)
-    assert np.allclose(k, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
-    assert np.allclose(p, [[1.0, 1.0], [1.0, -1.0]], atol=1e-14)
-    assert np.max(np.abs(k + p - x)) < 1e-14
 
 
 def test_quadratic_hamiltonian_value_and_gradient():
@@ -59,17 +45,6 @@ def test_vector_field_rotation_direction():
     assert np.max(np.abs(y - np.array([1.0, 0.0]))) < 1e-9
 
 
-def test_poisson_bracket_oracle():
-    h1 = QuadraticHamiltonian(np.diag([1.0, -1.0]))
-    h2 = QuadraticHamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    b = poisson_bracket(h1, h2)
-    assert np.allclose(b.generator, [[0.0, -2.0], [2.0, 0.0]], atol=1e-14)
-    # antisymmetry
-    assert np.allclose(
-        poisson_bracket(h2, h1).generator, -b.generator, atol=1e-14
-    )
-
-
 def test_omega_pairing_oracle_and_bilinearity():
     a = np.diag([1.0, -1.0])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -92,16 +67,6 @@ def test_p_basis_counts_and_generators():
     j0 = standard_complex_structure(1)
     for x in (xp, xm):
         assert np.max(np.abs(j0 @ x + x @ j0)) < 1e-14
-
-
-def test_decompose_quadratic():
-    # generator [[0,1],[1,0]] is purely holomorphic-type: mixed block 0, holo -2i
-    mixed, holo = decompose_quadratic(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(mixed, [[0.0]], atol=1e-14)
-    assert np.allclose(holo, [[-2.0j]], atol=1e-14)
-    mixed2, holo2 = decompose_quadratic(np.diag([4.0, -4.0]))
-    assert np.allclose(mixed2, [[0.0]], atol=1e-14)
-    assert np.allclose(holo2, [[8.0]], atol=1e-14)
 
 
 def test_tangent_from_generator_anticommutes():
@@ -134,5 +99,3 @@ def test_chi_symbol_rejects_non_tangent():
 def test_sp_checks_reject_bad_input():
     with pytest.raises(ValueError):
         assert_sp_element(np.diag([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        assert_compatible_structure(np.diag([1.0, -1.0]))

@@ -114,6 +114,10 @@ def test_transport_result_fields(space):
     assert res.coeffs.shape == (7, 7)
     assert res.min_coeff_sv > 0.9
     assert len(res.sample_steps) == len(set(res.sample_steps)) == 3
+    # one (z, c, C) record per full step that a residual stencil reads
+    stencil = (0, 1, -1, 2, -2, 4, -4)
+    assert set(res.snapshots) == {j + m for j in res.sample_steps for m in stencil}
+    assert all(len(rec) == 3 and rec[2].shape == (7, 7) for rec in res.snapshots.values())
 
 
 def test_gram_defect_covers_every_state(space):
@@ -142,7 +146,7 @@ def test_generator_matrix_matches_per_column_images(n):
         ]
         for _ in range(3):
             z, c = frame.state
-            f = transport._frame_from_state(space, z, c)
+            f = space.frame_at(z, c)
             weighted = (space.sqrtw * c)[:, None]
             g_cols = weighted * np.column_stack(
                 [img.eval(z) / space.norms[k] for k, img in enumerate(images)]
