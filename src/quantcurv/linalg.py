@@ -105,9 +105,13 @@ class OdeStepper:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
 
-    def step(self, rhs, t: float, y: np.ndarray) -> np.ndarray:
+    def step(
+        self, rhs, t: float, y: np.ndarray, k1: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One RK4 step from (t, y); `k1`, if given, is rhs(t, y) already known."""
         dt = self.dt
-        k1 = rhs(t, y)
+        if k1 is None:
+            k1 = rhs(t, y)
         k2 = rhs(t + dt / 2.0, y + (dt / 2.0) * k1)
         k3 = rhs(t + dt / 2.0, y + (dt / 2.0) * k2)
         k4 = rhs(t + dt, y + dt * k3)

@@ -435,17 +435,21 @@ class SectionSpace(SectionBasis):
                 f"{defect:.3g} (tolerance {_GRAM_TOL:g})"
             )
 
-    def frame_at(self, z: np.ndarray, c) -> np.ndarray:
+    def frame_at(
+        self, z: np.ndarray, c, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Half-weighted frame columns c(x) z(x)^k / ||z^k||, k = 0..N.
 
         `z` holds one point per grid point (the grid itself, or its image
         under a flow) and `c` the matching phase factors (1 on the grid
         itself).  Column k is built
         as a contiguous row from column k-1 times z ||z^(k-1)|| / ||z^k||;
-        the (points, dim) frame is the transposed view.
+        the (points, dim) frame is the transposed view.  The rows are written
+        into `out`, a complex (dim, points) array, when one is given, so the
+        frame returned is then a view of `out`.
         """
         ratio = self.norms[:-1] / self.norms[1:]
-        rows = np.empty((self.dim, len(z)), dtype=complex)
+        rows = np.empty((self.dim, len(z)), dtype=complex) if out is None else out
         rows[0] = self.sqrtw * c / self.norms[0]
         for k in range(1, self.dim):
             np.multiply(rows[k - 1], ratio[k - 1] * z, out=rows[k])
@@ -511,7 +515,7 @@ def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def characteristic_rhs(ham: HamiltonianField, N: int, inverse: bool = True):
+def characteristic_rhs(ham: HamiltonianField, N: int, inverse: bool):
     """Right-hand side of the characteristic system for the flow pullback.
 
     State is (z, c) stacked as a (2, n) complex array: the point moves with

@@ -72,8 +72,8 @@ _DERIV_STENCIL = (
 )
 
 # Largest step count round(t_end / dt) a config may ask for.  A step at the
-# largest transport level N = 72 costs ~0.55 s (2 vCPU, one BLAS thread), so a
-# run at this bound takes ~46 min there.
+# largest transport level N = 72 costs ~0.55 s (0.52-0.59 s measured, 2 vCPU,
+# one BLAS thread), so a run at this bound takes ~46 min there.
 TRANSPORT_STEPS_MAX = 5000
 
 
@@ -133,7 +133,12 @@ def schrodinger_propagate(
 
 class _MovingFrame:
     """Characteristic state advanced in half steps, with the coefficient ODE
-    generator rebuilt from the flowed frame on demand."""
+    generator rebuilt from the flowed frame on demand.
+
+    The frame rows and their conjugate live in two buffers owned here and
+    rewritten at every build, and the a and q values of a build are handed
+    to the next half step as its first RK4 stage, so each state is
+    evaluated once."""
 
     def __init__(self, ham: HamiltonianField, space: SectionSpace, dt: float):
         self.space = space
@@ -145,6 +150,9 @@ class _MovingFrame:
         self.state = np.stack(
             [n.astype(complex), np.ones(len(n), dtype=complex)]
         )
+        self.rows = np.empty((space.dim, len(n)), dtype=complex)
+        self.rows_h = np.empty_like(self.rows)
+        self.k1 = None  # self.rhs at self.state, once a build has evaluated it
         k = np.arange(1, space.dim)
         # G e_k = k a (||z^(k-1)|| / ||z^k||) e_(k-1) + q e_k on the frame
         self.shift_scale = k * space.norms[:-1] / space.norms[1:]
@@ -152,15 +160,22 @@ class _MovingFrame:
         self.gram_defect = 0.0
 
     def advance_half(self):
-        self.state = self.stepper.step(self.rhs, 0.0, self.state)
+        self.state = self.stepper.step(self.rhs, 0.0, self.state, k1=self.k1)
+        self.k1 = None
         self.half_index += 1
+
+    def frame_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frame rows at the current state and their conjugate, in the buffers."""
+        rows = self.space.frame_at(*self.state, out=self.rows).T
+        return rows, np.conjugate(rows, out=self.rows_h)
 
     def generator_matrix(self) -> np.ndarray:
         """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect."""
         z, c = self.state
-        rows = self.space.frame_at(z, c).T
+        rows, rows_h = self.frame_rows()
         av, qv = eval_batch([self.a, self.q], z)
-        rows_h = rows.conj()
+        # characteristic_rhs(inverse=True) at this state
+        self.k1 = np.stack([-av, -qv * c])
         gram = rows_h @ rows.T
         g_f = rows_h @ (rows * qv).T
         g_f[:, 1:] += (rows_h @ (rows[:-1] * av).T) * self.shift_scale
@@ -226,7 +241,9 @@ def parallel_transport(
                 if i in snap_steps:
                     snapshots[i] = (*frame.state, c_mat)
                 b_here = b_next
-            f_end = space.frame_at(*frame.state)
+            rows, rows_h = frame.frame_rows()
+            gram_end = rows_h @ rows.T
+            cross_end = np.conjugate(space.frame.T, out=rows_h) @ rows.T
             min_coeff_sv = float(np.linalg.svd(c_mat, compute_uv=False)[-1])
     except FloatingPointError as exc:
         t_reached = 0.5 * dt * frame.half_index
@@ -244,8 +261,8 @@ def parallel_transport(
         coeffs=c_mat,
         schrodinger=s_mat,
         generator=b0,
-        gram_end=f_end.conj().T @ f_end,
-        cross_end=space.frame.conj().T @ f_end,
+        gram_end=gram_end,
+        cross_end=cross_end,
         gram_defect=frame.gram_defect,
         min_coeff_sv=min_coeff_sv,
         sample_steps=tuple(samples),

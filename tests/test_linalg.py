@@ -116,6 +116,25 @@ def test_ode_stepper_partial_last_step():
     assert abs(y - np.e) < 1e-3
 
 
+def test_ode_stepper_known_first_stage():
+    # a first stage passed in replaces the rhs call at (t, y), bit for bit
+    h = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -0.7]])
+    y = np.array([[1.0 + 0.2j, 0.1], [-0.4j, 2.0]])
+    calls = []
+
+    def rhs(t, v):
+        calls.append(t)
+        return 1j * (h @ v) + t * v
+
+    stepper = OdeStepper(0.05)
+    expect = stepper.step(rhs, 0.3, y)
+    k1 = rhs(0.3, y)
+    calls.clear()
+    got = stepper.step(rhs, 0.3, y, k1=k1)
+    assert np.array_equal(got, expect)
+    assert len(calls) == 3
+
+
 def test_ode_stepper_rejects_bad_args():
     with pytest.raises(ValueError):
         OdeStepper(0.0)

@@ -99,6 +99,17 @@ def test_section_space_frame_is_normalized_monomials(big_n):
     assert np.max(np.abs(space.frame - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_frame_at_writes_into_a_given_buffer(space):
+    rng = np.random.default_rng(3)
+    n = len(space.grid.points)
+    z = space.grid.points * np.exp(1j * rng.uniform(-0.1, 0.1, n))
+    c = np.exp(1j * rng.uniform(-1.0, 1.0, n))
+    buf = np.empty((space.dim, n), dtype=complex)
+    got = space.frame_at(z, c, out=buf)
+    assert got.base is buf
+    assert np.array_equal(got, space.frame_at(z, c))
+
+
 @pytest.mark.parametrize("t", [0.1, -0.1])
 def test_pullback_frame_of_rotation_is_a_phase(space, t):
     # the rotation flow maps z^k to e^{ikt} z^k, so V_t^{-1} e_k = e^{-ikt} e_k

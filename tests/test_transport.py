@@ -192,6 +192,50 @@ def test_stepping_evaluates_two_chart_functions(space, monkeypatch):
     assert len(images) == space.dim
 
 
+def test_each_characteristic_state_is_evaluated_once(space, monkeypatch):
+    # the RK4 stages of characteristic_rhs are the only sphere-level
+    # evaluations; the first stage of each half step reuses the a and q
+    # values of the generator built at that state, so 3 of 4 stages remain
+    seen = []
+    real_eval_batch = sphere.eval_batch
+
+    def counting_eval_batch(cfs, z):
+        seen.append(len(cfs))
+        return real_eval_batch(cfs, z)
+
+    monkeypatch.setattr(sphere, "eval_batch", counting_eval_batch)
+    n_steps = 10
+    parallel_transport(harmonic_real(), space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
+    assert seen == [2] * (6 * n_steps)
+
+
+def _result_arrays(res):
+    named = {
+        name: getattr(res, name)
+        for name in ("coeffs", "schrodinger", "generator", "gram_end", "cross_end")
+    }
+    for step, record in res.snapshots.items():
+        named.update({f"snapshot {step}[{i}]": a for i, a in enumerate(record)})
+    return named
+
+
+def test_repeated_transport_shares_no_buffer_memory(space):
+    # the moving frame rewrites its frame buffers at every build; nothing
+    # a result holds may alias them or another array of the result
+    first = parallel_transport(harmonic_real(), space, t_end=0.03, dt=2e-3, n_samples=2)
+    second = parallel_transport(harmonic_real(), space, t_end=0.03, dt=2e-3, n_samples=2)
+    arrays = [_result_arrays(first), _result_arrays(second)]
+    assert arrays[0].keys() == arrays[1].keys()
+    for name, a in arrays[0].items():
+        assert np.array_equal(a, arrays[1][name]), name
+    assert first.gram_defect == second.gram_defect
+    assert first.min_coeff_sv == second.min_coeff_sv
+    named = [(f"{i}:{name}", a) for i, d in enumerate(arrays) for name, a in d.items()]
+    for j, (name_a, a) in enumerate(named):
+        for name_b, b in named[j + 1 :]:
+            assert not np.shares_memory(a, b), (name_a, name_b)
+
+
 def test_flow_leaving_chart_fails_loudly(space16):
     # rotation_x moves points like z^2 near the far pole and carries the
     # outer grid ring through it before t = 0.1
