@@ -26,8 +26,6 @@ from .fock import (
     curvature_operator,
     flat_curvature_operator,
     hamiltonian_bipoly,
-    lie_derivative,
-    lie_matrix,
     project,
     verify_scalar_curvature,
 )

@@ -62,10 +62,12 @@ def _require_keys(rec: dict, allowed: dict, where: str) -> None:
             raise ConfigError(f"missing required key '{key}' in {where}")
 
 
-def _positive(rec, key, where, kind=float):
-    v = rec[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-        raise ConfigError(f"'{key}' in {where} must be a positive number")
+def _positive(rec, key, where, kind=float, default=None):
+    v = rec.get(key, default)
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+        raise ConfigError(f"'{key}' in {where} must be a positive finite number")
+    if kind is int and not isinstance(v, int):
+        raise ConfigError(f"'{key}' in {where} must be an integer")
     return kind(v)
 
 
@@ -87,13 +89,15 @@ def _check_bargmann(p: dict) -> dict:
         "n": int(_positive(p, "n", "bargmann", int)),
         "N": int(_positive(p, "N", "bargmann", int)),
         "D": int(_positive(p, "D", "bargmann", int)),
-        "n_random_pairs": int(p.get("n_random_pairs", 20)),
-        "tol_identity": float(p.get("tol_identity", 1e-10)),
-        "tol_scalar": float(p.get("tol_scalar", 1e-8)),
-        "tol_ratio_spread": float(p.get("tol_ratio_spread", 1e-6)),
+        "n_random_pairs": _positive(p, "n_random_pairs", "bargmann", int, 20),
+        "tol_identity": _positive(p, "tol_identity", "bargmann", default=1e-10),
+        "tol_scalar": _positive(p, "tol_scalar", "bargmann", default=1e-8),
+        "tol_ratio_spread": _positive(p, "tol_ratio_spread", "bargmann", default=1e-6),
     }
     if out["n"] not in (1, 2):
         raise ConfigError("bargmann n must be 1 or 2")
+    if out["n_random_pairs"] < 2:
+        raise ConfigError("'n_random_pairs' must be >= 2: the spread compares two ratios")
     if out["D"] < 8:
         raise ConfigError("bargmann D must be >= 8 (curvature needs degree margin)")
     return out

@@ -13,6 +13,16 @@ prefactors, which acts on monomials by
 together with the derivation along the Hamiltonian vector field
 xi_H = 2i sum_j (dH/dz_j d/dzbar_j - dH/dzbar_j d/dz_j) applied to full
 states (Gaussian factor included).
+
+Every operator applied to prefactors here, the derivation and the flat
+prequantum generator alike, is first order with polynomial coefficients,
+
+    f  ->  m f + sum_j (a_j df/dz_j + b_j df/dzbar_j).
+
+It is built once per Hamiltonian as a flat list of entries, one per term of
+m, a_j and b_j, and applied to a prefactor in one pass over (term, entry)
+pairs that accumulates into a single dict.  The curvature columns project
+each image term by term straight into a preallocated matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -33,8 +44,6 @@ __all__ = [
     "FockTruncation",
     "FockOperator",
     "project",
-    "lie_derivative",
-    "lie_matrix",
     "curvature_operator",
     "bargmann_generator",
     "flat_curvature_operator",
@@ -133,17 +142,6 @@ class BiPolynomial:
             self.n, {(beta, alpha): c.conjugate() for (alpha, beta), c in self.terms.items()}
         )
 
-    @property
-    def holo_degree(self) -> int:
-        return max((sum(a) for (a, _b) in self.terms), default=0)
-
-    @property
-    def antiholo_degree(self) -> int:
-        return max((sum(b) for (_a, b) in self.terms), default=0)
-
-    def is_holomorphic(self, tol: float = 0.0) -> bool:
-        return all(sum(b) == 0 or abs(c) <= tol for (_a, b), c in self.terms.items())
-
     def value(self, z: np.ndarray) -> complex:
         """Evaluate at a point z in C^n (zbar taken as the conjugate)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -199,6 +197,7 @@ class FockTruncation:
     D: int
     _basis: list = field(init=False, repr=False, compare=False)
     _pos: dict = field(init=False, repr=False, compare=False)
+    _norms: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.N < 1 or self.D < 0:
@@ -209,8 +208,13 @@ class FockTruncation:
             if sum(alpha) <= self.D
         ]
         idx.sort(key=lambda a: (sum(a), a))
+        norms = [
+            math.sqrt(self.N ** sum(a) / math.prod(math.factorial(k) for k in a))
+            for a in idx
+        ]
         object.__setattr__(self, "_basis", idx)
         object.__setattr__(self, "_pos", {a: i for i, a in enumerate(idx)})
+        object.__setattr__(self, "_norms", norms)
 
     def basis(self) -> list[tuple[int, ...]]:
         return list(self._basis)
@@ -220,18 +224,41 @@ class FockTruncation:
         return len(self._basis)
 
     def dim_up_to(self, degree: int) -> int:
-        return sum(1 for a in self._basis if sum(a) <= degree)
+        """Number of basis monomials of total degree <= `degree`."""
+        if degree < 0:
+            return 0
+        return math.comb(min(degree, self.D) + self.n, self.n)
 
     def index(self, alpha) -> int:
-        return self._basis.index(tuple(alpha))
+        try:
+            return self._pos[tuple(alpha)]
+        except KeyError:
+            raise ValueError(f"{tuple(alpha)} is not in the truncation") from None
 
     def norm_constant(self, alpha) -> float:
-        """sqrt(N^|alpha| / alpha!) normalizing z^alpha."""
-        alpha = tuple(alpha)
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return math.sqrt(self.N ** sum(alpha) / fact)
+        """sqrt(N^|alpha| / alpha!) normalizing z^alpha, for alpha in the truncation."""
+        return self._norms[self.index(alpha)]
+
+
+def _projected_terms(f: BiPolynomial, N: int) -> dict:
+    """Terms of the projection of f, by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha.
+
+    The term vanishes when some beta_j exceeds alpha_j.
+    """
+    out: dict = {}
+    zero = (0,) * f.n
+    for (alpha, beta), c in f.terms.items():
+        new_alpha = list(alpha)
+        for j, b in enumerate(beta):
+            if b:
+                if new_alpha[j] < b:
+                    break
+                c *= math.perm(new_alpha[j], b) / N**b
+                new_alpha[j] -= b
+        else:
+            key = (tuple(new_alpha), zero)
+            out[key] = out.get(key, 0.0) + c
+    return out
 
 
 def project(f: BiPolynomial, N: int) -> BiPolynomial:
@@ -240,62 +267,60 @@ def project(f: BiPolynomial, N: int) -> BiPolynomial:
     Acts termwise by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha, the
     coherent-state reproducing identity for the Gaussian weight.
     """
-    out: dict = {}
-    for (alpha, beta), c in f.terms.items():
-        coeff = c
-        ok = True
-        new_alpha = list(alpha)
-        for j, b in enumerate(beta):
-            if b == 0:
-                continue
-            if new_alpha[j] < b:
-                ok = False
-                break
-            coeff *= math.perm(new_alpha[j], b) / N**b
-            new_alpha[j] -= b
-        if not ok or coeff == 0:
-            continue
-        key = (tuple(new_alpha), (0,) * f.n)
-        s = out.get(key, 0.0) + coeff
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return BiPolynomial(f.n, out)
+    return BiPolynomial(f.n, _projected_terms(f, N))
 
 
-def _lie_state(h: BiPolynomial, g: BiPolynomial, N: int) -> BiPolynomial:
-    """Derivation along xi_H applied to g(z, zbar) exp(-N|z|^2/2), as a prefactor.
+class _FirstOrder:
+    """f -> m f + sum_j (a_j df/dz_j + b_j df/dzbar_j), its coefficients read off H.
 
-    xi_H = 2i sum_j (H_{z_j} d_{zbar_j} - H_{zbar_j} d_{z_j}); the Gaussian
-    contributes the multiplication term iN sum_j (zbar_j H_{zbar_j} - z_j H_{z_j}).
+    Each term c z^alpha zbar^beta of H gives the term weight(|alpha|, |beta|) c
+    z^alpha zbar^beta of m; a_j = a_scale dH/dzbar_j and b_j = b_scale dH/dz_j.
+    Kept as a flat list of entries (k, shift, coeff), one per term of m, a_j
+    and b_j: k is the slot in alpha + beta of the variable differentiated (2n,
+    a constant 1, for m), shift the term's exponents with one taken off slot k.
+    A call visits each (input term, entry) pair once, accumulating in one dict.
     """
-    n = h.n
-    out = BiPolynomial.zero(n)
-    for j in range(n):
-        hz = h.dz(j)
-        hzb = h.dzbar(j)
-        out = out + 2j * (hz * g.dzbar(j)) - 2j * (hzb * g.dz(j))
-        zj = BiPolynomial.monomial(n, [1 if k == j else 0 for k in range(n)])
-        zbj = BiPolynomial.monomial(n, [0] * n, [1 if k == j else 0 for k in range(n)])
-        out = out + 1j * N * ((zbj * hzb) * g) - 1j * N * ((zj * hz) * g)
-    return out
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, h: BiPolynomial, weight, a_scale: complex, b_scale: complex):
+        n = self.n = h.n
+        m = {(a, b): weight(sum(a), sum(b)) * c for (a, b), c in h.terms.items()}
+        derivs = [a_scale * h.dzbar(j) for j in range(n)]
+        derivs += [b_scale * h.dz(j) for j in range(n)]
+        self.entries = []
+        for k, poly in [(2 * n, BiPolynomial(n, m)), *enumerate(derivs)]:
+            for (alpha, beta), c in poly.terms.items():
+                shift = list(alpha + beta)
+                if k < 2 * n:
+                    shift[k] -= 1
+                self.entries.append((k, tuple(shift), c))
+
+    def __call__(self, f: BiPolynomial) -> BiPolynomial:
+        n = self.n
+        out: dict = {}
+        for (alpha, beta), c in f.terms.items():
+            ab = alpha + beta + (1,)
+            for k, shift, coeff in self.entries:
+                p = ab[k]
+                if p:
+                    key = tuple(map(add, ab, shift))
+                    out[key] = out.get(key, 0.0) + c * (p * coeff)
+        return BiPolynomial(n, {(key[:n], key[n:]): c for key, c in out.items()})
 
 
-def lie_derivative(h: BiPolynomial, f: BiPolynomial, trunc: FockTruncation) -> BiPolynomial:
-    """Apply the Hamiltonian derivation to a holomorphic prefactor f.
-
-    The result is a bipolynomial (not yet projected).  f must fit in the
-    truncation with two degrees to spare, since quadratic H raises the
-    holomorphic degree by up to two.
+def _lie_operator(h: BiPolynomial, N: int) -> _FirstOrder:
+    """Derivation along xi_H = 2i sum_j (H_{z_j} d_{zbar_j} - H_{zbar_j} d_{z_j})
+    on g exp(-N|z|^2/2), as a map of prefactors g.  The Gaussian contributes
+    m = iN sum_j (zbar_j H_{zbar_j} - z_j H_{z_j}), iN (|beta| - |alpha|) c termwise.
     """
-    if not f.is_holomorphic():
-        raise ValueError("lie_derivative expects a holomorphic prefactor")
-    if f.holo_degree > trunc.D - 2:
-        raise DegreeOverflowError(
-            f"prefactor degree {f.holo_degree} exceeds D - 2 = {trunc.D - 2}"
-        )
-    return _lie_state(h, f, trunc.N)
+    return _FirstOrder(h, lambda a, b: 1j * N * (b - a), -2j, 2j)
+
+
+def _bargmann_operator(h: BiPolynomial, N: int) -> _FirstOrder:
+    """`bargmann_generator` as a map: a_j = i H_{zbar_j}, b_j = -i H_{z_j} and
+    m = iN H - N sum_j a_j zbar_j, which is iN (1 - |beta|) c termwise."""
+    return _FirstOrder(h, lambda a, b: 1j * N * (1 - b), 1j, -1j)
 
 
 @dataclass(frozen=True)
@@ -337,45 +362,26 @@ class FockOperator:
         return scalar, float(deviation)
 
 
-def _to_basis_column(p: BiPolynomial, trunc: FockTruncation, in_alpha) -> np.ndarray:
-    """Coefficients of p in the e_alpha basis, for unit input e_{in_alpha}."""
-    pos = trunc._pos
-    col = np.zeros(len(pos), dtype=complex)
-    c_in = trunc.norm_constant(in_alpha)
-    for (alpha, beta), c in p.terms.items():
-        if sum(beta):
-            raise ValueError("projected result expected to be holomorphic")
-        if alpha not in pos:
-            raise DegreeOverflowError(
-                f"output degree {sum(alpha)} exceeds truncation D = {trunc.D}"
-            )
-        col[pos[alpha]] += c * c_in / trunc.norm_constant(alpha)
-    return col
-
-
-def lie_matrix(h: BiPolynomial, trunc: FockTruncation) -> FockOperator:
-    """Matrix of (project o lie_derivative) for columns of degree <= D - 2."""
-    basis = trunc.basis()
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, alpha in enumerate(basis):
-        if sum(alpha) > trunc.D - 2:
-            break
-        f = BiPolynomial.monomial(trunc.n, alpha)
-        mat[:, i] = _to_basis_column(project(_lie_state(h, f, trunc.N), trunc.N), trunc, alpha)
-    return FockOperator(mat, trunc, trunc.D - 2)
-
-
 def _curvature_matrix(d1, d2, trunc: FockTruncation) -> FockOperator:
-    """Columns of pi [D2, D1] pi - [pi D2 pi, pi D1 pi] for two derivations."""
+    """Columns of pi [D2, D1] pi - [pi D2 pi, pi D1 pi] for two `_FirstOrder` maps."""
     if trunc.D < 4:
         raise DegreeOverflowError("curvature columns need D >= 4")
-    N = trunc.N
+    N, pos, norms = trunc.N, trunc._pos, trunc._norms
     alphas = trunc.basis()[: trunc.dim_up_to(trunc.D - 2)]
 
     def to_matrix(images):
-        return np.column_stack(
-            [_to_basis_column(project(g, N), trunc, a) for g, a in zip(images, alphas)]
-        )
+        cols = np.zeros((trunc.dim, len(images)), dtype=complex)
+        for k, g in enumerate(images):
+            for (alpha, beta), c in _projected_terms(g, N).items():
+                if any(beta):
+                    raise ValueError("projected result expected to be holomorphic")
+                i = pos.get(alpha)
+                if i is None:
+                    raise DegreeOverflowError(
+                        f"output degree {sum(alpha)} exceeds truncation D = {trunc.D}"
+                    )
+                cols[i, k] = c * norms[k] / norms[i]
+        return cols
 
     cols = compressed_curvature(
         [BiPolynomial.monomial(trunc.n, a) for a in alphas],
@@ -404,9 +410,7 @@ def curvature_operator(
     H_1 and H_2 generate; columns are exact for inputs of degree <= D - 4.
     """
     N = trunc.N
-    return _curvature_matrix(
-        lambda f: _lie_state(h1, f, N), lambda f: _lie_state(h2, f, N), trunc
-    )
+    return _curvature_matrix(_lie_operator(h1, N), _lie_operator(h2, N), trunc)
 
 
 def bargmann_generator(h: BiPolynomial, f: BiPolynomial, N: int) -> BiPolynomial:
@@ -420,14 +424,7 @@ def bargmann_generator(h: BiPolynomial, f: BiPolynomial, N: int) -> BiPolynomial
 
     The rotation H = |z|^2 acts diagonally: G z^k = i k z^k.
     """
-    n = h.n
-    out = (1j * N) * (h * f)
-    for j in range(n):
-        a = 1j * h.dzbar(j)
-        abar = -1j * h.dz(j)
-        zbj = BiPolynomial.monomial(n, [0] * n, [1 if k == j else 0 for k in range(n)])
-        out = out + a * (f.dz(j) - N * (zbj * f)) + abar * f.dzbar(j)
-    return out
+    return _bargmann_operator(h, N)(f)
 
 
 def flat_curvature_operator(
@@ -436,11 +433,7 @@ def flat_curvature_operator(
     """Curvature columns with the flat prequantum generators in place of the
     bare Hamiltonian derivations (the multiplication term i N H included)."""
     N = trunc.N
-    return _curvature_matrix(
-        lambda f: bargmann_generator(h1, f, N),
-        lambda f: bargmann_generator(h2, f, N),
-        trunc,
-    )
+    return _curvature_matrix(_bargmann_operator(h1, N), _bargmann_operator(h2, N), trunc)
 
 
 def verify_scalar_curvature(

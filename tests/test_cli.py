@@ -65,6 +65,59 @@ def test_validate_config_rejects_unknown_keys():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_random_pairs", 0),
+        ("n_random_pairs", -3),
+        ("n_random_pairs", 1),
+        ("n_random_pairs", 2.7),
+        ("n_random_pairs", True),
+        ("n_random_pairs", "x"),
+        ("D", 8.5),
+        ("tol_identity", 0),
+        ("tol_identity", -1e-10),
+        ("tol_scalar", "x"),
+        ("tol_scalar", True),
+        ("tol_ratio_spread", float("inf")),
+        ("tol_ratio_spread", float("nan")),
+    ],
+)
+def test_bargmann_config_rejects_bad_pairs_and_tolerances(tmp_path, key, value):
+    out_path = tmp_path / "barg.csv"
+    params = {"n": 1, "N": 4, "D": 8, key: value}
+    cfg = {
+        "seed": 1,
+        "experiments": [
+            {
+                "experiment": "bargmann-curvature",
+                "parameters": params,
+                "output_path": str(out_path),
+            }
+        ],
+    }
+    with pytest.raises(ConfigError, match=key):
+        validate_config(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path)) == 2
+    assert not out_path.exists()
+
+
+def test_bargmann_config_defaults_and_two_pairs():
+    entry = {"experiment": "bargmann-curvature", "output_path": "b.csv"}
+    cfg = {"seed": 1, "experiments": [dict(entry, parameters={"n": 1, "N": 4, "D": 8})]}
+    params = validate_config(cfg)[0]["parameters"]
+    assert params["n_random_pairs"] == 20
+    assert (params["tol_identity"], params["tol_scalar"], params["tol_ratio_spread"]) == (
+        1e-10,
+        1e-8,
+        1e-6,
+    )
+    cfg["experiments"][0]["parameters"] = {"n": 1, "N": 4, "D": 8, "n_random_pairs": 2}
+    assert validate_config(cfg)[0]["parameters"]["n_random_pairs"] == 2
+
+
 def test_config_hash_stable_under_key_order():
     a = config_hash({"x": 1, "y": [1, 2]})
     b = config_hash({"y": [1, 2], "x": 1})

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quantcurv import fock
 from quantcurv.fock import (
     BiPolynomial,
     DegreeOverflowError,
@@ -13,12 +14,53 @@ from quantcurv.fock import (
     curvature_operator,
     flat_curvature_operator,
     hamiltonian_bipoly,
-    lie_derivative,
-    lie_matrix,
     project,
     verify_scalar_curvature,
 )
 from quantcurv.symplectic import p_minus_basis, p_plus_basis
+
+
+def _lie_state_reference(h, g, big_n):
+    # derivation along xi_H on g exp(-N|z|^2/2), written out in BiPolynomial ops
+    n = h.n
+    out = BiPolynomial.zero(n)
+    for j in range(n):
+        hz = h.dz(j)
+        hzb = h.dzbar(j)
+        out = out + 2j * (hz * g.dzbar(j)) - 2j * (hzb * g.dz(j))
+        zj = BiPolynomial.monomial(n, [1 if k == j else 0 for k in range(n)])
+        zbj = BiPolynomial.monomial(n, [0] * n, [1 if k == j else 0 for k in range(n)])
+        out = out + 1j * big_n * ((zbj * hzb) * g) - 1j * big_n * ((zj * hz) * g)
+    return out
+
+
+def _bargmann_reference(h, f, big_n):
+    # flat prequantum generator, written out in BiPolynomial ops
+    n = h.n
+    out = (1j * big_n) * (h * f)
+    for j in range(n):
+        a = 1j * h.dzbar(j)
+        abar = -1j * h.dz(j)
+        zbj = BiPolynomial.monomial(n, [0] * n, [1 if k == j else 0 for k in range(n)])
+        out = out + a * (f.dz(j) - big_n * (zbj * f)) + abar * f.dzbar(j)
+    return out
+
+
+def _random_quadratic(n, rng):
+    quad = [(a, b) for a in itertools.product(range(3), repeat=n)
+            for b in itertools.product(range(3), repeat=n) if sum(a) + sum(b) == 2]
+    return BiPolynomial(n, {key: complex(*rng.standard_normal(2)) for key in quad})
+
+
+def _projected_matrix(op, tr):
+    # project(op(z^alpha)) in the e_alpha basis, for columns of degree <= D - 2
+    k = tr.dim_up_to(tr.D - 2)
+    mat = np.zeros((tr.dim, k), dtype=complex)
+    for i, alpha in enumerate(tr.basis()[:k]):
+        image = project(op(BiPolynomial.monomial(tr.n, alpha)), tr.N)
+        for (beta, _), c in image.terms.items():
+            mat[tr.index(beta), i] = c * tr.norm_constant(alpha) / tr.norm_constant(beta)
+    return mat[:k, :k]
 
 
 def _pair_monomial(n, i, j):
@@ -81,6 +123,9 @@ def test_truncation_basis_and_dims():
     assert tr.dim_up_to(1) == 3
     assert len(tr.basis()) == 10
     assert tr.index((0, 0)) == 0
+    assert tr.dim_up_to(-1) == 0 and tr.dim_up_to(2) == 6 and tr.dim_up_to(7) == 10
+    with pytest.raises(ValueError):
+        tr.index((4, 0))
     # squared norm of z^k in one variable is k! / N^k, so the normalizing
     # constant is sqrt(N^k / k!)
     tr1 = FockTruncation(1, 4, 6)
@@ -117,12 +162,7 @@ def test_curvature_matches_columnwise_reference(n, D):
     big_n = 3
     tr = FockTruncation(n, big_n, D)
     rng = np.random.default_rng(5)
-    quad = [(a, b) for a in itertools.product(range(3), repeat=n)
-            for b in itertools.product(range(3), repeat=n) if sum(a) + sum(b) == 2]
-    h1, h2 = (
-        BiPolynomial(n, {key: complex(*rng.standard_normal(2)) for key in quad})
-        for _ in range(2)
-    )
+    h1, h2 = _random_quadratic(n, rng), _random_quadratic(n, rng)
     got = flat_curvature_operator(h1, h2, tr)
 
     def lie(h, f):
@@ -148,7 +188,7 @@ def test_lie_matrix_rotation_is_diagonal():
     # H = |z|^2 generates rotation; its operator is diagonal on monomials
     tr = FockTruncation(1, 5, 8)
     h = BiPolynomial.monomial(1, (1,), (1,))
-    mat = lie_matrix(h, tr).restrict()
+    mat = _projected_matrix(fock._lie_operator(h, tr.N), tr)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-13
 
@@ -244,8 +284,7 @@ def test_lie_derivative_respects_degree_bands():
     # quadratic Hamiltonians move degree by at most 2
     tr = FockTruncation(1, 4, 8)
     hp = hamiltonian_bipoly(p_plus_basis(1)[0])
-    op = lie_matrix(hp, tr)
-    mat = op.restrict()
+    mat = _projected_matrix(fock._lie_operator(hp, tr.N), tr)
     block = tr.basis()[: mat.shape[0]]
     for col, alpha in enumerate(block):
         for row, beta in enumerate(block):
@@ -264,12 +303,55 @@ def test_degree_overflow_guard():
 
 
 def test_lie_derivative_linear():
-    tr = FockTruncation(1, 4, 10)
-    h = hamiltonian_bipoly(p_plus_basis(1)[0])
+    lie = fock._lie_operator(hamiltonian_bipoly(p_plus_basis(1)[0]), 4)
     f = BiPolynomial.monomial(1, (1,))
     g = BiPolynomial.monomial(1, (2,))
-    lhs = lie_derivative(h, f + g, tr)
-    rhs = lie_derivative(h, f, tr) + lie_derivative(h, g, tr)
+    lhs = lie(f + g)
+    rhs = lie(f) + lie(g)
     pts = np.array([[0.3 + 0.1j], [1.2 - 0.7j]])
     for pt in pts:
         assert lhs.value(pt) == pytest.approx(rhs.value(pt), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("big_n", [1, 4, 6])
+def test_first_order_operators_match_literal_formula(n, big_n):
+    # one-pass application against the BiPolynomial-op formulas, on inputs
+    # with zbar terms so that every d/dzbar entry contributes
+    rng = np.random.default_rng(100 * n + big_n)
+    degs = [a for a in itertools.product(range(4), repeat=n) if sum(a) <= 3]
+    for _ in range(4):
+        h = _random_quadratic(n, rng)
+        keys = [(a, b) for a in degs for b in degs if rng.random() < 0.5]
+        g = BiPolynomial(n, {key: complex(*rng.standard_normal(2)) for key in keys})
+        for got, ref in (
+            (fock._lie_operator(h, big_n)(g), _lie_state_reference(h, g, big_n)),
+            (bargmann_generator(h, g, big_n), _bargmann_reference(h, g, big_n)),
+        ):
+            scale = max(abs(c) for c in ref.terms.values())
+            diff = max(
+                abs(got.terms.get(key, 0.0) - ref.terms.get(key, 0.0))
+                for key in set(got.terms) | set(ref.terms)
+            )
+            assert diff <= 1e-14 * scale
+
+
+def test_curvature_operator_products_independent_of_degree(monkeypatch):
+    # the operators are built once per Hamiltonian, so the BiPolynomial
+    # products a curvature matrix needs do not grow with its columns
+    calls = []
+    mul = BiPolynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(BiPolynomial, "__mul__", counting_mul)
+    h1 = hamiltonian_bipoly(p_plus_basis(2)[0])
+    h2 = hamiltonian_bipoly(p_minus_basis(2)[1])
+    counts = []
+    for D in (8, 10):
+        calls.clear()
+        curvature_operator(h1, h2, FockTruncation(2, 4, D))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
