@@ -4,7 +4,6 @@ parallel transport, and a hyperbolic slice pairing, with a batch CLI."""
 from .linalg import (
     OdeStepper,
     compressed_curvature,
-    hermiticity_defect,
     hs_norm,
     orthonormal_columns,
 )
@@ -45,8 +44,6 @@ from .sphere import (
     rotation_x,
     rotation_y,
     rotation_z,
-    tangent_structure,
-    tangent_structure_fd,
     symbol_decay_experiment,
     zonal_harmonic,
 )

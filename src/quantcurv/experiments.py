@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -53,47 +55,82 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _require_keys(rec: dict, allowed: dict, where: str) -> None:
-    for key in rec:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}")
-    for key, required in allowed.items():
-        if required and key not in rec:
-            raise ConfigError(f"missing required key '{key}' in {where}")
+_REQUIRED = object()
 
 
-def _positive(rec, key, where, kind=float, default=None):
-    v = rec.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
-        raise ConfigError(f"'{key}' in {where} must be a positive finite number")
+def _number(v, kind, label: str):
+    """A positive finite number, booleans excluded; kind int also demands an integer."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v <= sys.float_info.max:
+        raise ConfigError(f"{label} must be a positive finite number")
     if kind is int and not isinstance(v, int):
-        raise ConfigError(f"'{key}' in {where} must be an integer")
-    return kind(v)
+        raise ConfigError(f"{label} must be an integer")
+    return v if kind is int else float(v)
+
+
+def _read(rec, where: str, spec: dict) -> dict:
+    """Parse one config record: exactly the keys of `spec`, each by its kind.
+
+    `spec` maps key -> (kind, default); default `_REQUIRED` marks a required
+    key.  Kind `int` or `float` reads a positive finite number; any other kind
+    is a callable (value, label) -> value that raises `ConfigError` naming label.
+    """
+    if not isinstance(rec, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in rec:
+        if key not in spec:
+            raise ConfigError(f"unknown key '{key}' in {where}")
+    out = {}
+    for key, (kind, default) in spec.items():
+        label = f"'{key}' in {where}"
+        if key not in rec:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}' in {where}")
+            out[key] = default
+        elif kind is int or kind is float:
+            out[key] = _number(rec[key], kind, label)
+        else:
+            out[key] = kind(rec[key], label)
+    return out
+
+
+def _nonempty_list(v, label: str) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{label} must be a nonempty list")
+    return v
+
+
+def _nonempty_string(v, label: str) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{label} must be a nonempty string")
+    return v
+
+
+def _name_in(table: dict, what: str):
+    """Reader of a string that must name an entry of `table`."""
+
+    def read(v, label: str) -> str:
+        if not isinstance(v, str) or v not in table:
+            raise ConfigError(f"{label}: unknown {what} {v!r} (choices: {sorted(table)})")
+        return v
+
+    return read
+
+
+_hamiltonian = _name_in(HAMILTONIAN_LIBRARY, "hamiltonian")
+
+
+def _seed(v, label: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**64:
+        raise ConfigError(f"{label} must be an integer in [0, 2^64)")
+    return v
 
 
 def _check_bargmann(p: dict) -> dict:
-    _require_keys(
-        p,
-        {
-            "n": True,
-            "N": True,
-            "D": True,
-            "n_random_pairs": False,
-            "tol_identity": False,
-            "tol_scalar": False,
-            "tol_ratio_spread": False,
-        },
-        "bargmann-curvature parameters",
-    )
-    out = {
-        "n": int(_positive(p, "n", "bargmann", int)),
-        "N": int(_positive(p, "N", "bargmann", int)),
-        "D": int(_positive(p, "D", "bargmann", int)),
-        "n_random_pairs": _positive(p, "n_random_pairs", "bargmann", int, 20),
-        "tol_identity": _positive(p, "tol_identity", "bargmann", default=1e-10),
-        "tol_scalar": _positive(p, "tol_scalar", "bargmann", default=1e-8),
-        "tol_ratio_spread": _positive(p, "tol_ratio_spread", "bargmann", default=1e-6),
-    }
+    out = _read(p, "bargmann-curvature parameters", {
+        "n": (int, _REQUIRED), "N": (int, _REQUIRED), "D": (int, _REQUIRED),
+        "n_random_pairs": (int, 20), "tol_identity": (float, 1e-10),
+        "tol_scalar": (float, 1e-8), "tol_ratio_spread": (float, 1e-6),
+    })
     if out["n"] not in (1, 2):
         raise ConfigError("bargmann n must be 1 or 2")
     if out["n_random_pairs"] < 2:
@@ -203,44 +240,30 @@ def _random_p_element(c):
     )
 
 
-def _check_sphere(p: dict) -> dict:
-    _require_keys(
-        p,
-        {
-            "N_list": True,
-            "hamiltonians": False,
-            "ratio_bound": False,
-            "ratio_min_N": False,
-        },
-        "sphere-convergence parameters",
-    )
-    n_list = p["N_list"]
-    if (
-        not isinstance(n_list, list)
-        or not n_list
-        or any(not isinstance(v, int) or v < 1 for v in n_list)
-        or sorted(n_list) != n_list
-    ):
-        raise ConfigError("N_list must be an ascending list of positive integers")
-    if n_list[-1] > sphere.EXACT_LEVEL_MAX:
+def _levels(v, label: str) -> list:
+    levels = [_number(n, int, label) for n in _nonempty_list(v, label)]
+    if sorted(levels) != levels:
+        raise ConfigError(f"{label} must be an ascending list of positive integers")
+    if levels[-1] > sphere.EXACT_LEVEL_MAX:
         raise ConfigError(
-            f"N_list entries must be <= {sphere.EXACT_LEVEL_MAX}, "
+            f"entries of {label} must be <= {sphere.EXACT_LEVEL_MAX}, "
             "the largest level verified for the closed-form pairings"
         )
-    hams = p.get("hamiltonians", ["harmonic_real", "zonal_harmonic"])
-    if not isinstance(hams, list) or len(hams) != 2:
-        raise ConfigError("hamiltonians must name exactly two fields")
-    for name in hams:
-        if name not in HAMILTONIAN_LIBRARY:
-            raise ConfigError(
-                f"unknown hamiltonian '{name}' (choices: {sorted(HAMILTONIAN_LIBRARY)})"
-            )
-    return {
-        "N_list": n_list,
-        "hamiltonians": hams,
-        "ratio_bound": float(p.get("ratio_bound", 0.7)),
-        "ratio_min_N": int(p.get("ratio_min_N", 16)),
-    }
+    return levels
+
+
+def _hamiltonian_pair(v, label: str) -> list:
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigError(f"{label} must name exactly two fields")
+    return [_hamiltonian(name, label) for name in v]
+
+
+def _check_sphere(p: dict) -> dict:
+    return _read(p, "sphere-convergence parameters", {
+        "N_list": (_levels, _REQUIRED),
+        "hamiltonians": (_hamiltonian_pair, ["harmonic_real", "zonal_harmonic"]),
+        "ratio_bound": (float, 0.7), "ratio_min_N": (int, 16),
+    })
 
 
 def _run_sphere(p: dict, _rng) -> tuple[list, list, bool]:
@@ -262,21 +285,26 @@ def _run_sphere(p: dict, _rng) -> tuple[list, list, bool]:
     return columns, rows, all(r[-1] for r in rows)
 
 
+def _cases(v, label: str) -> list:
+    spec = {"hamiltonian": (_hamiltonian, _REQUIRED), "tol": (float, _REQUIRED)}
+    return [
+        _read(case, f"item {i} of {label}", spec)
+        for i, case in enumerate(_nonempty_list(v, label))
+    ]
+
+
 def _check_schrodinger(p: dict) -> dict:
-    _require_keys(
-        p,
-        {"N": True, "dt": True, "t_end": True, "cases": True, "tol_residual": False},
-        "schrodinger-intertwine parameters",
-    )
-    n = int(_positive(p, "N", "schrodinger", int))
-    if n > sphere.GRID_LEVEL_MAX:
+    out = _read(p, "schrodinger-intertwine parameters", {
+        "N": (int, _REQUIRED), "dt": (float, _REQUIRED), "t_end": (float, _REQUIRED),
+        "cases": (_cases, _REQUIRED), "tol_residual": (float, 1e-5),
+    })
+    if out["N"] > sphere.GRID_LEVEL_MAX:
         raise ConfigError(
             f"schrodinger N must be <= {sphere.GRID_LEVEL_MAX}, "
             "the largest level the quadrature grid resolves"
         )
-    dt = _positive(p, "dt", "schrodinger")
-    t_end = _positive(p, "t_end", "schrodinger")
-    if not 0 < t_end <= 2:
+    t_end, dt = out["t_end"], out["dt"]
+    if t_end > 2:
         raise ConfigError("t_end must lie in (0, 2]")
     if round(t_end / dt) > transport.TRANSPORT_STEPS_MAX:
         raise ConfigError(
@@ -284,22 +312,7 @@ def _check_schrodinger(p: dict) -> dict:
             f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
             "(~0.55 s a step at N = 72, so ~46 min there); raise dt"
         )
-    cases = p["cases"]
-    if not isinstance(cases, list) or not cases:
-        raise ConfigError("cases must be a nonempty list")
-    out_cases = []
-    for c in cases:
-        _require_keys(c, {"hamiltonian": True, "tol": True}, "schrodinger case")
-        if c["hamiltonian"] not in HAMILTONIAN_LIBRARY:
-            raise ConfigError(f"unknown hamiltonian '{c['hamiltonian']}'")
-        out_cases.append({"hamiltonian": c["hamiltonian"], "tol": float(c["tol"])})
-    return {
-        "N": n,
-        "dt": dt,
-        "t_end": t_end,
-        "cases": out_cases,
-        "tol_residual": float(p.get("tol_residual", 1e-5)),
-    }
+    return out
 
 
 def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
@@ -348,17 +361,10 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
 
 
 def _check_teichmuller(p: dict) -> dict:
-    _require_keys(
-        p,
-        {"n_tuples": True, "tol_pairing": False, "tol_sp": False, "tol_wp": False},
-        "teichmuller-symbol parameters",
-    )
-    return {
-        "n_tuples": int(_positive(p, "n_tuples", "teichmuller", int)),
-        "tol_pairing": float(p.get("tol_pairing", 1e-10)),
-        "tol_sp": float(p.get("tol_sp", 1e-9)),
-        "tol_wp": float(p.get("tol_wp", 1e-12)),
-    }
+    return _read(p, "teichmuller-symbol parameters", {
+        "n_tuples": (int, _REQUIRED), "tol_pairing": (float, 1e-10),
+        "tol_sp": (float, 1e-9), "tol_wp": (float, 1e-12),
+    })
 
 
 def _run_teichmuller(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:
@@ -414,41 +420,25 @@ EXPERIMENTS = {
 
 def validate_config(config: dict) -> list[dict]:
     """Validate the whole config; returns normalized experiment entries."""
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(config, {"seed": True, "experiments": True}, "config root")
-    seed = config["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an integer in [0, 2^64)")
-    entries = config["experiments"]
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("experiments must be a nonempty list")
-    out = []
-    for i, entry in enumerate(entries):
+    root = _read(config, "config root", {
+        "seed": (_seed, _REQUIRED), "experiments": (_nonempty_list, _REQUIRED),
+    })
+    spec = {
+        "experiment": (_name_in(EXPERIMENTS, "experiment"), _REQUIRED),
+        # read by the experiment's own checker below
+        "parameters": (lambda v, _label: v, _REQUIRED),
+        "output_path": (_nonempty_string, _REQUIRED),
+    }
+    out, writers = [], {}
+    for i, entry in enumerate(root["experiments"]):
         where = f"experiments[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object")
-        _require_keys(
-            entry, {"experiment": True, "parameters": True, "output_path": True}, where
-        )
-        name = entry["experiment"]
-        if name not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment '{name}' (choices: {sorted(EXPERIMENTS)})"
-            )
-        if not isinstance(entry["output_path"], str) or not entry["output_path"]:
-            raise ConfigError(f"{where}.output_path must be a nonempty string")
-        checker, _runner = EXPERIMENTS[name]
-        params = entry["parameters"]
-        if not isinstance(params, dict):
-            raise ConfigError(f"{where}.parameters must be an object")
-        out.append(
-            {
-                "experiment": name,
-                "parameters": checker(params),
-                "output_path": entry["output_path"],
-            }
-        )
+        entry = _read(entry, where, spec)
+        target = os.path.abspath(entry["output_path"])
+        if target in writers:
+            raise ConfigError(f"{writers[target]} and {where} both write {target}")
+        writers[target] = where
+        entry["parameters"] = EXPERIMENTS[entry["experiment"]][0](entry["parameters"])
+        out.append(entry)
     return out
 
 

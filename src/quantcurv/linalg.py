@@ -23,18 +23,6 @@ def hs_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M*| entrywise; 0 for exactly Hermitian input."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def anti_hermiticity_defect(m: np.ndarray) -> float:
-    """max |M + M*| entrywise; 0 for exactly anti-Hermitian input."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m + m.conj().T))) if m.size else 0.0
-
-
 def orthonormal_columns(frame: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
     """Orthonormalize frame columns by the inverse square root of their Gram matrix.
 

@@ -58,16 +58,12 @@ __all__ = [
     "characteristic_rhs",
     "eval_batch",
     "pullback_frame",
-    "tangent_structure",
-    "tangent_structure_fd",
     "chi_field",
     "curvature_commutator",
     "curvature_fd",
     "curvature_calibration",
     "symbol_decay_experiment",
 ]
-
-_J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class ChartFunction:
@@ -244,19 +240,6 @@ class HamiltonianField:
     name: str
     h: ChartFunction
     a: ChartFunction = field(repr=False)
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        """Real 2x2 Jacobian of the flow field at each point, shape (..., 2, 2)."""
-        az = self.a.dz().eval(z)
-        azb = self.a.dzbar().eval(z)
-        dxa = az + azb
-        dya = 1j * (az - azb)
-        out = np.empty(z.shape + (2, 2))
-        out[..., 0, 0] = dxa.real
-        out[..., 0, 1] = dya.real
-        out[..., 1, 0] = dxa.imag
-        out[..., 1, 1] = dya.imag
-        return out
 
 
 def hamiltonian_from_chart(name: str, h: ChartFunction) -> HamiltonianField:
@@ -558,95 +541,23 @@ def pullback_frame(
     return space.frame_at(*y)
 
 
-def tangent_structure(ham: HamiltonianField, points: np.ndarray) -> np.ndarray:
-    """Derivative of the pulled-back complex structure at t = 0, pointwise.
-
-    For the family J_t = (dpsi_t)^{-1} J0 (dpsi_t) in an affine chart where J0
-    is constant, the derivative is the commutator [J0, Dxi] with the flow
-    Jacobian; returns shape (..., 2, 2).  Isometric flows give 0.
-    """
-    d = ham.jacobian(points)
-    return _J0 @ d - d @ _J0
-
-
-def tangent_structure_fd(
-    ham: HamiltonianField,
-    points: np.ndarray,
-    h: float = 1e-3,
-    n_steps: int = 8,
-) -> np.ndarray:
-    """Same tangent field by central differences of the flow differential.
-
-    Integrates the variational equation Mdot = Dxi(psi_tau) M alongside the
-    flow to +/- h and differences (dpsi)^{-1} J0 (dpsi).
-    """
-    points = np.asarray(points, dtype=complex)
-
-    def flow_differential(tt: float) -> np.ndarray:
-        sign = 1.0 if tt >= 0 else -1.0
-
-        def rhs(_tau, y):
-            z = y[0]
-            m = y[1:5].real.reshape(2, 2, -1)
-            dxi = ham.jacobian(z)  # (n, 2, 2)
-            dm = np.einsum("nij,jkn->ikn", dxi, m)
-            return np.concatenate(
-                [(sign * ham.a.eval(z))[None, :], sign * dm.reshape(4, -1)]
-            )
-
-        m0 = np.zeros((4, len(points)), dtype=complex)
-        m0[0] = 1.0
-        m0[3] = 1.0
-        y0 = np.concatenate([points[None, :], m0])
-        y = OdeStepper(dt=abs(tt) / n_steps).propagate(rhs, 0.0, y0, abs(tt))
-        return y[1:5].real.reshape(2, 2, -1).transpose(2, 0, 1)
-
-    def conjugated(tt: float) -> np.ndarray:
-        m = flow_differential(tt)
-        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-        inv = np.empty_like(m)
-        inv[:, 0, 0] = m[:, 1, 1]
-        inv[:, 1, 1] = m[:, 0, 0]
-        inv[:, 0, 1] = -m[:, 0, 1]
-        inv[:, 1, 0] = -m[:, 1, 0]
-        inv /= det[:, None, None]
-        return inv @ _J0 @ m
-
-    return (conjugated(h) - conjugated(-h)) / (2.0 * h)
-
-
-def _tangent_chart_matrix(ham: HamiltonianField) -> list[list[ChartFunction]]:
-    """Entries of [J0, Dxi] as chart functions (symbolic tangent field)."""
-    az = ham.a.dz()
-    azb = ham.a.dzbar()
-    dxa = az + azb
-    dya = 1j * (az - azb)
-    d11, d12 = dxa.real(), dya.real()
-    d21, d22 = dxa.imag(), dya.imag()
-    # J0 D - D J0 with J0 = [[0,-1],[1,0]]
-    return [
-        [(-1.0) * (d21 + d12), d11 - d22],
-        [d11 - d22, d12 + d21],
-    ]
-
-
 def chi_field(h1: HamiltonianField, h2: HamiltonianField, grid=None):
     """Symbol chi(x) = tr(A1 J0 A2) of the curvature pairing.
 
-    A_i are the tangent fields of the two pullback families; the result is a
-    real chart function, exactly integrable against section pairs.  With a
-    grid argument, returns the sampled real values instead.
+    A_i = [J0, Dxi_i] is the tangent of the pulled-back complex structure
+    J_t = (dpsi_t)^{-1} J0 dpsi_t along the flow zdot = a_i(z).  In the chart,
+    Dxi v = a_z v + b vbar with b = da/dzbar, and J0 v = i v, so the commutator
+    keeps only the antilinear part: A v = 2i b vbar.  Then A1 J0 A2 v =
+    -4i b1 conj(b2) v is multiplication by a complex number, whose trace as a
+    real 2x2 matrix is twice its real part:
+
+        chi = 8 Im(b1 conj(b2)).
+
+    The result is a real chart function, exactly integrable against section
+    pairs; isometric flows (holomorphic a) give b = 0.  With a grid argument,
+    returns the sampled real values instead.
     """
-    a = _tangent_chart_matrix(h1)
-    b = _tangent_chart_matrix(h2)
-    # J0 B = [[-b21, -b22], [b11, b12]]; chi = tr(A @ J0B)
-    chi = (
-        (-1.0) * (a[0][0] * b[1][0])
-        + a[0][1] * b[0][0]
-        + (-1.0) * (a[1][0] * b[1][1])
-        + a[1][1] * b[0][1]
-    )
-    chi = chi.real()
+    chi = (8.0 * (h1.a.dzbar() * h2.a.dzbar().conj())).imag()
     if grid is not None:
         return chi.eval(grid.points).real
     return chi

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +263,136 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("PASS") == 2
+
+
+_VALID_PARAMETERS = {
+    "bargmann-curvature": {"n": 1, "N": 4, "D": 8},
+    "sphere-convergence": {"N_list": [8, 16]},
+    "schrodinger-intertwine": {
+        "N": 4,
+        "dt": 1e-3,
+        "t_end": 0.01,
+        "cases": [{"hamiltonian": "rotation_z", "tol": 1e-6}],
+    },
+    "teichmuller-symbol": {"n_tuples": 5},
+}
+
+_NUMERIC_KEYS = [
+    ("bargmann-curvature", "n", int),
+    ("bargmann-curvature", "N", int),
+    ("bargmann-curvature", "D", int),
+    ("bargmann-curvature", "n_random_pairs", int),
+    ("bargmann-curvature", "tol_identity", float),
+    ("bargmann-curvature", "tol_scalar", float),
+    ("bargmann-curvature", "tol_ratio_spread", float),
+    ("sphere-convergence", "ratio_bound", float),
+    ("sphere-convergence", "ratio_min_N", int),
+    ("schrodinger-intertwine", "N", int),
+    ("schrodinger-intertwine", "dt", float),
+    ("schrodinger-intertwine", "t_end", float),
+    ("schrodinger-intertwine", "tol_residual", float),
+    ("teichmuller-symbol", "n_tuples", int),
+    ("teichmuller-symbol", "tol_pairing", float),
+    ("teichmuller-symbol", "tol_sp", float),
+    ("teichmuller-symbol", "tol_wp", float),
+]
+_BAD_NUMBERS = ["x", True, 0, -1, float("inf"), float("nan")]
+
+
+def _with_case(**case):
+    params = dict(_VALID_PARAMETERS["schrodinger-intertwine"])
+    params["cases"] = [dict(params["cases"][0], **case)]
+    return params
+
+
+def _bad(experiment, key, bad, params):
+    return pytest.param(experiment, key, params, id=f"{experiment}-{key}={bad!r}")
+
+
+_BAD_VALUES = (
+    [
+        _bad(exp, key, bad, dict(_VALID_PARAMETERS[exp], **{key: bad}))
+        for exp, key, kind in _NUMERIC_KEYS
+        for bad in _BAD_NUMBERS + ([2.7] if kind is int else [])
+    ]
+    + [_bad("schrodinger-intertwine", "tol", bad, _with_case(tol=bad)) for bad in _BAD_NUMBERS]
+    + [
+        _bad("sphere-convergence", "N_list", bad, {"N_list": bad})
+        for bad in ([True, 16], [8, 2.7], [16, 8])
+    ]
+    + [
+        _bad("sphere-convergence", "hamiltonians", bad, {"N_list": [8], "hamiltonians": bad})
+        for bad in (["harmonic_real", 3], [["zonal_harmonic"], "harmonic_real"])
+    ]
+    + [
+        _bad("schrodinger-intertwine", "hamiltonian", bad, _with_case(hamiltonian=bad))
+        for bad in (["rotation_z"], None)
+    ]
+    + [
+        _bad("schrodinger-intertwine", "cases", bad, dict(_with_case(), cases=bad))
+        for bad in (["rotation_z"], [["rotation_z", 1e-6]])
+    ]
+)
+
+
+def _single_entry(experiment, parameters, output_path):
+    return {
+        "seed": 1,
+        "experiments": [
+            {"experiment": experiment, "parameters": parameters, "output_path": str(output_path)}
+        ],
+    }
+
+
+@pytest.mark.parametrize("experiment, key, params", _BAD_VALUES)
+def test_every_config_value_is_read_strictly(tmp_path, experiment, key, params):
+    out_path = tmp_path / "out.csv"
+    cfg = _single_entry(experiment, params, out_path)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        validate_config(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path)) == 2
+    assert not out_path.exists()
+
+
+def test_overflowing_json_tolerance_is_rejected(tmp_path):
+    out_path = tmp_path / "teich.csv"
+    text = json.dumps(_single_entry("teichmuller-symbol", {"n_tuples": 5, "tol_sp": 7.0}, out_path))
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace("7.0", "1e999"))
+    assert run(str(path)) == 2
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(_VALID_PARAMETERS))
+def test_validate_config_is_idempotent(experiment):
+    cfg = _single_entry(experiment, _VALID_PARAMETERS[experiment], "x.csv")
+    entries = validate_config(cfg)
+    assert validate_config({"seed": 1, "experiments": entries}) == entries
+
+
+def test_duplicate_output_paths_rejected(tmp_path):
+    out_path = tmp_path / "teich.csv"
+    entry = {"experiment": "teichmuller-symbol", "parameters": {"n_tuples": 5}}
+    cfg = {
+        "seed": 1,
+        "experiments": [
+            dict(entry, output_path=str(out_path)),
+            dict(entry, output_path=str(tmp_path / "sub" / ".." / "teich.csv")),
+        ],
+    }
+    with pytest.raises(ConfigError, match=r"experiments\[0\] and experiments\[1\]"):
+        validate_config(cfg)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path)) == 2
+    assert not out_path.exists()
+
+
+def test_readme_config_examples_validate():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        validate_config(json.loads(block))

@@ -3,9 +3,7 @@ import pytest
 
 from quantcurv.linalg import (
     OdeStepper,
-    anti_hermiticity_defect,
     compressed_curvature,
-    hermiticity_defect,
     hs_norm,
     orthonormal_columns,
 )
@@ -17,15 +15,6 @@ def test_hs_norm_values():
     assert hs_norm(np.zeros((4, 4))) == 0.0
     with pytest.raises(ValueError):
         hs_norm(np.zeros((2, 3)))
-
-
-def test_hermiticity_defects():
-    h = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -3.0]])
-    assert hermiticity_defect(h) == 0.0
-    assert anti_hermiticity_defect(1j * h) == 0.0
-    assert hermiticity_defect(h + 1e-3 * np.array([[0, 1], [0, 0]])) == pytest.approx(
-        1e-3, rel=1e-12
-    )
 
 
 def test_projector_from_frame_single_vector():

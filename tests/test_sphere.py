@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantcurv.experiments import ConfigError, validate_config
-from quantcurv.linalg import anti_hermiticity_defect, hermiticity_defect, hs_norm
+from quantcurv.linalg import OdeStepper, hs_norm
 from quantcurv.sphere import (
     EXACT_LEVEL_MAX,
     GRID_LEVEL_MAX,
@@ -26,11 +26,63 @@ from quantcurv.sphere import (
     rotation_x,
     rotation_y,
     rotation_z,
-    tangent_structure,
-    tangent_structure_fd,
     symbol_decay_experiment,
     zonal_harmonic,
 )
+
+
+_J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _jacobian(ham, z):
+    """Real 2x2 Jacobian of the flow field zdot = a(z) at each point, shape (..., 2, 2)."""
+    az = ham.a.dz().eval(z)
+    azb = ham.a.dzbar().eval(z)
+    dxa = az + azb
+    dya = 1j * (az - azb)
+    out = np.empty(z.shape + (2, 2))
+    out[..., 0, 0] = dxa.real
+    out[..., 0, 1] = dya.real
+    out[..., 1, 0] = dxa.imag
+    out[..., 1, 1] = dya.imag
+    return out
+
+
+def _tangent_structure(ham, points):
+    """Derivative [J0, Dxi] of the pulled-back complex structure at t = 0."""
+    d = _jacobian(ham, points)
+    return _J0 @ d - d @ _J0
+
+
+def _tangent_structure_fd(ham, points, h=1e-3, n_steps=8):
+    """Same tangent field by central differences of the flow differential.
+
+    Integrates the variational equation Mdot = Dxi(psi_tau) M alongside the
+    flow to +/- h and differences (dpsi)^{-1} J0 (dpsi).
+    """
+    points = np.asarray(points, dtype=complex)
+
+    def conjugated(tt):
+        sign = 1.0 if tt >= 0 else -1.0
+
+        def rhs(_tau, y):
+            z = y[0]
+            m = y[1:5].real.reshape(2, 2, -1)
+            dm = np.einsum("nij,jkn->ikn", _jacobian(ham, z), m)
+            return np.concatenate([(sign * ham.a.eval(z))[None, :], sign * dm.reshape(4, -1)])
+
+        m0 = np.zeros((4, len(points)), dtype=complex)
+        m0[0] = m0[3] = 1.0
+        y0 = np.concatenate([points[None, :], m0])
+        y = OdeStepper(dt=abs(tt) / n_steps).propagate(rhs, 0.0, y0, abs(tt))
+        m = y[1:5].real.reshape(2, 2, -1).transpose(2, 0, 1)
+        return np.linalg.inv(m) @ _J0 @ m
+
+    return (conjugated(h) - conjugated(-h)) / (2.0 * h)
+
+
+def _chi_assembled(a1, a2):
+    return np.array([np.trace(a1[k] @ _J0 @ a2[k]) for k in range(len(a1))])
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +172,7 @@ def test_pullback_frame_of_rotation_is_a_phase(space, t):
 
 def test_projector_properties(space):
     p = space.frame @ space.frame.conj().T
-    assert hermiticity_defect(p) < 1e-12
+    assert np.max(np.abs(p - p.conj().T)) < 1e-12
     assert np.max(np.abs(p @ p - p)) < 1e-12
     assert np.trace(p).real == pytest.approx(9.0, abs=1e-10)
 
@@ -188,7 +240,7 @@ def test_generator_apply_rotation_monomials():
 @pytest.mark.parametrize("ham_f", [rotation_z, rotation_x, harmonic_real, zonal_harmonic])
 def test_compressed_generator_anti_hermitian(ham_f, space):
     g = compress_generator(ham_f(), space)
-    assert anti_hermiticity_defect(g) < 1e-12
+    assert np.max(np.abs(g + g.conj().T)) < 1e-12
 
 
 def test_rotation_hamiltonians_have_unit_speed():
@@ -207,7 +259,7 @@ def test_rotation_hamiltonians_have_unit_speed():
 def test_tangent_structure_rotations_vanish():
     pts = np.array([0.4 + 0.3j, -1.2 + 0.8j, 0.05 - 2.0j])
     for ham_f in (rotation_z, rotation_x, rotation_y):
-        a = tangent_structure(ham_f(), pts)
+        a = _tangent_structure(ham_f(), pts)
         assert np.max(np.abs(a)) < 1e-12
 
 
@@ -215,7 +267,7 @@ def test_tangent_structure_anticommutes_with_j():
     pts = np.array([0.4 + 0.3j, -1.2 + 0.8j, 1.1 + 0.05j])
     j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
     for ham_f in (harmonic_real, harmonic_imag, zonal_harmonic):
-        a = tangent_structure(ham_f(), pts)
+        a = _tangent_structure(ham_f(), pts)
         for k in range(len(pts)):
             assert np.max(np.abs(j0 @ a[k] + a[k] @ j0)) < 1e-12
             assert np.max(np.abs(a[k] - a[k].T)) < 1e-12
@@ -224,8 +276,8 @@ def test_tangent_structure_anticommutes_with_j():
 def test_tangent_structure_matches_finite_difference():
     pts = np.array([0.4 + 0.3j, -0.7 + 1.1j])
     for ham_f in (harmonic_real, zonal_harmonic):
-        exact = tangent_structure(ham_f(), pts)
-        approx = tangent_structure_fd(ham_f(), pts)
+        exact = _tangent_structure(ham_f(), pts)
+        approx = _tangent_structure_fd(ham_f(), pts)
         assert np.max(np.abs(exact - approx)) < 1e-5
 
 
@@ -235,19 +287,26 @@ def test_chi_field_antisymmetric_and_matches_grid():
     f12 = chi_field(h1, h2)
     f21 = chi_field(h2, h1)
     assert np.max(np.abs(f12.eval(pts) + f21.eval(pts))) < 1e-12
-    # pointwise values agree with the tangent/trace assembly
-    j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    a1 = tangent_structure(h1, pts)
-    a2 = tangent_structure(h2, pts)
-    direct = np.array(
-        [np.trace(a1[k] @ j0 @ a2[k]).real for k in range(len(pts))]
-    )
-    assert np.max(np.abs(f12.eval(pts).real - direct)) < 1e-10
     # grid form returns sampled values
     grid = SphereGrid.for_level(4)
     vals = chi_field(h1, h2, grid)
     assert vals.shape == grid.points.shape
     assert np.max(np.abs(vals - f12.eval(grid.points).real)) < 1e-12
+
+
+@pytest.mark.parametrize("f1", [rotation_x, harmonic_real, harmonic_imag, zonal_harmonic])
+@pytest.mark.parametrize("f2", [rotation_z, harmonic_real, harmonic_imag, zonal_harmonic])
+def test_chi_field_matches_tangent_trace_assembly(f1, f2):
+    # closed form 8 Im(b1 conj b2) against tr(A1 J0 A2) assembled from the
+    # flow Jacobian and from the variational finite difference
+    h1, h2 = f1(), f2()
+    pts = np.array([0.5 + 0.1j, -0.3 + 0.9j, 0.7 - 0.4j])
+    closed = chi_field(h1, h2).eval(pts)
+    exact = _chi_assembled(_tangent_structure(h1, pts), _tangent_structure(h2, pts))
+    approx = _chi_assembled(_tangent_structure_fd(h1, pts), _tangent_structure_fd(h2, pts))
+    scale = max(1.0, np.max(np.abs(exact)))
+    assert np.max(np.abs(closed - exact)) <= 1e-12 * scale
+    assert np.max(np.abs(closed - approx)) <= 1e-5 * scale
 
 
 def test_chi_field_same_hamiltonian_vanishes():
@@ -271,7 +330,7 @@ def test_curvature_antisymmetric_and_anti_hermitian(space):
     y12 = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
     y21 = curvature_commutator(zonal_harmonic(), harmonic_real(), space)
     assert np.max(np.abs(y12 + y21)) < 1e-10
-    assert anti_hermiticity_defect(y12) < 1e-6 * max(1.0, hs_norm(y12))
+    assert np.max(np.abs(y12 + y12.conj().T)) < 1e-6 * max(1.0, hs_norm(y12))
 
 
 def test_curvature_applies_each_generator_twice_per_column(monkeypatch):
