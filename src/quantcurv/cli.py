@@ -84,7 +84,11 @@ def run(config_path: str, seed: int | None = None) -> int:
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     all_ok = True
     for entry, (cols, rows, ok) in zip(entries, results):
-        _write_csv(entry["output_path"], cols, rows, chash, stamp)
+        try:
+            _write_csv(entry["output_path"], cols, rows, chash, stamp)
+        except OSError as exc:
+            print(f"output error: cannot write {entry['output_path']}: {exc}", file=sys.stderr)
+            return 1
         status = "PASS" if ok else "FAIL"
         print(f"{status} {entry['experiment']} -> {entry['output_path']}")
         all_ok = all_ok and ok

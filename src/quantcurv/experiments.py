@@ -99,9 +99,19 @@ def _nonempty_list(v, label: str) -> list:
     return v
 
 
-def _nonempty_string(v, label: str) -> str:
-    if not isinstance(v, str) or not v:
-        raise ConfigError(f"{label} must be a nonempty string")
+def _output_path(v, label: str) -> str:
+    """A nonempty path that a CSV can be written to: not a directory, and not
+    under an existing file (checked at the nearest existing ancestor)."""
+    if not isinstance(v, str) or not v or "\0" in v:
+        raise ConfigError(f"{label} must be a nonempty string without NUL")
+    target = os.path.abspath(v)
+    if os.path.isdir(target):
+        raise ConfigError(f"{label} names a directory: {v!r}")
+    parent = os.path.dirname(target)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{label} {v!r} lies under {parent!r}, not a directory")
     return v
 
 
@@ -310,7 +320,7 @@ def _check_schrodinger(p: dict) -> dict:
         raise ConfigError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds "
             f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
-            "(~0.55 s a step at N = 72, so ~46 min there); raise dt"
+            "(~0.4 s a step at N = 72, so ~33 min there); raise dt"
         )
     return out
 
@@ -427,7 +437,7 @@ def validate_config(config: dict) -> list[dict]:
         "experiment": (_name_in(EXPERIMENTS, "experiment"), _REQUIRED),
         # read by the experiment's own checker below
         "parameters": (lambda v, _label: v, _REQUIRED),
-        "output_path": (_nonempty_string, _REQUIRED),
+        "output_path": (_output_path, _REQUIRED),
     }
     out, writers = [], {}
     for i, entry in enumerate(root["experiments"]):

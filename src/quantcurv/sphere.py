@@ -9,13 +9,17 @@ and the generator of the lifted flow at
 
     G = nabla_xi + i N H,     nabla_dz = d/dz - N zbar/(1+|z|^2).
 
+For H = p/(1+|z|^2)^m the derivative dH/dzbar lies over (1+|z|^2)^(m+1), so a
+is stored over (1+|z|^2)^(m-1) with no (1+|z|^2)^2 factor to carry.
+
 Quantities that stay in the small algebra of functions p(z, zbar)/(1+|z|^2)^m
 are closed-form: pairing z^a zbar^b/(1+|z|^2)^m with the section z^j is zero
 unless a = b + j, and then equals the Beta integral
 
     pi Gamma(a+1) Gamma(N+m+1-a) / Gamma(N+m+2),
 
-evaluated in log space (`SectionBasis`).  Section coefficients, the
+evaluated in log space with every log carried as a (hi, lo) pair of doubles,
+so each pairing is exact to rounding (`SectionBasis`).  Section coefficients, the
 compressed generator, the generator curvature, the Toeplitz operator of a
 chart function and its phase-space average are computed this way, with no
 grid.  The quadrature grid (`SphereGrid`, `SectionSpace`) is used only where
@@ -184,7 +188,6 @@ class ChartFunction:
 
 
 _ZBAR = ChartFunction({(0, 1): 1.0})
-_ONE_PLUS_W_SQ = ChartFunction({(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0})
 _ZBAR_OVER_1PW = ChartFunction({(0, 1): 1.0}, denom=1)
 
 
@@ -234,7 +237,8 @@ class HamiltonianField:
     """Smooth real Hamiltonian on the sphere with its flow coefficient.
 
     `h` is the chart expression; `a` solves i_xi omega = -dH for omega = 2 dmu,
-    i.e. a = i (1+|z|^2)^2 dh/dzbar, so the flow is zdot = a(z).
+    i.e. a = i (1+|z|^2)^2 dh/dzbar, so the flow is zdot = a(z).  With h over
+    (1+|z|^2)^m, a is stored over (1+|z|^2)^(m-1) (a constant h gives a = 0).
     """
 
     name: str
@@ -248,7 +252,11 @@ def hamiltonian_from_chart(name: str, h: ChartFunction) -> HamiltonianField:
         raise ValueError("Hamiltonian chart function must be real")
     if not h.bounded_at_infinity():
         raise ValueError("Hamiltonian must stay bounded at the chart's far pole")
-    a = 1j * (_ONE_PLUS_W_SQ * h.dzbar())
+    # dh/dzbar lies over (1+|z|^2)^(m+1): dropping two powers of the
+    # denominator is the factor (1+|z|^2)^2, exactly.  A bounded h with m = 0
+    # is constant, and its derivative has no terms.
+    dh = h.dzbar()
+    a = 1j * ChartFunction(dh.terms, max(dh.denom - 2, 0))
     return HamiltonianField(name=name, h=h, a=a)
 
 
@@ -303,18 +311,72 @@ GRID_LEVEL_MAX = 72
 # its N^-2 law (local slope -1.99 over 1024 -> 2048).
 EXACT_LEVEL_MAX = 2048
 _GRAM_TOL = 1e-10
-_LOG_PI = math.log(math.pi)
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n."""
-    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+def _dd_sum(*pairs):
+    """Sum of (hi, lo) pairs as one pair: error-free on the hi parts.
+
+    Logs are carried as such pairs, whose sum holds ~32 digits, so a pairing
+    stays exact to rounding although its log is a difference of terms of
+    size N log N.
+    """
+    hi, lo = pairs[0]
+    for h, l in pairs[1:]:
+        # Knuth's TwoSum: s + e == hi + h exactly
+        s = hi + h
+        hv = s - hi
+        e = (hi - (s - hv)) + (h - hv)
+        hi, lo = s, lo + (e + l)
+    return hi, lo
 
 
-def _log_pairing(N: int, a: np.ndarray, m: np.ndarray, logf: np.ndarray) -> np.ndarray:
-    """log of pi a! (N+m-a)! / (N+m+1)!, the level-N pairing of z^a zbar^b/(1+w)^m
-    with z^(a-b); `logf` holds log k! up to N + max(m) + 1."""
-    return _LOG_PI + logf[a] + logf[N + m - a] - logf[N + m + 1]
+def _dd_exp(pair):
+    """exp(hi + lo) for |lo| << 1, to a few ulp."""
+    hi, lo = pair
+    return np.exp(hi) * (1.0 + lo)
+
+
+class _LogFactorials:
+    """log k! as (hi, lo) arrays with hi + lo exact to ~32 digits.
+
+    One table per process, computed in 40-digit `decimal` arithmetic and grown
+    to the largest k asked for; `decimal` is imported on the first growth.
+    """
+
+    def __init__(self):
+        self.hi = self.lo = np.zeros(1)
+        self._top = None  # log of the last tabled factorial, as a Decimal
+
+    def __call__(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The table, covering k = 0..n at least."""
+        if n >= len(self.hi):
+            from decimal import Context, Decimal
+
+            ctx = Context(prec=40)
+            top = Decimal(0) if self._top is None else self._top
+            hi, lo = [], []
+            for k in range(len(self.hi), n + 1):
+                top = ctx.add(top, ctx.ln(Decimal(k)))
+                h = float(top)
+                hi.append(h)
+                lo.append(float(ctx.subtract(top, Decimal(h))))
+            self._top = top
+            self.hi = np.concatenate([self.hi, hi])
+            self.lo = np.concatenate([self.lo, lo])
+        return self.hi, self.lo
+
+
+_log_factorials = _LogFactorials()
+# log pi = 1.14472988584940017414342735135305871164729481291531... as a pair
+_LOG_PI = (1.1447298858494002, 1.0265951162707826e-17)
+
+
+def _log_beta(N: int, a: np.ndarray, m):
+    """log a! (N+m-a)! / (N+m+1)! as a (hi, lo) pair; pi times this Beta value
+    is the level-N pairing of z^a zbar^b/(1+w)^m with z^(a-b)."""
+    hi, lo = _log_factorials(N + int(np.max(m, initial=0)) + 1)
+    top = N + m + 1
+    return _dd_sum((hi[a], lo[a]), (hi[top - 1 - a], lo[top - 1 - a]), (-hi[top], -lo[top]))
 
 
 def _flat_terms(fs: list[ChartFunction]):
@@ -337,8 +399,7 @@ def phase_average(f: ChartFunction) -> float:
     a, m, c = a[keep], m[keep], c[keep]
     if np.any(a > m):
         raise ValueError("chart function is not integrable over the sphere")
-    logf = _log_factorials(int(m.max(initial=0)) + 1)
-    return float(np.sum(c * np.exp(_log_pairing(0, a, m, logf) - _LOG_PI)).real)
+    return float(np.sum(c * _dd_exp(_log_beta(0, a, m))).real)
 
 
 class SectionBasis:
@@ -347,22 +408,24 @@ class SectionBasis:
     Grid-free: every pairing of a section with a chart function is the
     closed-form Beta integral of the module docstring.  Each matrix entry is
     formed as exp(log Beta - log||z^j|| - log||z^k||), so entries stay O(1)
-    even at levels where ||z^k||^2 itself underflows a double.
+    even at levels where ||z^k||^2 itself underflows a double; the log is
+    summed from (hi, lo) pairs with error-free two-sums, so the entry is
+    exact to rounding at every level.
     """
 
     def __init__(self, N: int):
         self.N = N
-        logf = _log_factorials(N + 1)
-        k = np.arange(N + 1)
-        # ||z^k||^2 = pi k! (N-k)! / (N+1)!
-        self.log_norms = 0.5 * (_LOG_PI + logf[k] + logf[N - k] - logf[N + 1])
+        # ||z^k||^2 = pi k! (N-k)! / (N+1)!; halving a pair is exact
+        hi, lo = _dd_sum(_LOG_PI, _log_beta(N, np.arange(N + 1), 0))
+        self.log_norms = (0.5 * hi, 0.5 * lo)
 
     @property
     def dim(self) -> int:
         return self.N + 1
 
-    def _pairings(self, fs: list[ChartFunction], log_scale: np.ndarray) -> np.ndarray:
-        """Matrix <e_j, f_k> * exp(-log_scale[k]) with one column per function."""
+    def _pairings(self, fs: list[ChartFunction], log_scale) -> np.ndarray:
+        """Matrix <e_j, f_k> * exp(-log_scale[k]) with one column per function;
+        `log_scale` is a (hi, lo) pair of arrays."""
         N = self.N
         k, a, b, m, c = _flat_terms(fs)
         j = a - b
@@ -370,15 +433,20 @@ class SectionBasis:
         k, a, j, m, c = k[keep], a[keep], j[keep], m[keep], c[keep]
         if np.any(a > N + m):
             raise ValueError(f"pairing with level-{N} sections diverges")
-        logf = _log_factorials(N + int(m.max(initial=0)) + 1)
-        logv = _log_pairing(N, a, m, logf) - self.log_norms[j] - log_scale[k]
+        (norm_hi, norm_lo), (scale_hi, scale_lo) = self.log_norms, log_scale
+        logv = _dd_sum(
+            _LOG_PI,
+            _log_beta(N, a, m),
+            (-norm_hi[j], -norm_lo[j]),
+            (-scale_hi[k], -scale_lo[k]),
+        )
         out = np.zeros((N + 1, len(fs)), dtype=complex)
-        np.add.at(out, (j, k), c * np.exp(logv))
+        np.add.at(out, (j, k), c * _dd_exp(logv))
         return out
 
     def coeffs(self, f: ChartFunction) -> np.ndarray:
         """Coefficients <e_k, f> against the orthonormal monomial sections."""
-        return self._pairings([f], np.zeros(1))[:, 0]
+        return self._pairings([f], (np.zeros(1), np.zeros(1)))[:, 0]
 
     def operator_matrix(self, images: list[ChartFunction]) -> np.ndarray:
         """Matrix <e_j, A e_k> of an operator from its images A z^k, k = 0..N."""
@@ -404,7 +472,7 @@ class SectionSpace(SectionBasis):
         if grid.n_angular < 4 * N + 8 or grid.n_radial < 2 * N + 16:
             raise ValueError("grid too coarse for level N (needs 4N+8 x 2N+16)")
         super().__init__(N)
-        self.norms = np.exp(self.log_norms)
+        self.norms = _dd_exp(self.log_norms)
         self.grid = grid
         u = grid.u
         self.section_weights = grid.weights * (1.0 + u) ** (-N)

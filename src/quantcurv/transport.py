@@ -20,9 +20,9 @@ On holomorphic sections the generator acts as
 
 with a the flow field and q = -N a zbar/(1+|z|^2) + i N h the phase rate
 (`sphere._phase_rate`).  So G F needs only a and q at the flowed points, the
-two functions the characteristic equations already evaluate, and F*(G F)
-is F* diag(q) F plus F* diag(a) F shifted by one column, scaled by
-k ||z^(k-1)|| / ||z^k||.
+two functions the characteristic equations already evaluate.  The rows of
+G F are q F_k + k (||z^(k-1)|| / ||z^k||) a F_(k-1), written next to the
+frame rows, so the Gram F*F and F*(G F) come out of one product F*[F, G F].
 
 Every frame F_t, at each generator build, at the end state and at the
 residual snapshots, is built from a characteristic state (z, c) by
@@ -72,8 +72,8 @@ _DERIV_STENCIL = (
 )
 
 # Largest step count round(t_end / dt) a config may ask for.  A step at the
-# largest transport level N = 72 costs ~0.55 s (0.52-0.59 s measured, 2 vCPU,
-# one BLAS thread), so a run at this bound takes ~46 min there.
+# largest transport level N = 72 costs ~0.4 s (0.36-0.44 s measured, 2 vCPU,
+# one BLAS thread), so a run at this bound takes ~33 min there.
 TRANSPORT_STEPS_MAX = 5000
 
 
@@ -135,7 +135,8 @@ class _MovingFrame:
     """Characteristic state advanced in half steps, with the coefficient ODE
     generator rebuilt from the flowed frame on demand.
 
-    The frame rows and their conjugate live in two buffers owned here and
+    The frame rows with the rows of G F below them, and the conjugate frame
+    rows, live in two buffers owned here (with one row of scratch) and
     rewritten at every build, and the a and q values of a build are handed
     to the next half step as its first RK4 stage, so each state is
     evaluated once."""
@@ -150,8 +151,11 @@ class _MovingFrame:
         self.state = np.stack(
             [n.astype(complex), np.ones(len(n), dtype=complex)]
         )
-        self.rows = np.empty((space.dim, len(n)), dtype=complex)
-        self.rows_h = np.empty_like(self.rows)
+        d = space.dim
+        # rows 0..d-1: the frame F; rows d..2d-1: G F
+        self.rows = np.empty((2 * d, len(n)), dtype=complex)
+        self.rows_h = np.empty((d, len(n)), dtype=complex)
+        self.shifted = np.empty(len(n), dtype=complex)  # one row of a F_(k-1)
         self.k1 = None  # self.rhs at self.state, once a build has evaluated it
         k = np.arange(1, space.dim)
         # G e_k = k a (||z^(k-1)|| / ||z^k||) e_(k-1) + q e_k on the frame
@@ -166,7 +170,7 @@ class _MovingFrame:
 
     def frame_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Frame rows at the current state and their conjugate, in the buffers."""
-        rows = self.space.frame_at(*self.state, out=self.rows).T
+        rows = self.space.frame_at(*self.state, out=self.rows[: self.space.dim]).T
         return rows, np.conjugate(rows, out=self.rows_h)
 
     def generator_matrix(self) -> np.ndarray:
@@ -176,12 +180,18 @@ class _MovingFrame:
         av, qv = eval_batch([self.a, self.q], z)
         # characteristic_rhs(inverse=True) at this state
         self.k1 = np.stack([-av, -qv * c])
-        gram = rows_h @ rows.T
-        g_f = rows_h @ (rows * qv).T
-        g_f[:, 1:] += (rows_h @ (rows[:-1] * av).T) * self.shift_scale
-        defect = float(np.max(np.abs(gram - np.eye(self.space.dim))))
+        d = self.space.dim
+        g_rows, shifted = self.rows[d:], self.shifted
+        np.multiply(rows, qv, out=g_rows)
+        for k in range(1, d):
+            np.multiply(rows[k - 1], av, out=shifted)
+            shifted *= self.shift_scale[k - 1]
+            g_rows[k] += shifted
+        both = rows_h @ self.rows.T  # [F*F, F*(G F)]
+        gram = both[:, :d]
+        defect = float(np.max(np.abs(gram - np.eye(d))))
         self.gram_defect = max(self.gram_defect, defect)
-        return np.linalg.solve(gram, g_f)
+        return np.linalg.solve(gram, both[:, d:])
 
 
 def parallel_transport(

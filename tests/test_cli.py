@@ -396,3 +396,44 @@ def test_readme_config_examples_validate():
     assert blocks
     for block in blocks:
         validate_config(json.loads(block))
+
+
+def _two_teichmuller(tmp_path, second_path):
+    entry = {"experiment": "teichmuller-symbol", "parameters": {"n_tuples": 5}}
+    cfg = {
+        "seed": 1,
+        "experiments": [
+            dict(entry, output_path=str(tmp_path / "first.csv")),
+            dict(entry, output_path=str(second_path)),
+        ],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path, cfg
+
+
+@pytest.mark.parametrize("layout", ["directory", "under_file", "under_file_deep", "nul"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, layout):
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "plain").write_text("not a directory\n")
+    second = {
+        "directory": tmp_path / "outdir",
+        "under_file": tmp_path / "plain" / "x.csv",
+        "under_file_deep": tmp_path / "plain" / "sub" / "x.csv",
+        "nul": f"{tmp_path}/x\0.csv",
+    }[layout]
+    path, cfg = _two_teichmuller(tmp_path, second)
+    with pytest.raises(ConfigError, match=r"'output_path' in experiments\[1\]"):
+        validate_config(cfg)
+    assert run(str(path)) == 2
+    assert not (tmp_path / "first.csv").exists()
+
+
+def test_write_failure_exits_1_with_message(tmp_path, capsys):
+    # a file name longer than any file system allows passes validation and
+    # fails only when opened
+    path, _cfg = _two_teichmuller(tmp_path, tmp_path / ("x" * 300 + ".csv"))
+    assert run(str(path)) == 1
+    err = capsys.readouterr().err
+    assert "output error: cannot write" in err
+    assert "Traceback" not in err

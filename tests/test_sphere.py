@@ -1,10 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from quantcurv.experiments import ConfigError, validate_config
-from quantcurv.linalg import OdeStepper, hs_norm
+from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, validate_config
+from quantcurv.linalg import OdeStepper, compressed_curvature, hs_norm
 from quantcurv.sphere import (
     EXACT_LEVEL_MAX,
     GRID_LEVEL_MAX,
@@ -473,3 +474,72 @@ def test_config_rejects_levels_past_verified_range():
     validate_config(_entry("schrodinger-intertwine", dict(transport, N=GRID_LEVEL_MAX)))
     with pytest.raises(ConfigError, match="schrodinger N"):
         validate_config(_entry("schrodinger-intertwine", dict(transport, N=GRID_LEVEL_MAX + 1)))
+
+
+def _random_bounded_hamiltonian(rng):
+    """A real h = p/(1+|z|^2)^2 with every bounded term z^a zbar^b, a + b <= 4."""
+    p = ChartFunction(
+        {(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)}, 2
+    )
+    return hamiltonian_from_chart("random", p + p.conj())
+
+
+def test_flow_field_is_stored_in_compact_form():
+    # a = i (1+|z|^2)^2 dh/dzbar with the factor cancelled: one denominator
+    # power below h, and the same function as the expanded product
+    rng = np.random.default_rng(5)
+    z = 30.0 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+    one_plus_w_sq = ChartFunction({(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0})
+    for ham in [f() for f in HAMILTONIAN_LIBRARY.values()] + [_random_bounded_hamiltonian(rng)]:
+        expanded = (1j * (one_plus_w_sq * ham.h.dzbar())).eval(z)
+        assert ham.a.denom == ham.h.denom - 1, ham.name
+        err = np.max(np.abs(ham.a.eval(z) - expanded))
+        assert err <= 1e-14 * np.max(np.abs(expanded)), ham.name
+    for f in (harmonic_real, harmonic_imag, zonal_harmonic):
+        assert len(f().a.terms) == 2, f.__name__
+
+
+def test_constant_hamiltonian_has_zero_field():
+    ham = hamiltonian_from_chart("constant", ChartFunction({(0, 0): 0.5}))
+    assert ham.a.terms == {}
+
+
+def _decimal_operator_matrix(N, images):
+    """operator_matrix of the images with each Beta weight at 40 digits.
+
+    The weight of z^a zbar^b/(1+w)^m against e_j, for the image of z^k, is
+    a! (N+m-a)! (N+1)! / ((N+m+1)! sqrt(j! (N-j)! k! (N-k)!)): pi cancels.
+    """
+    f = math.factorial
+    out = np.zeros((N + 1, len(images)), dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k, img in enumerate(images):
+            sums = {}
+            for (a, b), c in img.terms.items():
+                j, m = a - b, img.denom
+                if not 0 <= j <= N:
+                    continue
+                w = Decimal(f(a) * f(N + m - a) * f(N + 1)) / Decimal(f(N + m + 1))
+                w /= Decimal(f(j) * f(N - j) * f(k) * f(N - k)).sqrt()
+                re, im = sums.get(j, (Decimal(0), Decimal(0)))
+                sums[j] = (re + Decimal(c.real) * w, im + Decimal(c.imag) * w)
+            for j, (re, im) in sums.items():
+                out[j, k] = complex(float(re), float(im))
+    return out
+
+
+def test_pairings_are_exact_to_rounding():
+    # the same generator images paired at 40 digits: Y differs only by the
+    # double rounding of the sums and products, not by the log-space weights
+    N = 64
+    h1, h2 = harmonic_real(), zonal_harmonic()
+    y = curvature_commutator(h1, h2, SectionBasis(N))
+    ref = compressed_curvature(
+        [ChartFunction.monomial(k) for k in range(N + 1)],
+        lambda f: generator_apply(h1, f, N),
+        lambda f: generator_apply(h2, f, N),
+        lambda images: _decimal_operator_matrix(N, images),
+        N + 1,
+    )
+    assert np.max(np.abs(y - ref)) <= 1e-12
