@@ -102,6 +102,9 @@ def _read_csv(path: str) -> tuple[list, list]:
         raise ValueError(f"{path}: empty CSV")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {','.join(row)!r} has {len(row)} of {len(header)} fields")
     return header, rows
 
 
@@ -124,8 +127,11 @@ def summarize(csv_paths: list[str]) -> int:
         extra = ""
         if "eps" in header and "N" in header and len(rows) >= 2:
             ncol, ecol = header.index("N"), header.index("eps")
-            ns = np.array([float(r[ncol]) for r in rows])
-            eps = np.array([float(r[ecol]) for r in rows])
+            try:
+                ns, eps = np.array([(float(r[ncol]), float(r[ecol])) for r in rows]).T
+            except ValueError as exc:
+                print(f"format error: {path}: {exc}", file=sys.stderr)
+                return 2
             bad = [r for r, e in zip(rows, eps) if not (math.isfinite(e) and e > 0)]
             if bad:
                 print(f"FAIL {path}: eps must be finite and positive to fit a slope")

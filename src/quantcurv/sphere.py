@@ -12,6 +12,15 @@ and the generator of the lifted flow at
 For H = p/(1+|z|^2)^m the derivative dH/dzbar lies over (1+|z|^2)^(m+1), so a
 is stored over (1+|z|^2)^(m-1) with no (1+|z|^2)^2 factor to carry.
 
+So G = xi + q with xi = a d/dz + conj(a) d/dzbar and the phase rate
+q = -N a zbar/(1+|z|^2) + i N h.  On holomorphic sections G and the
+commutator of two generators act as
+
+    G z^k = k a z^(k-1) + q z^k,      [G2, G1] z^k = k A z^(k-1) + Q z^k,
+
+with A = xi2 a1 - xi1 a2 and Q = xi2 q1 - xi1 q2: the a1 a2 d^2/dz^2,
+a_i q_j d/dz and q1 q2 terms of the two products cancel.
+
 Quantities that stay in the small algebra of functions p(z, zbar)/(1+|z|^2)^m
 are closed-form: pairing z^a zbar^b/(1+|z|^2)^m with the section z^j is zero
 unless a = b + j, and then equals the Beta integral
@@ -19,12 +28,14 @@ unless a = b + j, and then equals the Beta integral
     pi Gamma(a+1) Gamma(N+m+1-a) / Gamma(N+m+2),
 
 evaluated in log space with every log carried as a (hi, lo) pair of doubles,
-so each pairing is exact to rounding (`SectionBasis`).  Section coefficients, the
-compressed generator, the generator curvature, the Toeplitz operator of a
-chart function and its phase-space average are computed this way, with no
-grid.  The quadrature grid (`SphereGrid`, `SectionSpace`) is used only where
-flows leave that algebra: flowed frames in transport and in `curvature_fd`,
-multiplication by sampled grid values (`compress_mult`) and the Gram check.
+so each pairing is exact to rounding (`SectionBasis`).  Section coefficients
+and phase-space averages are computed this way, and every operator is
+`SectionBasis.operator_matrix` of two chart functions, whatever N: (a, q) for
+the compressed generator, (0, f) for the Toeplitz operator of f and (A, Q)
+for the commutator in the curvature.  The quadrature grid (`SphereGrid`,
+`SectionSpace`) is used only where flows leave that algebra: flowed frames in
+transport and in `curvature_fd`, multiplication by sampled grid values
+(`compress_mult`) and the Gram check.
 `SectionSpace.frame_at` is the one builder of half-weighted frames on the
 grid, for the grid itself and for its images under a flow; chart functions
 are evaluated on points by `eval_batch` alone.
@@ -38,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import OdeStepper, compressed_curvature, orthonormal_columns
+from .linalg import OdeStepper, orthonormal_columns
 from .symplectic import chi_symbol, standard_complex_structure, tangent_from_generator
 
 __all__ = [
@@ -57,7 +68,6 @@ __all__ = [
     "GRID_LEVEL_MAX",
     "EXACT_LEVEL_MAX",
     "phase_average",
-    "generator_apply",
     "compress_generator",
     "characteristic_rhs",
     "eval_batch",
@@ -94,10 +104,6 @@ class ChartFunction:
     @classmethod
     def monomial(cls, a: int, b: int = 0, coeff: complex = 1.0, denom: int = 0):
         return cls({(a, b): coeff}, denom)
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     def _with_denom(self, m: int) -> dict:
         """Terms re-expressed over (1+|z|^2)^m (m >= self.denom)."""
@@ -171,9 +177,6 @@ class ChartFunction:
             {(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.denom
         )
 
-    def real(self) -> "ChartFunction":
-        return 0.5 * (self + self.conj())
-
     def imag(self) -> "ChartFunction":
         return -0.5j * (self - self.conj())
 
@@ -187,7 +190,6 @@ class ChartFunction:
         return f"ChartFunction(nterms={len(self.terms)}, denom={self.denom})"
 
 
-_ZBAR = ChartFunction({(0, 1): 1.0})
 _ZBAR_OVER_1PW = ChartFunction({(0, 1): 1.0}, denom=1)
 
 
@@ -423,11 +425,11 @@ class SectionBasis:
     def dim(self) -> int:
         return self.N + 1
 
-    def _pairings(self, fs: list[ChartFunction], log_scale) -> np.ndarray:
-        """Matrix <e_j, f_k> * exp(-log_scale[k]) with one column per function;
-        `log_scale` is a (hi, lo) pair of arrays."""
+    def _pairings(self, terms, log_scale, ncols: int) -> np.ndarray:
+        """Matrix <e_j, f_k> * exp(-log_scale[k]) for f_k the sum of the flat terms
+        (k, a, b, m, c) c z^a zbar^b/(1+w)^m; `log_scale` is a (hi, lo) pair."""
         N = self.N
-        k, a, b, m, c = _flat_terms(fs)
+        k, a, b, m, c = terms
         j = a - b
         keep = (j >= 0) & (j <= N)
         k, a, j, m, c = k[keep], a[keep], j[keep], m[keep], c[keep]
@@ -440,23 +442,28 @@ class SectionBasis:
             (-norm_hi[j], -norm_lo[j]),
             (-scale_hi[k], -scale_lo[k]),
         )
-        out = np.zeros((N + 1, len(fs)), dtype=complex)
+        out = np.zeros((N + 1, ncols), dtype=complex)
         np.add.at(out, (j, k), c * _dd_exp(logv))
         return out
 
     def coeffs(self, f: ChartFunction) -> np.ndarray:
         """Coefficients <e_k, f> against the orthonormal monomial sections."""
-        return self._pairings([f], (np.zeros(1), np.zeros(1)))[:, 0]
+        return self._pairings(_flat_terms([f]), (np.zeros(1), np.zeros(1)), 1)[:, 0]
 
-    def operator_matrix(self, images: list[ChartFunction]) -> np.ndarray:
-        """Matrix <e_j, A e_k> of an operator from its images A z^k, k = 0..N."""
-        return self._pairings(images, self.log_norms)
+    def operator_matrix(self, a, q) -> np.ndarray:
+        """Matrix <e_j, A e_k> of A z^k = k a z^(k-1) + q z^k, for chart functions
+        or constants a and q, paired from their terms at every k at once."""
+        fs = [f if isinstance(f, ChartFunction) else ChartFunction({(0, 0): f}) for f in (a, q)]
+        owner, s, t, m, c = _flat_terms(fs)
+        # c z^s zbar^t/(1+w)^m in a gives k c z^(s+k-1) zbar^t/(1+w)^m at k >= 1
+        term, k = np.nonzero((owner[:, None] == 1) | (np.arange(self.dim) > 0))
+        in_a = owner[term] == 0
+        terms = (k, s[term] + k - in_a, t[term], m[term], c[term] * np.where(in_a, k, 1))
+        return self._pairings(terms, self.log_norms, self.dim)
 
     def toeplitz(self, f: ChartFunction) -> np.ndarray:
         """Toeplitz compression <e_j, f e_k> of multiplication by f."""
-        return self.operator_matrix(
-            [f * ChartFunction.monomial(k) for k in range(self.dim)]
-        )
+        return self.operator_matrix(0, f)
 
 
 class SectionSpace(SectionBasis):
@@ -474,9 +481,7 @@ class SectionSpace(SectionBasis):
         super().__init__(N)
         self.norms = _dd_exp(self.log_norms)
         self.grid = grid
-        u = grid.u
-        self.section_weights = grid.weights * (1.0 + u) ** (-N)
-        self.sqrtw = np.sqrt(self.section_weights)
+        self.sqrtw = np.sqrt(grid.weights * (1.0 + grid.u) ** (-N))
         self.frame = self.frame_at(grid.points, 1.0)
         gram = self.frame.conj().T @ self.frame
         defect = float(np.max(np.abs(gram - np.eye(N + 1))))
@@ -510,29 +515,13 @@ class SectionSpace(SectionBasis):
     # per-class instrumentation (perfbench/tracing.py) finds it on SectionSpace.
     coeffs = SectionBasis.coeffs
 
-    def sample(self, f: ChartFunction) -> np.ndarray:
-        """Half-weighted grid vector of a chart function."""
-        return self.sqrtw * f.eval(self.grid.points)
-
     def compress_mult(self, values: np.ndarray) -> np.ndarray:
         """Toeplitz compression of multiplication by a real grid function."""
         return self.frame.conj().T @ (values[:, None] * self.frame)
 
-def generator_apply(ham: HamiltonianField, f: ChartFunction, N: int) -> ChartFunction:
-    """G f = a f_z + conj(a) f_zbar - N (a zbar/(1+w)) f + i N h f, symbolically."""
-    a = ham.a
-    out = a * f.dz() + a.conj() * f.dzbar()
-    out = out - float(N) * ((a * _ZBAR_OVER_1PW) * f)
-    out = out + (1j * N) * (ham.h * f)
-    return out
-
-
 def compress_generator(ham: HamiltonianField, space: SectionBasis) -> np.ndarray:
     """Matrix <e_j, G e_k> of the compressed prequantum generator (closed form)."""
-    N = space.N
-    return space.operator_matrix(
-        [generator_apply(ham, ChartFunction.monomial(k), N) for k in range(N + 1)]
-    )
+    return space.operator_matrix(ham.a, _phase_rate(ham, space.N))
 
 
 def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
@@ -589,6 +578,17 @@ def _phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
     return (-float(N)) * (ham.a * _ZBAR_OVER_1PW) + (1j * N) * ham.h
 
 
+def _xi(a: ChartFunction, f: ChartFunction) -> ChartFunction:
+    """xi f = a df/dz + conj(a) df/dzbar: the flow field a acting on f."""
+    return a * f.dz() + a.conj() * f.dzbar()
+
+
+def _bracket(g2: tuple, g1: tuple) -> tuple:
+    """(A, Q) of [G2, G1] for generators g_i = (a_i, q_i), as in the module docstring."""
+    (a2, q2), (a1, q1) = g2, g1
+    return _xi(a2, a1) - _xi(a1, a2), _xi(a2, q1) - _xi(a1, q2)
+
+
 def pullback_frame(
     ham: HamiltonianField, space: SectionSpace, t: float, n_steps: int = 32
 ) -> np.ndarray:
@@ -636,18 +636,13 @@ def curvature_commutator(
 ) -> np.ndarray:
     """Curvature along two Hamiltonian directions from the generators.
 
-    Builds Pi [G2, G1] Pi - [Pi G2 Pi, Pi G1 Pi] on the holomorphic range; the
-    double application runs in the symbolic chart algebra and every entry is
-    a closed-form pairing, so entries carry rounding error only.
+    Builds Pi [G2, G1] Pi - [Pi G2 Pi, Pi G1 Pi] on the holomorphic range,
+    with [G2, G1] in the closed form (A, Q) of the module docstring; every
+    entry is a closed-form pairing, so entries carry rounding error only.
     """
-    N = space.N
-    return compressed_curvature(
-        [ChartFunction.monomial(k) for k in range(N + 1)],
-        lambda f: generator_apply(h1, f, N),
-        lambda f: generator_apply(h2, f, N),
-        space.operator_matrix,
-        N + 1,
-    )
+    g1, g2 = ((h.a, _phase_rate(h, space.N)) for h in (h1, h2))
+    b1, b2 = space.operator_matrix(*g1), space.operator_matrix(*g2)
+    return space.operator_matrix(*_bracket(g2, g1)) - (b2 @ b1 - b1 @ b2)
 
 
 def curvature_fd(

@@ -14,12 +14,9 @@ statement that pullback followed by the Schrodinger propagator IS parallel
 transport; numerically B(t) is rebuilt from the flowed frames at every stage,
 so the agreement C_T = S_T is a measurement, not an assumption.
 
-On holomorphic sections the generator acts as
-
-    G z^k = k a z^(k-1) + q z^k,
-
-with a the flow field and q = -N a zbar/(1+|z|^2) + i N h the phase rate
-(`sphere._phase_rate`).  So G F needs only a and q at the flowed points, the
+On holomorphic sections the generator acts as G z^k = k a z^(k-1) + q z^k,
+with a the flow field and q the phase rate (the identity of the `sphere`
+module docstring).  So G F needs only a and q at the flowed points, the
 two functions the characteristic equations already evaluate.  The rows of
 G F are q F_k + k (||z^(k-1)|| / ||z^k||) a F_(k-1), written next to the
 frame rows, so the Gram F*F and F*(G F) come out of one product F*[F, G F].

@@ -226,10 +226,21 @@ def test_summarize_refuses_non_finite_eps(tmp_path, capsys):
     assert "abc,16,nan,true" in out
 
 
-def test_summarize_missing_passed_column(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "config_hash,value\nabc,1.0\n",
+        "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,16\n",
+        "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,x,0.5,true\n",
+        "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,16,small,true\n",
+    ],
+    ids=["no-passed-column", "short-row", "non-numeric-N", "non-numeric-eps"],
+)
+def test_summarize_missing_passed_column(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
-    bad.write_text("config_hash,value\nabc,1.0\n")
+    bad.write_text(text)
     assert summarize([str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("format error: ")
 
 
 def test_summarize_failing_rows(tmp_path, capsys):

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from quantcurv import sphere
 from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, validate_config
 from quantcurv.linalg import OdeStepper, compressed_curvature, hs_norm
 from quantcurv.sphere import (
@@ -18,7 +19,6 @@ from quantcurv.sphere import (
     curvature_calibration,
     curvature_commutator,
     curvature_fd,
-    generator_apply,
     hamiltonian_from_chart,
     harmonic_imag,
     harmonic_real,
@@ -30,6 +30,7 @@ from quantcurv.sphere import (
     symbol_decay_experiment,
     zonal_harmonic,
 )
+from sphere_oracle import generator_apply
 
 
 _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -334,18 +335,82 @@ def test_curvature_antisymmetric_and_anti_hermitian(space):
     assert np.max(np.abs(y12 + y12.conj().T)) < 1e-6 * max(1.0, hs_norm(y12))
 
 
-def test_curvature_applies_each_generator_twice_per_column(monkeypatch):
-    # one image per basis section and one more per image of the other field
-    calls = []
+@pytest.mark.parametrize("f1", list(HAMILTONIAN_LIBRARY.values()))
+@pytest.mark.parametrize("f2", list(HAMILTONIAN_LIBRARY.values()))
+def test_bracket_matches_double_application(f1, f2):
+    # [G2, G1] z^k = k A z^(k-1) + Q z^k against G2 (G1 z^k) - G1 (G2 z^k)
+    # applied literally in the chart algebra, compared at points
+    N = 8
+    h1, h2 = f1(), f2()
+    g1, g2 = ((h.a, sphere._phase_rate(h, N)) for h in (h1, h2))
+    big_a, big_q = sphere._bracket(g2, g1)
+    pts = np.array([0.5 + 0.1j, -0.3 + 0.9j, 0.7 - 0.4j, 1.8 + 1.1j])
+    for k in range(9):
+        zk = ChartFunction.monomial(k)
+        literal = generator_apply(h2, generator_apply(h1, zk, N), N) - generator_apply(
+            h1, generator_apply(h2, zk, N), N
+        )
+        want = literal.eval(pts)
+        got = big_q.eval(pts) * pts**k
+        if k:
+            got += k * big_a.eval(pts) * pts ** (k - 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), k
 
-    def counting(ham, f, n):
-        calls.append(ham.name)
-        return generator_apply(ham, f, n)
 
-    monkeypatch.setattr("quantcurv.sphere.generator_apply", counting)
-    curvature_commutator(harmonic_real(), zonal_harmonic(), SectionBasis(8))
-    assert calls.count("harmonic_real") == 2 * 9
-    assert calls.count("zonal_harmonic") == 2 * 9
+def _images(a, q, dim):
+    """The chart functions k a z^(k-1) + q z^k, k = 0..dim-1."""
+    out = []
+    for k in range(dim):
+        img = q * ChartFunction.monomial(k)
+        if k:
+            img = img + float(k) * (a * ChartFunction.monomial(k - 1))
+        out.append(img)
+    return out
+
+
+@pytest.mark.parametrize("big_n", [8, 64])
+def test_operator_matrix_matches_coeffs_of_images(big_n):
+    # column k of operator_matrix(a, q) is coeffs of the symbolic image of
+    # z^k over ||z^k||, for generators, brackets and Toeplitz symbols; the
+    # generator columns are also checked against the literal G z^k
+    basis = SectionBasis(big_n)
+    norms = np.exp(basis.log_norms[0] + basis.log_norms[1])
+    hams = [f() for f in HAMILTONIAN_LIBRARY.values()]
+    gens = {h.name: (h.a, sphere._phase_rate(h, big_n)) for h in hams}
+    cases = list(gens.values())
+    cases.append(sphere._bracket(gens["zonal_harmonic"], gens["harmonic_real"]))
+    cases.append((0, chi_field(harmonic_real(), zonal_harmonic())))
+    for a, q in cases:
+        want = np.column_stack(
+            [basis.coeffs(img) / norms[k] for k, img in enumerate(_images(a, q, basis.dim))]
+        )
+        assert _rel(basis.operator_matrix(a, q), want) <= 1e-12
+    for h in hams:
+        want = np.column_stack(
+            [
+                basis.coeffs(generator_apply(h, ChartFunction.monomial(k), big_n)) / norms[k]
+                for k in range(basis.dim)
+            ]
+        )
+        assert _rel(compress_generator(h, basis), want) <= 1e-12, h.name
+
+
+def test_curvature_builds_chart_functions_independent_of_level(monkeypatch):
+    # the bracket is two chart functions whatever N, so the number of
+    # ChartFunction constructions per curvature does not grow with N
+    counts = []
+    real_init = ChartFunction.__init__
+
+    def counting(self, *args, **kwargs):
+        counts[-1] += 1
+        real_init(self, *args, **kwargs)
+
+    h1, h2 = harmonic_real(), zonal_harmonic()
+    monkeypatch.setattr(ChartFunction, "__init__", counting)
+    for big_n in (8, 64):
+        counts.append(0)
+        curvature_commutator(h1, h2, SectionBasis(big_n))
+    assert counts[0] == counts[1] > 0
 
 
 def test_curvature_fd_matches_commutator(space):
@@ -387,12 +452,12 @@ def _rel(a, b):
 @pytest.mark.parametrize("big_n", [8, 16, 64])
 def test_exact_coeffs_match_grid_on_generator_columns(big_n):
     # the closed-form pairing against the independent quadrature
-    # frame^H @ sample(f), on every column G z^k of two generators
+    # frame^H @ (sqrtw f), on every column G z^k of two generators
     space = SectionSpace(big_n, SphereGrid.for_level(big_n))
     for ham in (harmonic_real(), zonal_harmonic()):
         for k in range(big_n + 1):
             gk = generator_apply(ham, ChartFunction.monomial(k), big_n)
-            grid = space.frame.conj().T @ space.sample(gk)
+            grid = space.frame.conj().T @ (space.sqrtw * gk.eval(space.grid.points))
             assert _rel(space.coeffs(gk), grid) <= 1e-11, (ham.name, k)
 
 
