@@ -1,12 +1,7 @@
 """Curvature of quantization bundles: Fock-space models, sphere quantization,
 parallel transport, and a hyperbolic slice pairing, with a batch CLI."""
 
-from .linalg import (
-    OdeStepper,
-    compressed_curvature,
-    hs_norm,
-    orthonormal_columns,
-)
+from .linalg import OdeStepper, hs_norm, orthonormal_columns
 from .symplectic import (
     QuadraticHamiltonian,
     chi_symbol,
@@ -21,7 +16,6 @@ from .fock import (
     BiPolynomial,
     FockOperator,
     FockTruncation,
-    bargmann_generator,
     curvature_operator,
     flat_curvature_operator,
     hamiltonian_bipoly,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import cmath
 import math
 import os
 import sys
@@ -228,7 +229,7 @@ def _run_bargmann(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:
         ["deformation-cross-identity", n, N, D, dev_cross, 0.0, p["tol_identity"], dev_cross <= p["tol_identity"]],
         ["deformation-same-zero", n, N, D, dev_same, 0.0, p["tol_identity"], dev_same <= p["tol_identity"]],
         ["scalar-ratio-spread", 1, N, D, spread, 0.0, p["tol_ratio_spread"], scalar_ok and spread <= p["tol_ratio_spread"]],
-        ["scalar-ratio-value", 1, N, D, mean_ratio.real, mean_ratio.imag, math.nan, True],
+        ["scalar-ratio-value", 1, N, D, mean_ratio.real, mean_ratio.imag, math.nan, cmath.isfinite(mean_ratio)],
     ]
     return columns, rows, all(r[-1] for r in rows)
 

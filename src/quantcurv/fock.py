@@ -16,13 +16,19 @@ states (Gaussian factor included).
 
 Every operator applied to prefactors here, the derivation and the flat
 prequantum generator alike, is first order with polynomial coefficients,
+D f = m f + sum_j (a_j df/dz_j + b_j df/dzbar_j), and on holomorphic f it
+is m f + sum_j a_j df/dz_j.  A term c z^gamma zbar^beta of m meets the
+column z^alpha as c z^e zbar^beta with e = alpha + gamma (for a_j: alpha_j c
+and e = alpha + gamma - e_j), which projects to c N^{-|beta|} e!/(e - beta)!
+z^(e - beta); so each matrix is closed form, every column taking each term
+at once (`FockTruncation.operator_matrix`).  The bracket [D2, D1] is first
+order again; on holomorphic inputs its coefficients are
 
-    f  ->  m f + sum_j (a_j df/dz_j + b_j df/dzbar_j).
+    M = X2 m1 - X1 m2,    A_j = X2 a1_j - X1 a2_j,
 
-It is built once per Hamiltonian as a flat list of entries, one per term of
-m, a_j and b_j, and applied to a prefactor in one pass over (term, entry)
-pairs that accumulates into a single dict.  The curvature columns project
-each image term by term straight into a preallocated matrix.
+with X_i = sum_j (a_ij d/dz_j + b_ij d/dzbar_j) the vector-field part of
+D_i, applied to the other operator's coefficients in one pass that does not
+depend on D.  A curvature matrix is then three operator matrices per pair.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from operator import add
 
 import numpy as np
 
-from .linalg import compressed_curvature
 from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_structure
 
 __all__ = [
@@ -45,7 +50,6 @@ __all__ = [
     "FockOperator",
     "project",
     "curvature_operator",
-    "bargmann_generator",
     "flat_curvature_operator",
     "verify_scalar_curvature",
 ]
@@ -196,8 +200,9 @@ class FockTruncation:
     N: int
     D: int
     _basis: list = field(init=False, repr=False, compare=False)
-    _pos: dict = field(init=False, repr=False, compare=False)
-    _norms: list = field(init=False, repr=False, compare=False)
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _exps: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.N < 1 or self.D < 0:
@@ -212,9 +217,13 @@ class FockTruncation:
             math.sqrt(self.N ** sum(a) / math.prod(math.factorial(k) for k in a))
             for a in idx
         ]
+        exps = np.array(idx, dtype=np.int64)
+        rows = np.full((self.D + 1,) * self.n, -1)  # dense exponent -> row lookup
+        rows[tuple(exps.T)] = np.arange(len(idx))
         object.__setattr__(self, "_basis", idx)
-        object.__setattr__(self, "_pos", {a: i for i, a in enumerate(idx)})
-        object.__setattr__(self, "_norms", norms)
+        object.__setattr__(self, "_norms", np.array(norms))
+        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_rows", rows)
 
     def basis(self) -> list[tuple[int, ...]]:
         return list(self._basis)
@@ -230,20 +239,59 @@ class FockTruncation:
         return math.comb(min(degree, self.D) + self.n, self.n)
 
     def index(self, alpha) -> int:
-        try:
-            return self._pos[tuple(alpha)]
-        except KeyError:
-            raise ValueError(f"{tuple(alpha)} is not in the truncation") from None
+        alpha = tuple(alpha)
+        if len(alpha) == self.n and min(alpha) >= 0 and sum(alpha) <= self.D:
+            return int(self._rows[alpha])
+        raise ValueError(f"{alpha} is not in the truncation")
 
-    def norm_constant(self, alpha) -> float:
-        """sqrt(N^|alpha| / alpha!) normalizing z^alpha, for alpha in the truncation."""
-        return self._norms[self.index(alpha)]
+    def operator_matrix(self, m: BiPolynomial, a: list, ncols: int) -> np.ndarray:
+        """Matrix of z^alpha -> pi(m z^alpha + sum_j alpha_j a_j z^(alpha - e_j)).
+
+        Rows are all basis vectors, columns the first `ncols`, both in the
+        e_alpha basis; every column takes each term of m and a_j at once, as
+        the module docstring says.  Raises DegreeOverflowError when an image
+        leaves the truncation.
+        """
+        n = self.n
+        terms = [(n, key, c) for key, c in m.terms.items()]
+        terms += [(j, key, c) for j, aj in enumerate(a) for key, c in aj.terms.items()]
+        out = np.zeros((self.dim, ncols), dtype=complex)
+        if not terms:
+            return out
+        slot, keys, coeff = map(list, zip(*terms))
+        gamma = np.array([g for g, _ in keys]) - np.eye(n + 1, n, dtype=np.int64)[slot]
+        beta = np.array([b for _, b in keys])
+        alphas = self._exps[:ncols]
+        # e: (term, column, variable); w: alpha_j (1 for m) times the coefficient,
+        # then times e_j!/(e_j - beta_j)! / N^beta_j one variable at a time
+        e = alphas + gamma[:, None, :]
+        w = np.array(coeff)[:, None] * np.hstack([alphas, np.ones((ncols, 1))])[:, slot].T
+        perm = np.ones_like(e)
+        for t in range(beta.max()):
+            perm *= np.where(t < beta[:, None, :], e - t, 1)
+        ratio = perm / self.N ** beta[:, None, :]
+        for j in range(n):
+            w = w * ratio[:, :, j]
+        term, col = np.nonzero(w)
+        image = e[term, col] - beta[term]
+        degree = image.sum(axis=1).max(initial=0)
+        if degree > self.D:
+            raise DegreeOverflowError(f"output degree {degree} exceeds truncation D = {self.D}")
+        rows = self._rows[tuple(image.T)]
+        np.add.at(out, (rows, col), w[term, col])
+        out *= self._norms[:ncols]
+        # per part: numpy's complex division rounds twice (by a reciprocal)
+        out.real /= self._norms[:, None]
+        out.imag /= self._norms[:, None]
+        return out
 
 
-def _projected_terms(f: BiPolynomial, N: int) -> dict:
-    """Terms of the projection of f, by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha.
+def project(f: BiPolynomial, N: int) -> BiPolynomial:
+    """Orthogonal projection onto holomorphic prefactors at level N.
 
-    The term vanishes when some beta_j exceeds alpha_j.
+    Acts termwise by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha, the
+    coherent-state reproducing identity for the Gaussian weight; the term
+    vanishes when some beta_j exceeds alpha_j.
     """
     out: dict = {}
     zero = (0,) * f.n
@@ -258,16 +306,7 @@ def _projected_terms(f: BiPolynomial, N: int) -> dict:
         else:
             key = (tuple(new_alpha), zero)
             out[key] = out.get(key, 0.0) + c
-    return out
-
-
-def project(f: BiPolynomial, N: int) -> BiPolynomial:
-    """Orthogonal projection onto holomorphic prefactors at level N.
-
-    Acts termwise by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha, the
-    coherent-state reproducing identity for the Gaussian weight.
-    """
-    return BiPolynomial(f.n, _projected_terms(f, N))
+    return BiPolynomial(f.n, out)
 
 
 class _FirstOrder:
@@ -275,38 +314,53 @@ class _FirstOrder:
 
     Each term c z^alpha zbar^beta of H gives the term weight(|alpha|, |beta|) c
     z^alpha zbar^beta of m; a_j = a_scale dH/dzbar_j and b_j = b_scale dH/dz_j.
-    Kept as a flat list of entries (k, shift, coeff), one per term of m, a_j
-    and b_j: k is the slot in alpha + beta of the variable differentiated (2n,
-    a constant 1, for m), shift the term's exponents with one taken off slot k.
-    A call visits each (input term, entry) pair once, accumulating in one dict.
+    The vector-field part X = sum_j (a_j d/dz_j + b_j d/dzbar_j) is also kept
+    as a flat list of entries (k, shift, coeff), one per term of a_j and b_j:
+    k is the slot in alpha + beta of the variable differentiated, shift the
+    term's exponents with one taken off slot k.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("m", "a", "field")
 
     def __init__(self, h: BiPolynomial, weight, a_scale: complex, b_scale: complex):
-        n = self.n = h.n
-        m = {(a, b): weight(sum(a), sum(b)) * c for (a, b), c in h.terms.items()}
-        derivs = [a_scale * h.dzbar(j) for j in range(n)]
-        derivs += [b_scale * h.dz(j) for j in range(n)]
-        self.entries = []
-        for k, poly in [(2 * n, BiPolynomial(n, m)), *enumerate(derivs)]:
+        n = h.n
+        self.m = BiPolynomial(
+            n, {(a, b): weight(sum(a), sum(b)) * c for (a, b), c in h.terms.items()}
+        )
+        self.a = [a_scale * h.dzbar(j) for j in range(n)]
+        b = [b_scale * h.dz(j) for j in range(n)]
+        self.field = []
+        for k, poly in enumerate(self.a + b):
             for (alpha, beta), c in poly.terms.items():
                 shift = list(alpha + beta)
-                if k < 2 * n:
-                    shift[k] -= 1
-                self.entries.append((k, tuple(shift), c))
+                shift[k] -= 1
+                self.field.append((k, tuple(shift), c))
 
-    def __call__(self, f: BiPolynomial) -> BiPolynomial:
-        n = self.n
+    def apply_field(self, p: BiPolynomial) -> dict:
+        """X p keyed by flat exponents alpha + beta, in one pass over
+        (term, entry) pairs."""
         out: dict = {}
-        for (alpha, beta), c in f.terms.items():
-            ab = alpha + beta + (1,)
-            for k, shift, coeff in self.entries:
-                p = ab[k]
-                if p:
+        for (alpha, beta), c in p.terms.items():
+            ab = alpha + beta
+            for k, shift, coeff in self.field:
+                q = ab[k]
+                if q:
                     key = tuple(map(add, ab, shift))
-                    out[key] = out.get(key, 0.0) + c * (p * coeff)
-        return BiPolynomial(n, {(key[:n], key[n:]): c for key, c in out.items()})
+                    out[key] = out.get(key, 0.0) + c * (q * coeff)
+        return out
+
+
+def _bracket(d1: _FirstOrder, d2: _FirstOrder) -> tuple[BiPolynomial, list]:
+    """m and a_j of [D2, D1] on holomorphic prefactors: X2 m1 - X1 m2 and
+    X2 a1_j - X1 a2_j; the second-order and m-times-a terms cancel."""
+    n = d1.m.n
+
+    def part(p1: BiPolynomial, p2: BiPolynomial) -> BiPolynomial:
+        x2, x1 = d2.apply_field(p1), d1.apply_field(p2)
+        diff = {k: x2.get(k, 0.0) - x1.get(k, 0.0) for k in x2.keys() | x1.keys()}
+        return BiPolynomial(n, {(k[:n], k[n:]): c for k, c in diff.items()})
+
+    return part(d1.m, d2.m), [part(x, y) for x, y in zip(d1.a, d2.a)]
 
 
 def _lie_operator(h: BiPolynomial, N: int) -> _FirstOrder:
@@ -318,8 +372,18 @@ def _lie_operator(h: BiPolynomial, N: int) -> _FirstOrder:
 
 
 def _bargmann_operator(h: BiPolynomial, N: int) -> _FirstOrder:
-    """`bargmann_generator` as a map: a_j = i H_{zbar_j}, b_j = -i H_{z_j} and
-    m = iN H - N sum_j a_j zbar_j, which is iN (1 - |beta|) c termwise."""
+    """Prequantum generator of the flat model on prefactors.
+
+    For the Gaussian weight exp(-N|z|^2), the symplectic form with
+    i_xi omega = -dH that the weight prequantizes is 2 dx dy per variable,
+    giving the flow coefficient a_j = i dH/dzbar_j and
+
+        G f = sum_j [a_j (d/dz_j - N zbar_j) + conj-part d/dzbar_j] f + i N H f,
+
+    so b_j = -i H_{z_j} and m = iN H - N sum_j a_j zbar_j, which is
+    iN (1 - |beta|) c termwise.  The rotation H = |z|^2 acts diagonally:
+    G z^k = i k z^k.
+    """
     return _FirstOrder(h, lambda a, b: 1j * N * (1 - b), 1j, -1j)
 
 
@@ -366,32 +430,12 @@ def _curvature_matrix(d1, d2, trunc: FockTruncation) -> FockOperator:
     """Columns of pi [D2, D1] pi - [pi D2 pi, pi D1 pi] for two `_FirstOrder` maps."""
     if trunc.D < 4:
         raise DegreeOverflowError("curvature columns need D >= 4")
-    N, pos, norms = trunc.N, trunc._pos, trunc._norms
-    alphas = trunc.basis()[: trunc.dim_up_to(trunc.D - 2)]
-
-    def to_matrix(images):
-        cols = np.zeros((trunc.dim, len(images)), dtype=complex)
-        for k, g in enumerate(images):
-            for (alpha, beta), c in _projected_terms(g, N).items():
-                if any(beta):
-                    raise ValueError("projected result expected to be holomorphic")
-                i = pos.get(alpha)
-                if i is None:
-                    raise DegreeOverflowError(
-                        f"output degree {sum(alpha)} exceeds truncation D = {trunc.D}"
-                    )
-                cols[i, k] = c * norms[k] / norms[i]
-        return cols
-
-    cols = compressed_curvature(
-        [BiPolynomial.monomial(trunc.n, a) for a in alphas],
-        d1,
-        d2,
-        to_matrix,
-        trunc.dim_up_to(trunc.D - 4),
-    )
+    m, k = trunc.dim_up_to(trunc.D - 2), trunc.dim_up_to(trunc.D - 4)
+    b1 = trunc.operator_matrix(d1.m, d1.a, m)
+    b2 = trunc.operator_matrix(d2.m, d2.a, m)
+    inner = trunc.operator_matrix(*_bracket(d1, d2), k)
     mat = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    mat[:, : cols.shape[1]] = cols
+    mat[:, :k] = inner - (b2 @ b1[:m, :k] - b1 @ b2[:m, :k])
     return FockOperator(mat, trunc, trunc.D - 4)
 
 
@@ -405,26 +449,13 @@ def curvature_operator(
 
         pi [L_2, L_1] pi - [pi L_2 pi, pi L_1 pi]
 
-    column by column in exact polynomial arithmetic.  This measures the
-    curvature of the family of holomorphic subspaces in the directions that
-    H_1 and H_2 generate; columns are exact for inputs of degree <= D - 4.
+    from the closed-form operator matrices of L_1, L_2 and their bracket.
+    This measures the curvature of the family of holomorphic subspaces in the
+    directions that H_1 and H_2 generate; columns are exact for inputs of
+    degree <= D - 4.
     """
     N = trunc.N
     return _curvature_matrix(_lie_operator(h1, N), _lie_operator(h2, N), trunc)
-
-
-def bargmann_generator(h: BiPolynomial, f: BiPolynomial, N: int) -> BiPolynomial:
-    """Prequantum generator of the flat model applied to a prefactor f.
-
-    For the Gaussian weight exp(-N|z|^2), the symplectic form with
-    i_xi omega = -dH that the weight prequantizes is 2 dx dy per variable,
-    giving the flow coefficient a_j = i dH/dzbar_j and
-
-        G f = sum_j [a_j (d/dz_j - N zbar_j) + conj-part d/dzbar_j] f + i N H f.
-
-    The rotation H = |z|^2 acts diagonally: G z^k = i k z^k.
-    """
-    return _bargmann_operator(h, N)(f)
 
 
 def flat_curvature_operator(

@@ -90,13 +90,6 @@ class QuadraticHamiltonian:
         s = 0.5 * sigma.T @ self.generator
         return 0.5 * (s + s.T)
 
-    def vector_field(self, v: np.ndarray) -> np.ndarray:
-        """Hamiltonian field xi_H(v) = (dH/dy, -dH/dx) = -X v."""
-        return -self.generator @ np.asarray(v, dtype=float)
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        return 2.0 * self.form_matrix() @ np.asarray(v, dtype=float)
-
 
 def hamiltonian_from_form(s: np.ndarray) -> QuadraticHamiltonian:
     """Hamiltonian with H(v) = v^T S v for symmetric S; generator X = 2 sigma S."""

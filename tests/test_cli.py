@@ -146,6 +146,30 @@ def test_run_writes_csvs_and_exits_zero(tmp_path, capsys):
         assert fields[-1] == "true"
 
 
+def test_nan_scalar_ratio_row_fails(tmp_path, capsys):
+    # a tolerance no curvature fit meets leaves no ratio to average, and the
+    # row reporting the mean ratio must not pass a NaN
+    cfg = {
+        "seed": 3,
+        "experiments": [
+            {
+                "experiment": "bargmann-curvature",
+                "parameters": {"n": 1, "N": 4, "D": 8, "tol_scalar": 1e-300},
+                "output_path": str(tmp_path / "barg.csv"),
+            }
+        ],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path)) == 1
+    lines = (tmp_path / "barg.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = {r[header.index("case")]: r for r in (ln.split(",") for ln in lines[2:])}
+    row = rows["scalar-ratio-value"]
+    assert row[header.index("measured")] == "nan"
+    assert row[header.index("passed")] == "false"
+
+
 def test_run_is_deterministic(tmp_path):
     path, _ = _config(tmp_path)
     assert run(str(path)) == 0

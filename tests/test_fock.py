@@ -10,7 +10,6 @@ from quantcurv.fock import (
     DegreeOverflowError,
     FockOperator,
     FockTruncation,
-    bargmann_generator,
     curvature_operator,
     flat_curvature_operator,
     hamiltonian_bipoly,
@@ -18,6 +17,9 @@ from quantcurv.fock import (
     verify_scalar_curvature,
 )
 from quantcurv.symplectic import p_minus_basis, p_plus_basis
+from fock_oracle import apply, bargmann_generator
+
+SPECS = [fock._lie_operator, fock._bargmann_operator]
 
 
 def _lie_state_reference(h, g, big_n):
@@ -52,15 +54,25 @@ def _random_quadratic(n, rng):
     return BiPolynomial(n, {key: complex(*rng.standard_normal(2)) for key in quad})
 
 
-def _projected_matrix(op, tr):
+def _norm_constant(tr, alpha):
+    # sqrt(N^|alpha| / alpha!) normalizing z^alpha, for alpha in the truncation
+    return tr._norms[tr.index(alpha)]
+
+
+def _projected_columns(op, tr):
     # project(op(z^alpha)) in the e_alpha basis, for columns of degree <= D - 2
     k = tr.dim_up_to(tr.D - 2)
     mat = np.zeros((tr.dim, k), dtype=complex)
     for i, alpha in enumerate(tr.basis()[:k]):
-        image = project(op(BiPolynomial.monomial(tr.n, alpha)), tr.N)
+        image = project(apply(op, BiPolynomial.monomial(tr.n, alpha)), tr.N)
         for (beta, _), c in image.terms.items():
-            mat[tr.index(beta), i] = c * tr.norm_constant(alpha) / tr.norm_constant(beta)
-    return mat[:k, :k]
+            mat[tr.index(beta), i] = c * _norm_constant(tr, alpha) / _norm_constant(tr, beta)
+    return mat
+
+
+def _projected_matrix(op, tr):
+    k = tr.dim_up_to(tr.D - 2)
+    return _projected_columns(op, tr)[:k]
 
 
 def _pair_monomial(n, i, j):
@@ -130,7 +142,7 @@ def test_truncation_basis_and_dims():
     # constant is sqrt(N^k / k!)
     tr1 = FockTruncation(1, 4, 6)
     for k in range(5):
-        assert tr1.norm_constant((k,)) == pytest.approx(
+        assert _norm_constant(tr1, (k,)) == pytest.approx(
             math.sqrt(4.0**k / math.factorial(k)), rel=1e-14
         )
 
@@ -176,7 +188,7 @@ def test_curvature_matches_columnwise_reference(n, D):
             project(lie(h2, p1), big_n) - project(lie(h1, p2), big_n)
         )
         for (beta, _), c in ref.terms.items():
-            expect = c * tr.norm_constant(alpha) / tr.norm_constant(beta)
+            expect = c * _norm_constant(tr, alpha) / _norm_constant(tr, beta)
             worst = max(worst, abs(got.matrix[tr.index(beta), i] - expect))
         ref_rows = {tr.index(beta) for (beta, _) in ref.terms}
         rest = [r for r in range(tr.dim) if r not in ref_rows]
@@ -306,8 +318,8 @@ def test_lie_derivative_linear():
     lie = fock._lie_operator(hamiltonian_bipoly(p_plus_basis(1)[0]), 4)
     f = BiPolynomial.monomial(1, (1,))
     g = BiPolynomial.monomial(1, (2,))
-    lhs = lie(f + g)
-    rhs = lie(f) + lie(g)
+    lhs = apply(lie, f + g)
+    rhs = apply(lie, f) + apply(lie, g)
     pts = np.array([[0.3 + 0.1j], [1.2 - 0.7j]])
     for pt in pts:
         assert lhs.value(pt) == pytest.approx(rhs.value(pt), abs=1e-12)
@@ -325,7 +337,7 @@ def test_first_order_operators_match_literal_formula(n, big_n):
         keys = [(a, b) for a in degs for b in degs if rng.random() < 0.5]
         g = BiPolynomial(n, {key: complex(*rng.standard_normal(2)) for key in keys})
         for got, ref in (
-            (fock._lie_operator(h, big_n)(g), _lie_state_reference(h, g, big_n)),
+            (apply(fock._lie_operator(h, big_n), g), _lie_state_reference(h, g, big_n)),
             (bargmann_generator(h, g, big_n), _bargmann_reference(h, g, big_n)),
         ):
             scale = max(abs(c) for c in ref.terms.values())
@@ -349,6 +361,79 @@ def test_curvature_operator_products_independent_of_degree(monkeypatch):
     monkeypatch.setattr(BiPolynomial, "__mul__", counting_mul)
     h1 = hamiltonian_bipoly(p_plus_basis(2)[0])
     h2 = hamiltonian_bipoly(p_minus_basis(2)[1])
+    counts = []
+    for D in (8, 10):
+        calls.clear()
+        curvature_operator(h1, h2, FockTruncation(2, 4, D))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _max_coeff_gap(got, ref):
+    keys = set(got.terms) | set(ref.terms)
+    return max((abs(got.terms.get(k, 0.0) - ref.terms.get(k, 0.0)) for k in keys), default=0.0)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_bracket_matches_symbolic_composition(n, spec):
+    # (M, A) applied to every basis monomial against D2(D1 f) - D1(D2 f),
+    # composed symbolically; complex random quadratics, so b_j != conj(a_j)
+    big_n = 3
+    rng = np.random.default_rng(40 + n)
+    tr = FockTruncation(n, big_n, 6)
+    for _ in range(3):
+        d1, d2 = (spec(_random_quadratic(n, rng), big_n) for _ in range(2))
+        big_m, big_a = fock._bracket(d1, d2)
+        for alpha in tr.basis():
+            f = BiPolynomial.monomial(n, alpha)
+            got = big_m * f
+            for j in range(n):
+                got = got + big_a[j] * f.dz(j)
+            ref = apply(d2, apply(d1, f)) - apply(d1, apply(d2, f))
+            scale = max((abs(c) for c in ref.terms.values()), default=1.0)
+            assert _max_coeff_gap(got, ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n, D", [(1, 10), (2, 8)])
+def test_operator_matrix_matches_projected_images(n, D, spec):
+    # closed-form columns against the projected symbolic images, all rows
+    rng = np.random.default_rng(60 + n)
+    tr = FockTruncation(n, 4, D)
+    k = tr.dim_up_to(D - 2)
+    for _ in range(3):
+        op = spec(_random_quadratic(n, rng), tr.N)
+        ref = _projected_columns(op, tr)
+        got = tr.operator_matrix(op.m, op.a, k)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("build", [curvature_operator, flat_curvature_operator])
+def test_degree_overflow_for_images_leaving_the_truncation(build):
+    # z^3 raises degree by 3, so the degree-6 column of D = 8 lands at 9
+    z3 = BiPolynomial.monomial(1, (3,))
+    zb2 = BiPolynomial.monomial(1, (0,), (2,))
+    for h1, h2 in ((z3, zb2), (zb2, z3)):
+        with pytest.raises(DegreeOverflowError, match="output degree 9"):
+            build(h1, h2, FockTruncation(1, 4, 8))
+    with pytest.raises(DegreeOverflowError):
+        build(zb2, zb2, FockTruncation(2, 4, 3))
+
+
+def test_curvature_operator_constructions_independent_of_degree(monkeypatch):
+    # the images are closed form, so no BiPolynomial is built per column
+    calls = []
+    init = BiPolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    h1 = hamiltonian_bipoly(p_plus_basis(2)[0])
+    h2 = hamiltonian_bipoly(p_minus_basis(2)[1])
+    monkeypatch.setattr(BiPolynomial, "__init__", counting_init)
     counts = []
     for D in (8, 10):
         calls.clear()

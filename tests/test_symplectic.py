@@ -15,6 +15,16 @@ from quantcurv.symplectic import (
 )
 
 
+def _gradient(h, v):
+    # dH = 2 S v for H(v) = v^T S v
+    return 2.0 * h.form_matrix() @ np.asarray(v, dtype=float)
+
+
+def _vector_field(h, v):
+    # Hamiltonian field xi_H(v) = (dH/dy, -dH/dx) = -X v
+    return -h.generator @ np.asarray(v, dtype=float)
+
+
 def test_standard_matrices():
     sigma = standard_symplectic(2)
     j0 = standard_complex_structure(2)
@@ -28,19 +38,19 @@ def test_quadratic_hamiltonian_value_and_gradient():
     h = hamiltonian_from_form(np.eye(2) / 2.0)
     v = np.array([3.0, 4.0])
     assert h.value(v) == pytest.approx(12.5)
-    assert np.allclose(h.gradient(v), v)
+    assert np.allclose(_gradient(h, v), v)
 
 
 def test_vector_field_rotation_direction():
     # with our orientation the unit harmonic oscillator flows clockwise:
     # xi(1, 0) = (0, -1)
     h = hamiltonian_from_form(np.eye(2) / 2.0)
-    assert np.allclose(h.vector_field(np.array([1.0, 0.0])), [0.0, -1.0], atol=1e-14)
+    assert np.allclose(_vector_field(h, np.array([1.0, 0.0])), [0.0, -1.0], atol=1e-14)
     # flowing the field for time 2*pi returns to the start
     from quantcurv.linalg import OdeStepper
 
     y = OdeStepper(1e-3).propagate(
-        lambda t, v: h.vector_field(v.real), 0.0, np.array([1.0, 0.0], dtype=complex), 2.0 * np.pi
+        lambda t, v: _vector_field(h, v.real), 0.0, np.array([1.0, 0.0], dtype=complex), 2.0 * np.pi
     )
     assert np.max(np.abs(y - np.array([1.0, 0.0]))) < 1e-9
 
