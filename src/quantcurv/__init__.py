@@ -13,7 +13,6 @@ from .symplectic import (
     standard_symplectic,
 )
 from .fock import (
-    BiPolynomial,
     FockOperator,
     FockTruncation,
     curvature_operator,

@@ -155,8 +155,7 @@ def _run_bargmann(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:
     n, N, D = p["n"], p["N"], p["D"]
     trunc = fock.FockTruncation(n=n, N=N, D=D)
     holo = [
-        fock.BiPolynomial.monomial(n, _pair_alpha(n, m, l))
-        for m, l in _index_pairs(n)
+        sphere.ChartFunction.monomial(_pair_alpha(n, m, l)) for m, l in _index_pairs(n)
     ]
     anti = [h.conj() for h in holo]
     pairs = _index_pairs(n)
@@ -198,12 +197,13 @@ def _run_bargmann(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:
     ratios = []
     trunc1 = fock.FockTruncation(n=1, N=N, D=D)
     j1 = standard_complex_structure(1)
+    gp, gm = p_plus_basis(1)[0].generator, p_minus_basis(1)[0].generator
     attempts = 0
     while len(ratios) < p["n_random_pairs"] and attempts < 10 * p["n_random_pairs"]:
         attempts += 1
         c = rng.standard_normal(4)
-        q1 = _random_p_element(c[:2])
-        q2 = _random_p_element(c[2:])
+        q1 = QuadraticHamiltonian(c[0] * gp + c[1] * gm)
+        q2 = QuadraticHamiltonian(c[2] * gp + c[3] * gm)
         om = omega_pairing(q1.generator, q2.generator, j1)
         if abs(om) < 1e-6:
             continue
@@ -243,12 +243,6 @@ def _pair_alpha(n: int, m: int, l: int) -> tuple:
     alpha[m] += 1
     alpha[l] += 1
     return tuple(alpha)
-
-
-def _random_p_element(c):
-    return QuadraticHamiltonian(
-        c[0] * p_plus_basis(1)[0].generator + c[1] * p_minus_basis(1)[0].generator
-    )
 
 
 def _levels(v, label: str) -> list:
@@ -345,7 +339,7 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
     for case in p["cases"]:
         ham = HAMILTONIAN_LIBRARY[case["hamiltonian"]]()
         res = transport.parallel_transport(ham, space, t_end=p["t_end"], dt=p["dt"])
-        inter = transport.intertwine_check(ham, space, result=res)
+        inter = transport.intertwine_check(res)
         residuals = transport.transport_residuals(res, space)
         max_range = max(r["eq_range"] for r in residuals)
         max_deriv = max(r["eq_deriv"] for r in residuals)

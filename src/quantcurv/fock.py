@@ -4,6 +4,8 @@ States at level N are f(z) exp(-N|z|^2 / 2) with f a holomorphic polynomial
 in n variables.  All operators below are computed symbolically on polynomial
 prefactors, so matrix entries are exact up to floating-point rounding; the
 truncation degree D only controls which monomial columns get materialized.
+Polynomials in (z, zbar) are `ChartFunction`s with denominator power 0, keyed
+by flat exponents (alpha, beta) as the `quantcurv.sphere` docstring says.
 
 The key ingredient is the reproducing-kernel projection onto holomorphic
 prefactors, which acts on monomials by
@@ -40,10 +42,10 @@ from operator import add
 
 import numpy as np
 
+from .sphere import ChartFunction
 from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_structure
 
 __all__ = [
-    "BiPolynomial",
     "DegreeOverflowError",
     "hamiltonian_bipoly",
     "FockTruncation",
@@ -59,126 +61,23 @@ class DegreeOverflowError(ValueError):
     """Raised when a requested operation needs degrees beyond the truncation."""
 
 
-class BiPolynomial:
-    """Polynomial in (z_1..z_n, zbar_1..zbar_n) with complex coefficients.
-
-    Immutable by convention; arithmetic returns new instances.  Terms are
-    stored sparsely as {(alpha, beta): coeff} with multi-index tuples.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict | None = None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for (alpha, beta), c in terms.items():
-                if c != 0:
-                    self.terms[(tuple(alpha), tuple(beta))] = complex(c)
-
-    @classmethod
-    def monomial(cls, n: int, alpha, beta=None, coeff: complex = 1.0) -> "BiPolynomial":
-        alpha = tuple(alpha)
-        beta = tuple(beta) if beta is not None else (0,) * n
-        return cls(n, {(alpha, beta): coeff})
-
-    @classmethod
-    def zero(cls, n: int) -> "BiPolynomial":
-        return cls(n)
-
-    def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0.0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return BiPolynomial(self.n, out)
-
-    def __sub__(self, other: "BiPolynomial") -> "BiPolynomial":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "BiPolynomial":
-        if scalar == 0:
-            return BiPolynomial.zero(self.n)
-        return BiPolynomial(
-            self.n, {key: scalar * c for key, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, BiPolynomial):
-            return other * self
-        out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                s = out.get(key, 0.0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return BiPolynomial(self.n, out)
-
-    def dz(self, j: int) -> "BiPolynomial":
-        out = {}
-        for (alpha, beta), c in self.terms.items():
-            if alpha[j]:
-                a = list(alpha)
-                a[j] -= 1
-                out[(tuple(a), beta)] = out.get((tuple(a), beta), 0.0) + c * alpha[j]
-        return BiPolynomial(self.n, out)
-
-    def dzbar(self, j: int) -> "BiPolynomial":
-        out = {}
-        for (alpha, beta), c in self.terms.items():
-            if beta[j]:
-                b = list(beta)
-                b[j] -= 1
-                out[(alpha, tuple(b))] = out.get((alpha, tuple(b)), 0.0) + c * beta[j]
-        return BiPolynomial(self.n, out)
-
-    def conj(self) -> "BiPolynomial":
-        return BiPolynomial(
-            self.n, {(beta, alpha): c.conjugate() for (alpha, beta), c in self.terms.items()}
-        )
-
-    def value(self, z: np.ndarray) -> complex:
-        """Evaluate at a point z in C^n (zbar taken as the conjugate)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        zb = z.conj()
-        tot = 0.0 + 0.0j
-        for (alpha, beta), c in self.terms.items():
-            term = c
-            for j in range(self.n):
-                term *= z[j] ** alpha[j] * zb[j] ** beta[j]
-            tot += term
-        return tot
-
-    def __repr__(self):
-        return f"BiPolynomial(n={self.n}, nterms={len(self.terms)})"
+# perfbench/tracing.py instruments `fock.BiPolynomial.__mul__`; the name stays
+# bound to the one symbolic algebra until that tracer is changed.
+BiPolynomial = ChartFunction
 
 
-def hamiltonian_bipoly(h: QuadraticHamiltonian) -> BiPolynomial:
+def hamiltonian_bipoly(h: QuadraticHamiltonian) -> ChartFunction:
     """Rewrite a real quadratic Hamiltonian in the (z, zbar) variables."""
     n = h.n
     s = h.form_matrix()
-    coords = []
+    xs, ys = [], []
+    zero = (0,) * n
     for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        zj = BiPolynomial.monomial(n, e, coeff=0.5) + BiPolynomial.monomial(
-            n, [0] * n, e, coeff=0.5
-        )
-        yj = BiPolynomial.monomial(n, e, coeff=-0.5j) + BiPolynomial.monomial(
-            n, [0] * n, e, coeff=0.5j
-        )
-        coords.append((zj, yj))
-    vs = [coords[j][0] for j in range(n)] + [coords[j][1] for j in range(n)]
-    out = BiPolynomial.zero(n)
+        e = tuple(int(k == j) for k in range(n))
+        xs.append(ChartFunction({e + zero: 0.5, zero + e: 0.5}))
+        ys.append(ChartFunction({e + zero: -0.5j, zero + e: 0.5j}))
+    vs = xs + ys
+    out = ChartFunction()
     for a in range(2 * n):
         for b in range(2 * n):
             if s[a, b]:
@@ -244,7 +143,7 @@ class FockTruncation:
             return int(self._rows[alpha])
         raise ValueError(f"{alpha} is not in the truncation")
 
-    def operator_matrix(self, m: BiPolynomial, a: list, ncols: int) -> np.ndarray:
+    def operator_matrix(self, m: ChartFunction, a: list, ncols: int) -> np.ndarray:
         """Matrix of z^alpha -> pi(m z^alpha + sum_j alpha_j a_j z^(alpha - e_j)).
 
         Rows are all basis vectors, columns the first `ncols`, both in the
@@ -259,8 +158,9 @@ class FockTruncation:
         if not terms:
             return out
         slot, keys, coeff = map(list, zip(*terms))
-        gamma = np.array([g for g, _ in keys]) - np.eye(n + 1, n, dtype=np.int64)[slot]
-        beta = np.array([b for _, b in keys])
+        keys = np.array(keys)
+        gamma = keys[:, :n] - np.eye(n + 1, n, dtype=np.int64)[slot]
+        beta = keys[:, n:]
         alphas = self._exps[:ncols]
         # e: (term, column, variable); w: alpha_j (1 for m) times the coefficient,
         # then times e_j!/(e_j - beta_j)! / N^beta_j one variable at a time
@@ -286,7 +186,7 @@ class FockTruncation:
         return out
 
 
-def project(f: BiPolynomial, N: int) -> BiPolynomial:
+def project(f: ChartFunction, N: int) -> ChartFunction:
     """Orthogonal projection onto holomorphic prefactors at level N.
 
     Acts termwise by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha, the
@@ -294,19 +194,19 @@ def project(f: BiPolynomial, N: int) -> BiPolynomial:
     vanishes when some beta_j exceeds alpha_j.
     """
     out: dict = {}
-    zero = (0,) * f.n
-    for (alpha, beta), c in f.terms.items():
-        new_alpha = list(alpha)
-        for j, b in enumerate(beta):
+    n = f.nvars
+    for key, c in f.terms.items():
+        alpha = list(key[:n])
+        for j, b in enumerate(key[n:]):
             if b:
-                if new_alpha[j] < b:
+                if alpha[j] < b:
                     break
-                c *= math.perm(new_alpha[j], b) / N**b
-                new_alpha[j] -= b
+                c *= math.perm(alpha[j], b) / N**b
+                alpha[j] -= b
         else:
-            key = (tuple(new_alpha), zero)
-            out[key] = out.get(key, 0.0) + c
-    return BiPolynomial(f.n, out)
+            image = tuple(alpha) + (0,) * n
+            out[image] = out.get(image, 0.0) + c
+    return ChartFunction(out)
 
 
 class _FirstOrder:
@@ -316,32 +216,30 @@ class _FirstOrder:
     z^alpha zbar^beta of m; a_j = a_scale dH/dzbar_j and b_j = b_scale dH/dz_j.
     The vector-field part X = sum_j (a_j d/dz_j + b_j d/dzbar_j) is also kept
     as a flat list of entries (k, shift, coeff), one per term of a_j and b_j:
-    k is the slot in alpha + beta of the variable differentiated, shift the
-    term's exponents with one taken off slot k.
+    k is the key slot of the variable differentiated, shift the term's key
+    with one taken off slot k.
     """
 
     __slots__ = ("m", "a", "field")
 
-    def __init__(self, h: BiPolynomial, weight, a_scale: complex, b_scale: complex):
-        n = h.n
-        self.m = BiPolynomial(
-            n, {(a, b): weight(sum(a), sum(b)) * c for (a, b), c in h.terms.items()}
+    def __init__(self, h: ChartFunction, weight, a_scale: complex, b_scale: complex):
+        n = h.nvars
+        self.m = ChartFunction(
+            {key: weight(sum(key[:n]), sum(key[n:])) * c for key, c in h.terms.items()}
         )
         self.a = [a_scale * h.dzbar(j) for j in range(n)]
         b = [b_scale * h.dz(j) for j in range(n)]
         self.field = []
         for k, poly in enumerate(self.a + b):
-            for (alpha, beta), c in poly.terms.items():
-                shift = list(alpha + beta)
+            for key, c in poly.terms.items():
+                shift = list(key)
                 shift[k] -= 1
                 self.field.append((k, tuple(shift), c))
 
-    def apply_field(self, p: BiPolynomial) -> dict:
-        """X p keyed by flat exponents alpha + beta, in one pass over
-        (term, entry) pairs."""
+    def apply_field(self, p: ChartFunction) -> dict:
+        """X p as {key: coeff}, in one pass over (term, entry) pairs."""
         out: dict = {}
-        for (alpha, beta), c in p.terms.items():
-            ab = alpha + beta
+        for ab, c in p.terms.items():
             for k, shift, coeff in self.field:
                 q = ab[k]
                 if q:
@@ -350,20 +248,20 @@ class _FirstOrder:
         return out
 
 
-def _bracket(d1: _FirstOrder, d2: _FirstOrder) -> tuple[BiPolynomial, list]:
+def _bracket(d1: _FirstOrder, d2: _FirstOrder) -> tuple[ChartFunction, list]:
     """m and a_j of [D2, D1] on holomorphic prefactors: X2 m1 - X1 m2 and
     X2 a1_j - X1 a2_j; the second-order and m-times-a terms cancel."""
-    n = d1.m.n
 
-    def part(p1: BiPolynomial, p2: BiPolynomial) -> BiPolynomial:
+    def part(p1: ChartFunction, p2: ChartFunction) -> ChartFunction:
         x2, x1 = d2.apply_field(p1), d1.apply_field(p2)
-        diff = {k: x2.get(k, 0.0) - x1.get(k, 0.0) for k in x2.keys() | x1.keys()}
-        return BiPolynomial(n, {(k[:n], k[n:]): c for k, c in diff.items()})
+        return ChartFunction(
+            {k: x2.get(k, 0.0) - x1.get(k, 0.0) for k in x2.keys() | x1.keys()}
+        )
 
     return part(d1.m, d2.m), [part(x, y) for x, y in zip(d1.a, d2.a)]
 
 
-def _lie_operator(h: BiPolynomial, N: int) -> _FirstOrder:
+def _lie_operator(h: ChartFunction, N: int) -> _FirstOrder:
     """Derivation along xi_H = 2i sum_j (H_{z_j} d_{zbar_j} - H_{zbar_j} d_{z_j})
     on g exp(-N|z|^2/2), as a map of prefactors g.  The Gaussian contributes
     m = iN sum_j (zbar_j H_{zbar_j} - z_j H_{z_j}), iN (|beta| - |alpha|) c termwise.
@@ -371,7 +269,7 @@ def _lie_operator(h: BiPolynomial, N: int) -> _FirstOrder:
     return _FirstOrder(h, lambda a, b: 1j * N * (b - a), -2j, 2j)
 
 
-def _bargmann_operator(h: BiPolynomial, N: int) -> _FirstOrder:
+def _bargmann_operator(h: ChartFunction, N: int) -> _FirstOrder:
     """Prequantum generator of the flat model on prefactors.
 
     For the Gaussian weight exp(-N|z|^2), the symplectic form with
@@ -440,7 +338,7 @@ def _curvature_matrix(d1, d2, trunc: FockTruncation) -> FockOperator:
 
 
 def curvature_operator(
-    h1: BiPolynomial, h2: BiPolynomial, trunc: FockTruncation
+    h1: ChartFunction, h2: ChartFunction, trunc: FockTruncation
 ) -> FockOperator:
     """Difference between the compressed commutator and the commutator of compressions.
 
@@ -459,7 +357,7 @@ def curvature_operator(
 
 
 def flat_curvature_operator(
-    h1: BiPolynomial, h2: BiPolynomial, trunc: FockTruncation
+    h1: ChartFunction, h2: ChartFunction, trunc: FockTruncation
 ) -> FockOperator:
     """Curvature columns with the flat prequantum generators in place of the
     bare Hamiltonian derivations (the multiplication term i N H included)."""

@@ -21,6 +21,16 @@ commutator of two generators act as
 with A = xi2 a1 - xi1 a2 and Q = xi2 q1 - xi1 q2: the a1 a2 d^2/dz^2,
 a_i q_j d/dz and q1 q2 terms of the two products cancel.
 
+Chart functions: a `ChartFunction` is p(z, zbar)/(1+|z|^2)^m on a chart of
+C^n, |z|^2 = sum_j z_j zbar_j, with one denominator power m >= 0 and p stored
+as {key: c}, the term c z^alpha zbar^beta under the flat exponent key
+
+    key = (alpha_1, ..., alpha_n, beta_1, ..., beta_n),
+
+so n is the key length over two.  The sphere chart has n = 1 and keys (a, b).
+The flat Fock model (`quantcurv.fock`) uses the same class with m = 0, where
+it is a polynomial in z and zbar and d/dz_j, d/dzbar_j keep m = 0.
+
 Quantities that stay in the small algebra of functions p(z, zbar)/(1+|z|^2)^m
 are closed-form: pairing z^a zbar^b/(1+|z|^2)^m with the section z^j is zero
 unless a = b + j, and then equals the Beta integral
@@ -46,6 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
+from operator import add
 
 import numpy as np
 
@@ -81,12 +93,13 @@ __all__ = [
 
 
 class ChartFunction:
-    """Function of the form sum c_{ab} z^a zbar^b / (1+|z|^2)^m.
+    """Function sum c z^alpha zbar^beta / (1+|z|^2)^m on a chart of C^n.
 
-    The class is closed under +, *, d/dz, d/dzbar and conjugation, which is
-    what makes projector and curvature matrix elements exactly integrable:
-    against monomial sections and the fiber weight, every inner product is a
-    closed-form Beta integral (`SectionBasis`).
+    Terms are {key: c} with flat keys (alpha, beta), as the module docstring
+    says.  The class is closed under +, *, d/dz_j, d/dzbar_j and conjugation,
+    which is what makes projector and curvature matrix elements exactly
+    integrable: against monomial sections and the fiber weight, every inner
+    product is a closed-form Beta integral (`SectionBasis`).
     """
 
     __slots__ = ("terms", "denom")
@@ -95,27 +108,39 @@ class ChartFunction:
         if denom < 0:
             raise ValueError("denominator power must be >= 0")
         self.denom = denom
-        self.terms = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if c != 0:
-                    self.terms[(int(a), int(b))] = complex(c)
+        self.terms = (
+            {tuple(key): complex(c) for key, c in terms.items() if c != 0} if terms else {}
+        )
 
     @classmethod
-    def monomial(cls, a: int, b: int = 0, coeff: complex = 1.0, denom: int = 0):
-        return cls({(a, b): coeff}, denom)
+    def monomial(cls, alpha, beta=None, coeff: complex = 1.0, denom: int = 0):
+        """coeff z^alpha zbar^beta / (1+|z|^2)^denom; beta defaults to 0, and an
+        integer exponent is a multi-index in one variable."""
+        alpha = tuple(alpha) if np.ndim(alpha) else (int(alpha),)
+        if beta is None:
+            beta = (0,) * len(alpha)
+        beta = tuple(beta) if np.ndim(beta) else (int(beta),)
+        return cls({alpha + beta: coeff}, denom)
+
+    @property
+    def nvars(self) -> int:
+        """n, read off the key length (0 when there are no terms)."""
+        return len(next(iter(self.terms), ())) // 2
 
     def _with_denom(self, m: int) -> dict:
-        """Terms re-expressed over (1+|z|^2)^m (m >= self.denom)."""
+        """Terms re-expressed over (1+|z|^2)^m (m >= self.denom): times the
+        multinomial expansion of (1+|z|^2)^k, k = m - self.denom."""
         k = m - self.denom
         if k == 0:
             return dict(self.terms)
         out: dict = {}
-        for j in range(k + 1):
-            binom = math.comb(k, j)
-            for (a, b), c in self.terms.items():
-                key = (a + j, b + j)
-                out[key] = out.get(key, 0.0) + binom * c
+        for g in product(range(k + 1), repeat=self.nvars):
+            if sum(g) > k:
+                continue
+            coef = math.factorial(k) // math.prod(map(math.factorial, (k - sum(g), *g)))
+            for key, c in self.terms.items():
+                key = tuple(map(add, key, g + g))
+                out[key] = out.get(key, 0.0) + coef * c
         return out
 
     def __add__(self, other: "ChartFunction") -> "ChartFunction":
@@ -139,9 +164,9 @@ class ChartFunction:
 
     def __mul__(self, other: "ChartFunction") -> "ChartFunction":
         out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(map(add, k1, k2))
                 s = out.get(key, 0.0) + c1 * c2
                 if s == 0:
                     out.pop(key, None)
@@ -149,42 +174,57 @@ class ChartFunction:
                     out[key] = s
         return ChartFunction(out, self.denom + other.denom)
 
-    def dz(self) -> "ChartFunction":
-        # d/dz [p/(1+w)^m] = [p_z (1+w) - m zbar p] / (1+w)^{m+1},  w = z zbar
-        out: dict = {}
-        for (a, b), c in self.terms.items():
-            if a:
-                for key, v in (((a - 1, b), a * c), ((a, b + 1), a * c)):
-                    out[key] = out.get(key, 0.0) + v
-            if self.denom:
-                key = (a, b + 1)
-                out[key] = out.get(key, 0.0) - self.denom * c
-        return ChartFunction(out, self.denom + 1)
+    def dz(self, j: int) -> "ChartFunction":
+        """d/dz_j: over m = 0 the plain derivative, again over m = 0; over
+        m > 0 the quotient rule
 
-    def dzbar(self) -> "ChartFunction":
+            d/dz_j [p/(1+w)^m] = [p_{z_j} (1+w) - m zbar_j p] / (1+w)^(m+1),
+
+        w = |z|^2, with (1+w) applied to p_{z_j} as 1 + sum_k z_k zbar_k."""
+        return self._derivative(j, 0)
+
+    def dzbar(self, j: int) -> "ChartFunction":
+        """d/dzbar_j, the conjugate rule of `dz`."""
+        return self._derivative(j, 1)
+
+    def _derivative(self, j: int, side: int) -> "ChartFunction":
+        """Derivative in key slot j + side n; its conjugate variable is slot
+        j + (1 - side) n."""
+        n, m = self.nvars, self.denom
+        d, e = j + side * n, j + (1 - side) * n
         out: dict = {}
-        for (a, b), c in self.terms.items():
-            if b:
-                for key, v in (((a, b - 1), b * c), ((a + 1, b), b * c)):
-                    out[key] = out.get(key, 0.0) + v
-            if self.denom:
-                key = (a + 1, b)
-                out[key] = out.get(key, 0.0) - self.denom * c
-        return ChartFunction(out, self.denom + 1)
+        for key, c in self.terms.items():
+            p = key[d]
+            if p:
+                low = key[:d] + (p - 1,) + key[d + 1 :]
+                out[low] = out.get(low, 0.0) + p * c
+                if m:  # the w part of (1 + w): one z_k zbar_k shift each
+                    for k in range(n):
+                        up = list(low)
+                        up[k] += 1
+                        up[k + n] += 1
+                        up = tuple(up)
+                        out[up] = out.get(up, 0.0) + p * c
+            if m:
+                up = key[:e] + (key[e] + 1,) + key[e + 1 :]
+                out[up] = out.get(up, 0.0) - m * c
+        return ChartFunction(out, m + 1 if m else 0)
 
     def conj(self) -> "ChartFunction":
+        n = self.nvars
         return ChartFunction(
-            {(b, a): c.conjugate() for (a, b), c in self.terms.items()}, self.denom
+            {key[n:] + key[:n]: c.conjugate() for key, c in self.terms.items()}, self.denom
         )
 
     def imag(self) -> "ChartFunction":
         return -0.5j * (self - self.conj())
 
     def eval(self, z: np.ndarray) -> np.ndarray:
+        """Values at the points z of the one-variable chart (n = 1)."""
         return eval_batch([self], z)[0]
 
     def bounded_at_infinity(self) -> bool:
-        return all(a + b <= 2 * self.denom for (a, b) in self.terms)
+        return all(sum(key) <= 2 * self.denom for key in self.terms)
 
     def __repr__(self):
         return f"ChartFunction(nterms={len(self.terms)}, denom={self.denom})"
@@ -257,7 +297,7 @@ def hamiltonian_from_chart(name: str, h: ChartFunction) -> HamiltonianField:
     # dh/dzbar lies over (1+|z|^2)^(m+1): dropping two powers of the
     # denominator is the factor (1+|z|^2)^2, exactly.  A bounded h with m = 0
     # is constant, and its derivative has no terms.
-    dh = h.dzbar()
+    dh = h.dzbar(0)
     a = 1j * ChartFunction(dh.terms, max(dh.denom - 2, 0))
     return HamiltonianField(name=name, h=h, a=a)
 
@@ -580,7 +620,7 @@ def _phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
 
 def _xi(a: ChartFunction, f: ChartFunction) -> ChartFunction:
     """xi f = a df/dz + conj(a) df/dzbar: the flow field a acting on f."""
-    return a * f.dz() + a.conj() * f.dzbar()
+    return a * f.dz(0) + a.conj() * f.dzbar(0)
 
 
 def _bracket(g2: tuple, g1: tuple) -> tuple:
@@ -609,7 +649,7 @@ def pullback_frame(
     return space.frame_at(*y)
 
 
-def chi_field(h1: HamiltonianField, h2: HamiltonianField, grid=None):
+def chi_field(h1: HamiltonianField, h2: HamiltonianField) -> ChartFunction:
     """Symbol chi(x) = tr(A1 J0 A2) of the curvature pairing.
 
     A_i = [J0, Dxi_i] is the tangent of the pulled-back complex structure
@@ -622,13 +662,9 @@ def chi_field(h1: HamiltonianField, h2: HamiltonianField, grid=None):
         chi = 8 Im(b1 conj(b2)).
 
     The result is a real chart function, exactly integrable against section
-    pairs; isometric flows (holomorphic a) give b = 0.  With a grid argument,
-    returns the sampled real values instead.
+    pairs; isometric flows (holomorphic a) give b = 0.
     """
-    chi = (8.0 * (h1.a.dzbar() * h2.a.dzbar().conj())).imag()
-    if grid is not None:
-        return chi.eval(grid.points).real
-    return chi
+    return (8.0 * (h1.a.dzbar(0) * h2.a.dzbar(0).conj())).imag()
 
 
 def curvature_commutator(

@@ -37,8 +37,10 @@ __all__ = [
 def standard_symplectic(n: int) -> np.ndarray:
     """Block matrix sigma = [[0, -I_n], [I_n, 0]]."""
     eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, -eye], [eye, zero]])
+    sigma = np.zeros((2 * n, 2 * n))
+    sigma[:n, n:] = -eye
+    sigma[n:, :n] = eye
+    return sigma
 
 
 def standard_complex_structure(n: int) -> np.ndarray:

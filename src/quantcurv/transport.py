@@ -277,20 +277,12 @@ def parallel_transport(
     )
 
 
-def intertwine_check(
-    ham: HamiltonianField,
-    space: SectionSpace,
-    t_end: float = 1.0,
-    dt: float = 1e-3,
-    result: TransportResult | None = None,
-) -> float:
-    """|| P_T - V_T^{-1} S_T ||_HS / sqrt(dim).
+def intertwine_check(result: TransportResult) -> float:
+    """|| P_T - V_T^{-1} S_T ||_HS / sqrt(dim) of a `parallel_transport` result.
 
     Both operators live on the flowed frame, so the difference reduces to the
     coefficient mismatch measured in the frame Gram metric.
     """
-    if result is None:
-        result = parallel_transport(ham, space, t_end=t_end, dt=dt)
     m = result.coeffs - result.schrodinger
     sq = np.trace(m.conj().T @ result.gram_end @ m).real
     return math.sqrt(max(sq, 0.0)) / math.sqrt(result.dim)

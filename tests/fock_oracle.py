@@ -2,36 +2,51 @@
 
 The one-pass application f -> m f + sum_j (a_j df/dz_j + b_j df/dzbar_j),
 image by image, as an oracle for the closed-form operator matrices and
-bracket of `quantcurv.fock`.
+bracket of `quantcurv.fock`; and chart functions evaluated at one point.
 """
 
 from operator import add
 
+import numpy as np
+
 from quantcurv import fock
-from quantcurv.fock import BiPolynomial
+from quantcurv.sphere import ChartFunction
 
 
-def apply(op, f: BiPolynomial) -> BiPolynomial:
+def value(f: ChartFunction, z) -> complex:
+    """f at a point z in C^n (zbar taken as the conjugate)."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zb = z.conj()
+    n = len(z)
+    tot = 0.0 + 0.0j
+    for key, c in f.terms.items():
+        term = c
+        for j in range(n):
+            term *= z[j] ** key[j] * zb[j] ** key[n + j]
+        tot += term
+    return tot / (1.0 + float(np.vdot(z, z).real)) ** f.denom
+
+
+def apply(op, f: ChartFunction) -> ChartFunction:
     """Apply a `fock._FirstOrder` to f in one pass over (term, entry) pairs.
 
     The entries are those of the vector-field part plus one per term of m,
-    slot 2n (a constant 1) with the term's exponents as shift.
+    slot -1 (a constant 1 appended to each key) with the term's key as shift.
     """
-    n = f.n
-    entries = [(2 * n, alpha + beta, c) for (alpha, beta), c in op.m.terms.items()]
+    entries = [(-1, key, c) for key, c in op.m.terms.items()]
     entries += op.field
     out: dict = {}
-    for (alpha, beta), c in f.terms.items():
-        ab = alpha + beta + (1,)
+    for key, c in f.terms.items():
+        ab = key + (1,)
         for k, shift, coeff in entries:
             p = ab[k]
             if p:
-                key = tuple(map(add, ab, shift))
-                out[key] = out.get(key, 0.0) + c * (p * coeff)
-    return BiPolynomial(n, {(key[:n], key[n:]): c for key, c in out.items()})
+                image = tuple(map(add, ab, shift))
+                out[image] = out.get(image, 0.0) + c * (p * coeff)
+    return ChartFunction(out)
 
 
-def bargmann_generator(h: BiPolynomial, f: BiPolynomial, N: int) -> BiPolynomial:
+def bargmann_generator(h: ChartFunction, f: ChartFunction, N: int) -> ChartFunction:
     """Prequantum generator of the flat model applied to a prefactor f.
 
     G f = sum_j [a_j (d/dz_j - N zbar_j) + conj-part d/dzbar_j] f + i N H f

@@ -13,7 +13,7 @@ _ZBAR_OVER_1PW = ChartFunction({(0, 1): 1.0}, denom=1)
 def generator_apply(ham: HamiltonianField, f: ChartFunction, N: int) -> ChartFunction:
     """G f = a f_z + conj(a) f_zbar - N (a zbar/(1+w)) f + i N h f, symbolically."""
     a = ham.a
-    out = a * f.dz() + a.conj() * f.dzbar()
+    out = a * f.dz(0) + a.conj() * f.dzbar(0)
     out = out - float(N) * ((a * _ZBAR_OVER_1PW) * f)
     out = out + (1j * N) * (ham.h * f)
     return out

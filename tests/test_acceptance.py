@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from quantcurv.fock import (
-    BiPolynomial,
     FockTruncation,
     curvature_operator,
     hamiltonian_bipoly,
@@ -23,6 +22,7 @@ from quantcurv.fock import (
 )
 from quantcurv.linalg import hs_norm
 from quantcurv.sphere import (
+    ChartFunction,
     SectionSpace,
     SphereGrid,
     chi_field,
@@ -50,6 +50,7 @@ from quantcurv.teichmuller import (
     wp_integrand,
 )
 from quantcurv.transport import intertwine_check, parallel_transport, transport_residuals
+from fock_oracle import value
 
 _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -72,8 +73,8 @@ def _pair_monomial(n, i, j):
 
 
 def _rel_poly_dev(lhs, rhs, pts):
-    lv = np.array([lhs.value(p) for p in pts])
-    rv = np.array([rhs.value(p) for p in pts])
+    lv = np.array([value(lhs, p) for p in pts])
+    rv = np.array([value(rhs, p) for p in pts])
     scale = max(float(np.max(np.abs(rv))), 1e-30)
     return float(np.max(np.abs(lv - rv))) / scale
 
@@ -92,10 +93,10 @@ def test_criterion_1_projection_derivative_identities():
         ]
         for big_n in (1, 4, 10):
             for alpha in alphas:
-                f = BiPolynomial.monomial(n, alpha)
+                f = ChartFunction.monomial(alpha)
                 for s in range(n):
                     beta = tuple(1 if j == s else 0 for j in range(n))
-                    lhs = project(BiPolynomial.monomial(n, alpha, beta), big_n)
+                    lhs = project(ChartFunction.monomial(alpha, beta), big_n)
                     rhs = (1.0 / big_n) * f.dz(s)
                     worst = max(worst, _rel_poly_dev(lhs, rhs, pts))
                 for s in range(n):
@@ -103,7 +104,7 @@ def test_criterion_1_projection_derivative_identities():
                         beta = tuple(
                             (1 if j == s else 0) + (1 if j == r else 0) for j in range(n)
                         )
-                        lhs = project(BiPolynomial.monomial(n, alpha, beta), big_n)
+                        lhs = project(ChartFunction.monomial(alpha, beta), big_n)
                         rhs = (1.0 / big_n**2) * f.dz(s).dz(r)
                         worst = max(worst, _rel_poly_dev(lhs, rhs, pts))
     elapsed = time.perf_counter() - t0
@@ -124,16 +125,16 @@ def test_criterion_2_curvature_operator_identities():
         eye = None
         for (m, l) in idx:
             for (r, s) in idx:
-                zz = BiPolynomial.monomial(n, _pair_monomial(n, m, l))
-                bb = BiPolynomial.monomial(n, (0,) * n, _pair_monomial(n, r, s))
+                zz = ChartFunction.monomial(_pair_monomial(n, m, l))
+                bb = ChartFunction.monomial((0,) * n, _pair_monomial(n, r, s))
                 delta = float((m == r) * (l == s) + (m == s) * (l == r))
                 mat = curvature_operator(zz, bb, tr).restrict()
                 eye = np.eye(mat.shape[0])
                 worst = max(worst, hs_norm(mat - 4.0 * delta * eye))
                 # same-type pairs commute: both orders vanish
-                zz2 = BiPolynomial.monomial(n, _pair_monomial(n, r, s))
+                zz2 = ChartFunction.monomial(_pair_monomial(n, r, s))
                 worst = max(worst, hs_norm(curvature_operator(zz, zz2, tr).restrict()))
-                bb2 = BiPolynomial.monomial(n, (0,) * n, _pair_monomial(n, m, l))
+                bb2 = ChartFunction.monomial((0,) * n, _pair_monomial(n, m, l))
                 worst = max(worst, hs_norm(curvature_operator(bb2, bb, tr).restrict()))
         plus = p_plus_basis(n)
         minus = p_minus_basis(n)
@@ -249,7 +250,8 @@ def test_criterion_6_normalized_trace(ladder_rows):
     # binding constraint whenever the true value is nonzero.
     rows = ladder_rows["rows"]
     grid = SphereGrid.for_level(8)
-    chi_scale = float(np.max(np.abs(chi_field(harmonic_real(), zonal_harmonic(), grid))))
+    chi = chi_field(harmonic_real(), zonal_harmonic())
+    chi_scale = float(np.max(np.abs(chi.eval(grid.points).real)))
     floor = 1e-10 * chi_scale
     diffs = []
     for r in rows:
@@ -297,7 +299,7 @@ def test_criterion_8_transport_intertwines_flow():
     for ham_f, tol in ((rotation_z, 1e-6), (harmonic_real, 1e-3)):
         ham = ham_f()
         res = parallel_transport(ham, space, t_end=1.0, dt=1e-3, n_samples=10)
-        dev = intertwine_check(ham, space, 1.0, 1e-3, result=res)
+        dev = intertwine_check(res)
         worst_res = 0.0
         for rec in transport_residuals(res, space):
             worst_res = max(worst_res, rec["eq_range"], rec["eq_deriv"])

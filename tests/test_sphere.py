@@ -39,8 +39,8 @@ _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 def _jacobian(ham, z):
     """Real 2x2 Jacobian of the flow field zdot = a(z) at each point, shape (..., 2, 2)."""
-    az = ham.a.dz().eval(z)
-    azb = ham.a.dzbar().eval(z)
+    az = ham.a.dz(0).eval(z)
+    azb = ham.a.dzbar(0).eval(z)
     dxa = az + azb
     dya = 1j * (az - azb)
     out = np.empty(z.shape + (2, 2))
@@ -290,11 +290,12 @@ def test_chi_field_antisymmetric_and_matches_grid():
     f12 = chi_field(h1, h2)
     f21 = chi_field(h2, h1)
     assert np.max(np.abs(f12.eval(pts) + f21.eval(pts))) < 1e-12
-    # grid form returns sampled values
+    # sampled on a grid, chi is real, and antisymmetric there too
     grid = SphereGrid.for_level(4)
-    vals = chi_field(h1, h2, grid)
+    vals = chi_field(h1, h2).eval(grid.points)
     assert vals.shape == grid.points.shape
-    assert np.max(np.abs(vals - f12.eval(grid.points).real)) < 1e-12
+    assert np.max(np.abs(vals.imag)) < 1e-12
+    assert np.max(np.abs(vals + f21.eval(grid.points))) < 1e-12
 
 
 @pytest.mark.parametrize("f1", [rotation_x, harmonic_real, harmonic_imag, zonal_harmonic])
@@ -557,7 +558,7 @@ def test_flow_field_is_stored_in_compact_form():
     z = 30.0 * np.sqrt(rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
     one_plus_w_sq = ChartFunction({(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0})
     for ham in [f() for f in HAMILTONIAN_LIBRARY.values()] + [_random_bounded_hamiltonian(rng)]:
-        expanded = (1j * (one_plus_w_sq * ham.h.dzbar())).eval(z)
+        expanded = (1j * (one_plus_w_sq * ham.h.dzbar(0))).eval(z)
         assert ham.a.denom == ham.h.denom - 1, ham.name
         err = np.max(np.abs(ham.a.eval(z) - expanded))
         assert err <= 1e-14 * np.max(np.abs(expanded)), ham.name

@@ -67,7 +67,7 @@ def test_transport_rotation_is_exact(space):
     assert res.projector_deviation() < 1e-6
     assert res.isometry_defect() < 1e-9
     # transported coefficients match the unitary flow
-    dev = intertwine_check(rotation_z(), space, 0.5, 2e-3, result=res)
+    dev = intertwine_check(res)
     assert dev < 1e-6
 
 
@@ -81,7 +81,7 @@ def test_transport_constant_hamiltonian(space):
 
 def test_transport_non_isometric_intertwines(space):
     res = parallel_transport(harmonic_real(), space, t_end=0.5, dt=2e-3, n_samples=4)
-    dev = intertwine_check(harmonic_real(), space, 0.5, 2e-3, result=res)
+    dev = intertwine_check(res)
     assert dev < 1e-3
     assert res.gram_defect < 1e-8
 
@@ -234,7 +234,7 @@ def test_flow_leaving_chart_fails_loudly(space16):
 
 def test_short_rotation_x_transport_intertwines(space16):
     res = parallel_transport(rotation_x(), space16, t_end=0.02, dt=1e-3, n_samples=2)
-    assert intertwine_check(rotation_x(), space16, result=res) <= 1e-6
+    assert intertwine_check(res) <= 1e-6
 
 
 def _transport_entry(out_path, **params):
