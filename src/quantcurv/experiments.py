@@ -247,8 +247,8 @@ def _pair_alpha(n: int, m: int, l: int) -> tuple:
 
 def _levels(v, label: str) -> list:
     levels = [_number(n, int, label) for n in _nonempty_list(v, label)]
-    if sorted(levels) != levels:
-        raise ConfigError(f"{label} must be an ascending list of positive integers")
+    if any(lo >= hi for lo, hi in zip(levels, levels[1:])):
+        raise ConfigError(f"{label} must be a strictly ascending list of positive integers")
     if levels[-1] > sphere.EXACT_LEVEL_MAX:
         raise ConfigError(
             f"entries of {label} must be <= {sphere.EXACT_LEVEL_MAX}, "

@@ -19,7 +19,11 @@ commutator of two generators act as
     G z^k = k a z^(k-1) + q z^k,      [G2, G1] z^k = k A z^(k-1) + Q z^k,
 
 with A = xi2 a1 - xi1 a2 and Q = xi2 q1 - xi1 q2: the a1 a2 d^2/dz^2,
-a_i q_j d/dz and q1 q2 terms of the two products cancel.
+a_i q_j d/dz and q1 q2 terms of the two products cancel.  The flow fields a
+and A do not depend on N, while q and Q are linear in N: N times their
+values at N = 1.  So the chart algebra of a pair is formed once, with q and Q
+at N = 1, and each level scales them by N and gets B1, B2, the bracket and
+any Toeplitz symbols from one pairing pass.
 
 Chart functions: a `ChartFunction` is p(z, zbar)/(1+|z|^2)^m on a chart of
 C^n, |z|^2 = sum_j z_j zbar_j, with one denominator power m >= 0 and p stored
@@ -40,12 +44,12 @@ unless a = b + j, and then equals the Beta integral
 evaluated in log space with every log carried as a (hi, lo) pair of doubles,
 so each pairing is exact to rounding (`SectionBasis`).  Section coefficients
 and phase-space averages are computed this way, and every operator is
-`SectionBasis.operator_matrix` of two chart functions, whatever N: (a, q) for
-the compressed generator, (0, f) for the Toeplitz operator of f and (A, Q)
-for the commutator in the curvature.  The quadrature grid (`SphereGrid`,
-`SectionSpace`) is used only where flows leave that algebra: flowed frames in
-transport and in `curvature_fd`, multiplication by sampled grid values
-(`compress_mult`) and the Gram check.
+`SectionBasis.operator_matrix` of pairs of chart functions, whatever N: (a, q)
+for the compressed generator, (0, f) for the Toeplitz operator of f and (A, Q)
+for the commutator in the curvature, several pairs in one pass.  The
+quadrature grid (`SphereGrid`, `SectionSpace`) is used only where flows leave
+that algebra: flowed frames in transport and in `curvature_fd`,
+multiplication by sampled grid values (`compress_mult`) and the Gram check.
 `SectionSpace.frame_at` is the one builder of half-weighted frames on the
 grid, for the grid itself and for its images under a flow; chart functions
 are evaluated on points by `eval_batch` alone.
@@ -490,20 +494,30 @@ class SectionBasis:
         """Coefficients <e_k, f> against the orthonormal monomial sections."""
         return self._pairings(_flat_terms([f]), (np.zeros(1), np.zeros(1)), 1)[:, 0]
 
-    def operator_matrix(self, a, q) -> np.ndarray:
-        """Matrix <e_j, A e_k> of A z^k = k a z^(k-1) + q z^k, for chart functions
-        or constants a and q, paired from their terms at every k at once."""
-        fs = [f if isinstance(f, ChartFunction) else ChartFunction({(0, 0): f}) for f in (a, q)]
+    def operator_matrix(self, gens: list) -> np.ndarray:
+        """Matrices <e_j, A e_k> of A z^k = k a z^(k-1) + q z^k, one for each
+        generator (a, q) of chart functions or constants in `gens`, stacked
+        along the first axis.
+
+        The terms of all generators are paired at every k in one pass, generator
+        g filling column block g, so each matrix is the same to the bit as when
+        built alone."""
+        dim = self.dim
+        fs = [f if isinstance(f, ChartFunction) else ChartFunction({(0, 0): f})
+              for g in gens for f in g]
         owner, s, t, m, c = _flat_terms(fs)
         # c z^s zbar^t/(1+w)^m in a gives k c z^(s+k-1) zbar^t/(1+w)^m at k >= 1
-        term, k = np.nonzero((owner[:, None] == 1) | (np.arange(self.dim) > 0))
-        in_a = owner[term] == 0
-        terms = (k, s[term] + k - in_a, t[term], m[term], c[term] * np.where(in_a, k, 1))
-        return self._pairings(terms, self.log_norms, self.dim)
+        in_a = owner % 2 == 0
+        term, k = np.nonzero(~in_a[:, None] | (np.arange(dim) > 0))
+        in_a, col = in_a[term], owner[term] // 2 * dim + k
+        terms = (col, s[term] + k - in_a, t[term], m[term], c[term] * np.where(in_a, k, 1))
+        scale = tuple(np.concatenate([x] * len(gens)) for x in self.log_norms)
+        out = self._pairings(terms, scale, len(gens) * dim)
+        return out.reshape(dim, len(gens), dim).transpose(1, 0, 2)
 
     def toeplitz(self, f: ChartFunction) -> np.ndarray:
         """Toeplitz compression <e_j, f e_k> of multiplication by f."""
-        return self.operator_matrix(0, f)
+        return self.operator_matrix([(0, f)])[0]
 
 
 class SectionSpace(SectionBasis):
@@ -561,7 +575,7 @@ class SectionSpace(SectionBasis):
 
 def compress_generator(ham: HamiltonianField, space: SectionBasis) -> np.ndarray:
     """Matrix <e_j, G e_k> of the compressed prequantum generator (closed form)."""
-    return space.operator_matrix(ham.a, _phase_rate(ham, space.N))
+    return space.operator_matrix([(ham.a, _phase_rate(ham, space.N))])[0]
 
 
 def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
@@ -676,9 +690,25 @@ def curvature_commutator(
     with [G2, G1] in the closed form (A, Q) of the module docstring; every
     entry is a closed-form pairing, so entries carry rounding error only.
     """
-    g1, g2 = ((h.a, _phase_rate(h, space.N)) for h in (h1, h2))
-    b1, b2 = space.operator_matrix(*g1), space.operator_matrix(*g2)
-    return space.operator_matrix(*_bracket(g2, g1)) - (b2 @ b1 - b1 @ b2)
+    ((y, _),) = _curvatures(h1, h2, [space])
+    return y
+
+
+def _curvatures(h1: HamiltonianField, h2: HamiltonianField, spaces, symbols=()):
+    """Curvature of the pair on each space, with the Toeplitz matrices of `symbols`.
+
+    (a_i, q_i) and (A, Q) are formed once at N = 1 and scaled by N at each
+    level, as the module docstring says; a level is one `operator_matrix` pass.
+    """
+    g1, g2 = ((h.a, _phase_rate(h, 1)) for h in (h1, h2))
+    unit = [g1, g2, _bracket(g2, g1)]
+    symbols = [(0, f) for f in symbols]
+    for space in spaces:
+        n = float(space.N)
+        b1, b2, bracket, *toeplitz = space.operator_matrix(
+            [(a, n * q) for a, q in unit] + symbols
+        )
+        yield bracket - (b2 @ b1 - b1 @ b2), toeplitz
 
 
 def curvature_fd(
@@ -769,10 +799,9 @@ def symbol_decay_experiment(
     chi = chi_field(h1, h2)
     trace_rhs = phase_average(chi)
     rows = []
-    for N in n_list:
-        basis = SectionBasis(N)
-        y = curvature_commutator(h1, h2, basis) / c
-        t = basis.toeplitz(chi)
+    levels = _curvatures(h1, h2, map(SectionBasis, n_list), [chi])
+    for N, (y, (t,)) in zip(n_list, levels):
+        y = y / c
         eps = float(np.linalg.norm(y - t) ** 2 / (N + 1))
         trace_lhs = float(np.trace(y).real / (N + 1))
         rows.append(

@@ -353,7 +353,7 @@ _BAD_VALUES = (
     + [_bad("schrodinger-intertwine", "tol", bad, _with_case(tol=bad)) for bad in _BAD_NUMBERS]
     + [
         _bad("sphere-convergence", "N_list", bad, {"N_list": bad})
-        for bad in ([True, 16], [8, 2.7], [16, 8])
+        for bad in ([True, 16], [8, 2.7], [16, 8], [16, 16])
     ]
     + [
         _bad("sphere-convergence", "hamiltonians", bad, {"N_list": [8], "hamiltonians": bad})

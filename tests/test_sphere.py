@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantcurv import sphere
-from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, validate_config
+from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, run_experiment, validate_config
 from quantcurv.linalg import OdeStepper, hs_norm
 from quantcurv.sphere import (
     EXACT_LEVEL_MAX,
@@ -372,7 +372,7 @@ def _images(a, q, dim):
 
 @pytest.mark.parametrize("big_n", [8, 64])
 def test_operator_matrix_matches_coeffs_of_images(big_n):
-    # column k of operator_matrix(a, q) is coeffs of the symbolic image of
+    # column k of operator_matrix([(a, q)]) is coeffs of the symbolic image of
     # z^k over ||z^k||, for generators, brackets and Toeplitz symbols; the
     # generator columns are also checked against the literal G z^k
     basis = SectionBasis(big_n)
@@ -386,7 +386,7 @@ def test_operator_matrix_matches_coeffs_of_images(big_n):
         want = np.column_stack(
             [basis.coeffs(img) / norms[k] for k, img in enumerate(_images(a, q, basis.dim))]
         )
-        assert _rel(basis.operator_matrix(a, q), want) <= 1e-12
+        assert _rel(basis.operator_matrix([(a, q)])[0], want) <= 1e-12
     for h in hams:
         want = np.column_stack(
             [
@@ -413,6 +413,63 @@ def test_curvature_builds_chart_functions_independent_of_level(monkeypatch):
         counts.append(0)
         curvature_commutator(h1, h2, SectionBasis(big_n))
     assert counts[0] == counts[1] > 0
+
+
+def test_ladder_symbolic_work_independent_of_levels(monkeypatch):
+    # the chart algebra of the pair is formed once per ladder, and each level
+    # is one pairing pass, however many levels the ladder has
+    curvature_calibration()  # cached: its Fock products are not the ladder's
+    counts = {}
+
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ChartFunction, "__mul__", counting("mul", ChartFunction.__mul__))
+    monkeypatch.setattr(SectionBasis, "_pairings", counting("pair", SectionBasis._pairings))
+    products = []
+    for n_list in ([8], [8, 16, 32, 64, 80]):
+        counts.update(mul=0, pair=0)
+        run_experiment("sphere-convergence", {"N_list": n_list}, np.random.default_rng(0))
+        assert counts["pair"] == len(n_list)
+        products.append(counts["mul"])
+    assert products[0] == products[1] > 0
+
+
+@pytest.mark.parametrize("big_n", [8, 80, 1024])
+def test_batched_operator_matrix_equals_separate_builds(big_n):
+    # one pairing pass over many generators gives each matrix to the bit
+    basis = SectionBasis(big_n)
+    hams = [f() for f in HAMILTONIAN_LIBRARY.values()]
+    gens = {h.name: (h.a, sphere._phase_rate(h, big_n)) for h in hams}
+    cases = list(gens.values())
+    cases.append(sphere._bracket(gens["zonal_harmonic"], gens["harmonic_real"]))
+    cases.append((0, chi_field(harmonic_real(), zonal_harmonic())))
+    stack = basis.operator_matrix(cases)
+    assert stack.shape == (len(cases), basis.dim, basis.dim)
+    for got, gen in zip(stack, cases):
+        assert np.array_equal(got, basis.operator_matrix([gen])[0])
+
+
+def test_symbol_decay_rows_match_phase_rates_built_at_each_level():
+    # q and Q scaled from N = 1 against q = _phase_rate(h, N) built at N
+    h1, h2 = harmonic_real(), zonal_harmonic()
+    n_list = [8, 16, 32, 64, 80]
+    c = curvature_calibration()
+    chi = chi_field(h1, h2)
+    for N, row in zip(n_list, symbol_decay_experiment(h1, h2, n_list)):
+        basis = SectionBasis(N)
+        g1, g2 = ((h.a, sphere._phase_rate(h, N)) for h in (h1, h2))
+        b1, b2, bracket = (
+            basis.operator_matrix([g])[0] for g in (g1, g2, sphere._bracket(g2, g1))
+        )
+        y = (bracket - (b2 @ b1 - b1 @ b2)) / c
+        eps = float(np.linalg.norm(y - basis.toeplitz(chi)) ** 2 / (N + 1))
+        assert row["eps"] == pytest.approx(eps, rel=1e-13, abs=0), N
+        assert abs(row["trace_lhs"] - np.trace(y).real / (N + 1)) <= 1e-13 * np.max(np.abs(y)), N
 
 
 def test_curvature_fd_matches_commutator(space):
