@@ -22,7 +22,23 @@ def hs_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
-def orthonormal_columns(frame: np.ndarray, cond_limit: float = 1e8) -> np.ndarray:
+# Largest Gram condition number a frame may have before it is refused.
+GRAM_COND_LIMIT = 1e8
+
+
+def check_gram_spectrum(evals: np.ndarray, cond_limit: float = GRAM_COND_LIMIT) -> None:
+    """Refuse a frame whose Gram eigenvalues (ascending) are not all positive
+    or spread by more than `cond_limit`: raises `np.linalg.LinAlgError`."""
+    if evals[0] <= 0 or evals[-1] / evals[0] > cond_limit:
+        raise np.linalg.LinAlgError(
+            f"frame Gram matrix is ill-conditioned: smallest eigenvalue {evals[0]:.3e}, "
+            f"largest {evals[-1]:.3e}"
+        )
+
+
+def orthonormal_columns(
+    frame: np.ndarray, cond_limit: float = GRAM_COND_LIMIT
+) -> np.ndarray:
     """Orthonormalize frame columns by the inverse square root of their Gram matrix.
 
     Parameters
@@ -47,11 +63,7 @@ def orthonormal_columns(frame: np.ndarray, cond_limit: float = 1e8) -> np.ndarra
     frame = np.asarray(frame)
     gram = frame.conj().T @ frame
     evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= 0 or evals[-1] / evals[0] > cond_limit:
-        raise np.linalg.LinAlgError(
-            f"frame Gram matrix is ill-conditioned: smallest eigenvalue {evals[0]:.3e}, "
-            f"largest {evals[-1]:.3e}"
-        )
+    check_gram_spectrum(evals, cond_limit)
     inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
     return frame @ inv_sqrt
 

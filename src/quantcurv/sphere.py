@@ -583,29 +583,36 @@ def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
 
     Saves the repeated z**a work when the same point set is hit by a family
     of functions (the flow field and phase rate at each stage of time
-    stepping).
+    stepping).  The zeroth powers are ones and are never multiplied by.
     """
     z = np.asarray(z, dtype=complex)
     zb = z.conj()
     amax = max((a for cf in cfs for (a, _b) in cf.terms), default=0)
     bmax = max((b for cf in cfs for (_a, b) in cf.terms), default=0)
     mmax = max((cf.denom for cf in cfs), default=0)
-    za = [np.ones_like(z)]
-    for _ in range(amax):
+    za = [None, z]
+    for _ in range(amax - 1):
         za.append(za[-1] * z)
-    zbp = [np.ones_like(z)]
-    for _ in range(bmax):
+    zbp = [None, zb]
+    for _ in range(bmax - 1):
         zbp.append(zbp[-1] * zb)
     base = 1.0 + (z * zb).real
-    binv = [np.ones_like(base)]
-    for _ in range(mmax):
+    binv = [None, 1.0 / base]
+    for _ in range(mmax - 1):
         binv.append(binv[-1] / base)
     out = []
     for cf in cfs:
         acc = np.zeros_like(z)
         for (a, b), c in cf.terms.items():
-            acc += c * za[a] * zbp[b]
-        out.append(acc * binv[cf.denom])
+            if a and b:
+                acc += c * za[a] * zbp[b]
+            elif a:
+                acc += c * za[a]
+            elif b:
+                acc += c * zbp[b]
+            else:
+                acc += c
+        out.append(acc * binv[cf.denom] if cf.denom else acc)
     return out
 
 

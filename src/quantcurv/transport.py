@@ -25,6 +25,20 @@ Every frame F_t, at each generator build, at the end state and at the
 residual snapshots, is built from a characteristic state (z, c) by
 `SectionSpace.frame_at`, the one frame builder of the grid path.
 
+The residual check never orthonormalizes a frame: the projector onto the
+range of F_m is F_m G_m^{-1} F_m* with G_m = F_m*F_m.  With P = F_c C_c at a
+sample and the stencil derivative d/dt ~ sum_m (w_m/dt) at the steps around
+it, one product F_m*[F_m, F_c] per stencil frame gives G_m and X_m = F_m*F_c,
+and
+
+    Pidot P - Pdot = sum_m F_m (w_m/dt) (G_m^{-1} X_m C_c - C_m),
+    ||Pi Pdot|| = ||L^{-1} sum_m (w_m/dt) X_m* C_m||,   G_c = L L*.
+
+The first is summed on the grid, since its norm is a cancellation down to
+~1e-11 that a norm formed from Grams would lose; the second needs d x d
+data only.  A frame whose Gram has a non-positive eigenvalue or condition
+number above `linalg.GRAM_COND_LIMIT` is refused with a LinAlgError.
+
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; the integration
 runs under `np.errstate(over="raise", invalid="raise")` and reports that as
@@ -38,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import OdeStepper, orthonormal_columns
+from .linalg import OdeStepper, check_gram_spectrum
 from .sphere import (
     HamiltonianField,
     SectionSpace,
@@ -298,28 +312,49 @@ def transport_residuals(
 
     Time derivatives of the frame path and the projector family come from the
     stored trajectory states through the high-order difference stencil, which
-    shares nothing with the integrator's update rule.
+    shares nothing with the integrator's update rule.  The residuals are
+    formed from Grams as in the module docstring, one stencil frame at a time.
+
+    Raises ValueError if `space` is not the level and grid the result was
+    integrated on, and np.linalg.LinAlgError if a frame is ill-conditioned.
     """
+    n_points = space.sqrtw.size
+    sizes = {rec[0].size for rec in result.snapshots.values()}
+    if result.N != space.N or sizes - {n_points}:
+        got = "/".join(str(n) for n in sorted(sizes))
+        raise ValueError(
+            f"transport_residuals: the result is at level N={result.N} on {got} "
+            f"points, the space at level N={space.N} on {n_points} points"
+        )
     d = result.dim
     dt = result.dt
+    # rows 0..d-1: the stencil frame F_m; rows d..2d-1: the centre frame F_c
+    rows = np.empty((2 * d, n_points), dtype=complex)
+    rows_h = np.empty((d, n_points), dtype=complex)
+    term = np.empty((d, n_points), dtype=complex)
     out = []
     for j in result.sample_steps:
         z, c, coeff = result.snapshots[j]
-        frame = space.frame_at(z, c)
-        q_center = orthonormal_columns(frame)
-        p_center = frame @ coeff
+        space.frame_at(z, c, out=rows[d:])
+        centre, stencil = rows[d:], rows[:d]  # frames as rows, F^T
+        gram_c = np.conjugate(centre, out=rows_h) @ centre.T
+        check_gram_spectrum(np.linalg.eigvalsh(gram_c))
 
-        pdot = np.zeros_like(p_center)
-        pidot_p = np.zeros_like(p_center)
+        resid = np.zeros((d, n_points), dtype=complex)  # (Pidot P - Pdot)^T
+        range_sum = np.zeros((d, d), dtype=complex)  # F_c* Pdot
         for m, w in _DERIV_STENCIL:
-            z, c, coeff = result.snapshots[j + m]
-            frame = space.frame_at(z, c)
-            pdot += (w / dt) * (frame @ coeff)
-            qm = orthonormal_columns(frame)
-            pidot_p += (w / dt) * (qm @ (qm.conj().T @ p_center))
+            z, c, coeff_m = result.snapshots[j + m]
+            space.frame_at(z, c, out=stencil)
+            both = np.conjugate(stencil, out=rows_h) @ rows.T  # [G_m, X_m]
+            gram_m, cross_m = both[:, :d], both[:, d:]
+            check_gram_spectrum(np.linalg.eigvalsh(gram_m))
+            range_sum += (w / dt) * (cross_m.conj().T @ coeff_m)
+            mix = (w / dt) * (np.linalg.solve(gram_m, cross_m @ coeff) - coeff_m)
+            resid += np.matmul(mix.T, stencil, out=term)
 
-        eq_range = np.linalg.norm(q_center.conj().T @ pdot) / math.sqrt(d)
-        eq_deriv = np.linalg.norm(pidot_p - pdot) / math.sqrt(d)
+        chol = np.linalg.cholesky(gram_c)
+        eq_range = np.linalg.norm(np.linalg.solve(chol, range_sum)) / math.sqrt(d)
+        eq_deriv = np.linalg.norm(resid) / math.sqrt(d)
         out.append(
             {
                 "t": j * dt,

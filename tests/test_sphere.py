@@ -31,7 +31,7 @@ from quantcurv.sphere import (
     zonal_harmonic,
 )
 from curvature_oracle import compressed_curvature
-from sphere_oracle import generator_apply
+from sphere_oracle import eval_batch_reference, generator_apply
 
 
 _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -667,3 +667,47 @@ def test_pairings_are_exact_to_rounding():
         N + 1,
     )
     assert np.max(np.abs(y - ref)) <= 1e-12
+
+
+def _eval_points():
+    # the level-16 grid, the origin, points far out and points flowed off the grid
+    rng = np.random.default_rng(3)
+    flowed = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    return np.concatenate(
+        [SphereGrid.for_level(16).points, [0.0, 1e-9j, 40.0 - 25.0j], 3.0 * flowed]
+    )
+
+
+def _assert_eval_batch_matches_reference(cfs, z):
+    got = sphere.eval_batch(cfs, z)
+    ref = eval_batch_reference(cfs, z)
+    assert len(got) == len(ref) == len(cfs)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("N", [1, 16, 72])
+def test_eval_batch_equals_reference_on_library_fields(N):
+    # skipping the unit powers leaves every value the same to the bit
+    z = _eval_points()
+    for make in HAMILTONIAN_LIBRARY.values():
+        ham = make()
+        _assert_eval_batch_matches_reference([ham.a, sphere._phase_rate(ham, N)], z)
+        _assert_eval_batch_matches_reference([sphere._phase_rate(ham, N)], z)
+
+
+def test_eval_batch_equals_reference_on_edge_functions():
+    z = _eval_points()
+    edge = [
+        ChartFunction({(0, 0): 0.7 - 0.2j}, denom=2),  # constant term only
+        ChartFunction.monomial(3, coeff=1.5j),  # pure z^a
+        ChartFunction.monomial(0, 2, coeff=-0.5, denom=1),  # pure zbar^b
+        ChartFunction({(0, 0): 2.0, (1, 0): 1j, (0, 1): -1.0, (2, 3): 0.25}),  # denominator 0
+        ChartFunction(),  # no terms
+    ]
+    for cf in edge:
+        _assert_eval_batch_matches_reference([cf], z)
+    _assert_eval_batch_matches_reference(edge, z)
+    _assert_eval_batch_matches_reference([ChartFunction(), ChartFunction(denom=3)], z)
+    assert sphere.eval_batch([], z) == eval_batch_reference([], z) == []

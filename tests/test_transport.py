@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from quantcurv.transport import (
     transport_residuals,
 )
 from sphere_oracle import generator_apply
+from transport_oracle import transport_residuals_reference
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +96,79 @@ def test_transport_residuals_small(space):
         assert 0.0 < rec["t"] < 0.5
         assert rec["eq_range"] < 1e-5
         assert rec["eq_deriv"] < 1e-5
+
+
+@pytest.fixture(scope="module")
+def transported16(space16):
+    return parallel_transport(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=2)
+
+
+def _with_snapshot(res, step_offset, edit):
+    """A copy of `res` whose snapshot at sample + step_offset is edit(z, c, C),
+    for every sample."""
+    snapshots = dict(res.snapshots)
+    for j in res.sample_steps:
+        snapshots[j + step_offset] = edit(*snapshots[j + step_offset])
+    return dataclasses.replace(res, snapshots=snapshots)
+
+
+def _coefficient_defect(res, step_offset, delta):
+    rng = np.random.default_rng(0)
+    e = rng.standard_normal((res.dim, res.dim)) + 1j * rng.standard_normal((res.dim, res.dim))
+    return _with_snapshot(res, step_offset, lambda z, c, coeff: (z, c, coeff + delta * e))
+
+
+_STENCIL_OFFSETS = [m for m, _w in transport._DERIV_STENCIL]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-3])
+@pytest.mark.parametrize("step_offset", _STENCIL_OFFSETS)
+def test_residuals_with_defect_match_loewdin_oracle(space16, transported16, step_offset, delta):
+    # a defect delta in C at one stencil step makes both residuals ~delta/dt
+    # (1.6e-5 to 4.2 here); the Gram form and the orthonormalized oracle then
+    # differ by rounding in the cancellation alone, measured <= 1.1e-13
+    # absolute (2.5e-11 and 2.6e-14 relative at m = +1) at both deltas
+    res = _coefficient_defect(transported16, step_offset, delta)
+    got = transport_residuals(res, space16)
+    ref = transport_residuals_reference(res, space16)
+    assert [rec["t"] for rec in got] == [rec["t"] for rec in ref]
+    for g, r in zip(got, ref):
+        for key in ("eq_range", "eq_deriv"):
+            assert r[key] > 1e-6
+            assert g[key] == pytest.approx(r[key], rel=0, abs=1e-12), (key, g["t"])
+
+
+@pytest.mark.parametrize("step_offset", _STENCIL_OFFSETS)
+def test_residuals_grow_linearly_in_a_coefficient_defect(space16, transported16, step_offset):
+    # 1000 times the defect gives 1000 times the residuals; the defect-free
+    # residual (~7e-12) bends the ratio by <= 4.8e-8 (measured)
+    small = transport_residuals(_coefficient_defect(transported16, step_offset, 1e-6), space16)
+    large = transport_residuals(_coefficient_defect(transported16, step_offset, 1e-3), space16)
+    for s, b in zip(small, large):
+        for key in ("eq_range", "eq_deriv"):
+            assert b[key] / s[key] == pytest.approx(1e3, rel=1e-6), (key, s["t"])
+
+
+@pytest.mark.parametrize("step_offset", [0, 1, -4])
+def test_residuals_refuse_a_rank_deficient_frame(space16, transported16, step_offset):
+    # at a constant z every frame column is a multiple of the first
+    res = _with_snapshot(
+        transported16, step_offset, lambda z, c, coeff: (np.full_like(z, 0.3), c, coeff)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        transport_residuals(res, space16)
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        transport_residuals_reference(res, space16)
+
+
+def test_residuals_on_another_level_fail_loudly(space, space16, transported16):
+    with pytest.raises(ValueError, match=r"level N=16 on 3456 points, the space at level N=6 on"):
+        transport_residuals(transported16, space)
+    # same level, another grid
+    coarse = parallel_transport(rotation_z(), space, t_end=0.02, dt=2e-3, n_samples=1)
+    fine = SectionSpace(6, SphereGrid.for_level(16))
+    with pytest.raises(ValueError, match=r"level N=6 on \d+ points, the space at level N=6 on 3456"):
+        transport_residuals(coarse, fine)
 
 
 def test_transport_refines_with_dt(space):
