@@ -100,6 +100,8 @@ def _read_csv(path: str) -> tuple[list, list]:
         lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: empty CSV")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: header but no rows")
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     for row in rows:

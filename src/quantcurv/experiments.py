@@ -148,6 +148,12 @@ def _check_bargmann(p: dict) -> dict:
         raise ConfigError("'n_random_pairs' must be >= 2: the spread compares two ratios")
     if out["D"] < 8:
         raise ConfigError("bargmann D must be >= 8 (curvature needs degree margin)")
+    if out["D"] > fock.FOCK_DEGREE_MAX:
+        raise ConfigError(f"bargmann D must be <= {fock.FOCK_DEGREE_MAX}: a run costs ~D^6")
+    if out["N"] > fock.FOCK_LEVEL_MAX:
+        raise ConfigError(
+            f"bargmann N must be <= {fock.FOCK_LEVEL_MAX}: basis norms overflow a double"
+        )
     return out
 
 

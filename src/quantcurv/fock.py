@@ -12,25 +12,32 @@ prefactors, which acts on monomials by
 
     zbar^beta f(z)  ->  N^{-|beta|} d^beta f / dz^beta,
 
-together with the derivation along the Hamiltonian vector field
-xi_H = 2i sum_j (dH/dz_j d/dzbar_j - dH/dzbar_j d/dz_j) applied to full
-states (Gaussian factor included).
+together with two operators on full states f exp(-N|z|^2/2): the
+derivation L_H along xi_H = 2i sum_j (dH/dz_j d/dzbar_j - dH/dzbar_j d/dz_j)
+and the flat prequantum generator G_H.  The Gaussian weight prequantizes
+2 dx dy per variable with i_xi omega = -dH, so G_H has the flow coefficient
+a_j = i dH/dzbar_j and G_H f = sum_j [a_j (d/dz_j - N zbar_j) f + conj-part
+df/dzbar_j] + i N H f; the rotation H = |z|^2 acts as G z^k = i k z^k.
 
-Every operator applied to prefactors here, the derivation and the flat
-prequantum generator alike, is first order with polynomial coefficients,
-D f = m f + sum_j (a_j df/dz_j + b_j df/dzbar_j), and on holomorphic f it
-is m f + sum_j a_j df/dz_j.  A term c z^gamma zbar^beta of m meets the
-column z^alpha as c z^e zbar^beta with e = alpha + gamma (for a_j: alpha_j c
-and e = alpha + gamma - e_j), which projects to c N^{-|beta|} e!/(e - beta)!
-z^(e - beta); so each matrix is closed form, every column taking each term
-at once (`FockTruncation.operator_matrix`).  The bracket [D2, D1] is first
-order again; on holomorphic inputs its coefficients are
+On holomorphic prefactors both act as m f + sum_j a_j df/dz_j.
+Integrating conj(g) a_j df/dz_j against exp(-N|z|^2) by parts in z_j
+(conj(g) is antiholomorphic) gives
 
-    M = X2 m1 - X1 m2,    A_j = X2 a1_j - X1 a2_j,
+    pi(a_j df/dz_j) = T_{N zbar_j a_j - d a_j/dz_j} f,    T_s f = pi(s f),
 
-with X_i = sum_j (a_ij d/dz_j + b_ij d/dzbar_j) the vector-field part of
-D_i, applied to the other operator's coefficients in one pass that does not
-depend on D.  A curvature matrix is then three operator matrices per pair.
+so with Delta = sum_j d^2/dz_j dzbar_j and E multiplying z^alpha zbar^beta
+by |alpha| + |beta|, pi G_H pi is T of sigma_G(H) = i (N H - Delta H)
+(m = i N H - N sum_j a_j zbar_j), and pi L_H pi is T of
+sigma_L(H) = 2i Delta H - i N E H (a_j = -2i dH/dzbar_j,
+m = i N sum_j (zbar_j dH/dzbar_j - z_j dH/dz_j)).  Both close under the
+Poisson bracket P(f, g) = i sum_j (df/dzbar_j dg/dz_j - df/dz_j dg/dzbar_j):
+[G_H2, G_H1] = G_{-P(H1, H2)} and [L_H2, L_H1] = L_{2 P(H1, H2)}.
+
+So a curvature matrix is the Toeplitz matrices of three symbols, each formed
+in one pass over the terms whatever D.  In `FockTruncation.toeplitz` a term
+c z^gamma zbar^beta meets the column z^alpha as c z^e zbar^beta with
+e = alpha + gamma, which projects to c N^{-|beta|} e!/(e - beta)! z^(e - beta),
+every column taking each term at once.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import add
 
 import numpy as np
 
@@ -47,6 +53,8 @@ from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_st
 
 __all__ = [
     "DegreeOverflowError",
+    "FOCK_DEGREE_MAX",
+    "FOCK_LEVEL_MAX",
     "hamiltonian_bipoly",
     "FockTruncation",
     "FockOperator",
@@ -60,6 +68,14 @@ __all__ = [
 class DegreeOverflowError(ValueError):
     """Raised when a requested operation needs degrees beyond the truncation."""
 
+
+# Bounds of a bargmann-curvature config.  D: a run at n = 2 costs ~D^6, 12 s
+# and 139 MB peak at D = 40 (41 s at 50; 2 vCPU, one BLAS thread), and its
+# deviations (<= 1.4e-11) stay 7x inside the default tol_identity.  N: the
+# basis norms sqrt(N^|alpha|/alpha!), |alpha| <= 40, fit a double while
+# N^40 < 1.8e308, N < 5.08e7; a run at N = 5e7 deviates no more.
+FOCK_DEGREE_MAX = 40
+FOCK_LEVEL_MAX = 50_000_000
 
 # perfbench/tracing.py instruments `fock.BiPolynomial.__mul__`; the name stays
 # bound to the one symbolic algebra until that tracer is changed.
@@ -143,33 +159,28 @@ class FockTruncation:
             return int(self._rows[alpha])
         raise ValueError(f"{alpha} is not in the truncation")
 
-    def operator_matrix(self, m: ChartFunction, a: list, ncols: int) -> np.ndarray:
-        """Matrix of z^alpha -> pi(m z^alpha + sum_j alpha_j a_j z^(alpha - e_j)).
+    def toeplitz(self, f: ChartFunction, ncols: int) -> np.ndarray:
+        """Matrix of z^alpha -> pi(f z^alpha), the Toeplitz operator of f.
 
         Rows are all basis vectors, columns the first `ncols`, both in the
-        e_alpha basis; every column takes each term of m and a_j at once, as
-        the module docstring says.  Raises DegreeOverflowError when an image
+        e_alpha basis; every column takes each term of f at once, as the
+        module docstring says.  Raises DegreeOverflowError when an image
         leaves the truncation.
         """
         n = self.n
-        terms = [(n, key, c) for key, c in m.terms.items()]
-        terms += [(j, key, c) for j, aj in enumerate(a) for key, c in aj.terms.items()]
         out = np.zeros((self.dim, ncols), dtype=complex)
-        if not terms:
+        if not f.terms:
             return out
-        slot, keys, coeff = map(list, zip(*terms))
-        keys = np.array(keys)
-        gamma = keys[:, :n] - np.eye(n + 1, n, dtype=np.int64)[slot]
-        beta = keys[:, n:]
-        alphas = self._exps[:ncols]
-        # e: (term, column, variable); w: alpha_j (1 for m) times the coefficient,
-        # then times e_j!/(e_j - beta_j)! / N^beta_j one variable at a time
-        e = alphas + gamma[:, None, :]
-        w = np.array(coeff)[:, None] * np.hstack([alphas, np.ones((ncols, 1))])[:, slot].T
+        keys = np.array(list(f.terms))
+        gamma, beta = keys[:, :n], keys[:, n:]
+        # e: (term, column, variable); w: the coefficient, times
+        # e_j!/(e_j - beta_j)! / N^beta_j one variable at a time
+        e = self._exps[:ncols] + gamma[:, None, :]
+        w = np.repeat(np.array(list(f.terms.values()))[:, None], ncols, axis=1)
         perm = np.ones_like(e)
         for t in range(beta.max()):
             perm *= np.where(t < beta[:, None, :], e - t, 1)
-        ratio = perm / self.N ** beta[:, None, :]
+        ratio = perm / float(self.N) ** beta[:, None, :]  # an int64 power would wrap
         for j in range(n):
             w = w * ratio[:, :, j]
         term, col = np.nonzero(w)
@@ -209,80 +220,44 @@ def project(f: ChartFunction, N: int) -> ChartFunction:
     return ChartFunction(out)
 
 
-class _FirstOrder:
-    """f -> m f + sum_j (a_j df/dz_j + b_j df/dzbar_j), its coefficients read off H.
-
-    Each term c z^alpha zbar^beta of H gives the term weight(|alpha|, |beta|) c
-    z^alpha zbar^beta of m; a_j = a_scale dH/dzbar_j and b_j = b_scale dH/dz_j.
-    The vector-field part X = sum_j (a_j d/dz_j + b_j d/dzbar_j) is also kept
-    as a flat list of entries (k, shift, coeff), one per term of a_j and b_j:
-    k is the key slot of the variable differentiated, shift the term's key
-    with one taken off slot k.
-    """
-
-    __slots__ = ("m", "a", "field")
-
-    def __init__(self, h: ChartFunction, weight, a_scale: complex, b_scale: complex):
-        n = h.nvars
-        self.m = ChartFunction(
-            {key: weight(sum(key[:n]), sum(key[n:])) * c for key, c in h.terms.items()}
-        )
-        self.a = [a_scale * h.dzbar(j) for j in range(n)]
-        b = [b_scale * h.dz(j) for j in range(n)]
-        self.field = []
-        for k, poly in enumerate(self.a + b):
-            for key, c in poly.terms.items():
-                shift = list(key)
-                shift[k] -= 1
-                self.field.append((k, tuple(shift), c))
-
-    def apply_field(self, p: ChartFunction) -> dict:
-        """X p as {key: coeff}, in one pass over (term, entry) pairs."""
-        out: dict = {}
-        for ab, c in p.terms.items():
-            for k, shift, coeff in self.field:
-                q = ab[k]
-                if q:
-                    key = tuple(map(add, ab, shift))
-                    out[key] = out.get(key, 0.0) + c * (q * coeff)
-        return out
+def _symbol(h: ChartFunction, weight, lap: complex) -> ChartFunction:
+    """weight(|alpha| + |beta|) c z^alpha zbar^beta for each term of h, plus
+    lap Delta h, in one pass: Delta takes c z^alpha zbar^beta to
+    alpha_j beta_j c z^(alpha - e_j) zbar^(beta - e_j) for each j."""
+    n = h.nvars
+    out: dict = {}
+    for key, c in h.terms.items():
+        out[key] = out.get(key, 0.0) + weight(sum(key)) * c
+        for j in range(n):
+            if p := key[j] * key[n + j]:
+                low = tuple(k - (i in (j, n + j)) for i, k in enumerate(key))
+                out[low] = out.get(low, 0.0) + lap * p * c
+    return ChartFunction(out)
 
 
-def _bracket(d1: _FirstOrder, d2: _FirstOrder) -> tuple[ChartFunction, list]:
-    """m and a_j of [D2, D1] on holomorphic prefactors: X2 m1 - X1 m2 and
-    X2 a1_j - X1 a2_j; the second-order and m-times-a terms cancel."""
-
-    def part(p1: ChartFunction, p2: ChartFunction) -> ChartFunction:
-        x2, x1 = d2.apply_field(p1), d1.apply_field(p2)
-        return ChartFunction(
-            {k: x2.get(k, 0.0) - x1.get(k, 0.0) for k in x2.keys() | x1.keys()}
-        )
-
-    return part(d1.m, d2.m), [part(x, y) for x, y in zip(d1.a, d2.a)]
+def _generator_symbol(h: ChartFunction, N: int) -> ChartFunction:
+    """sigma_G(h) = i (N h - Delta h): pi G_h pi is its Toeplitz operator."""
+    return _symbol(h, lambda _degree: 1j * N, -1j)
 
 
-def _lie_operator(h: ChartFunction, N: int) -> _FirstOrder:
-    """Derivation along xi_H = 2i sum_j (H_{z_j} d_{zbar_j} - H_{zbar_j} d_{z_j})
-    on g exp(-N|z|^2/2), as a map of prefactors g.  The Gaussian contributes
-    m = iN sum_j (zbar_j H_{zbar_j} - z_j H_{z_j}), iN (|beta| - |alpha|) c termwise.
-    """
-    return _FirstOrder(h, lambda a, b: 1j * N * (b - a), -2j, 2j)
+def _lie_symbol(h: ChartFunction, N: int) -> ChartFunction:
+    """sigma_L(h) = 2i Delta h - i N E h: pi L_h pi is its Toeplitz operator."""
+    return _symbol(h, lambda degree: -1j * N * degree, 2j)
 
 
-def _bargmann_operator(h: ChartFunction, N: int) -> _FirstOrder:
-    """Prequantum generator of the flat model on prefactors.
-
-    For the Gaussian weight exp(-N|z|^2), the symplectic form with
-    i_xi omega = -dH that the weight prequantizes is 2 dx dy per variable,
-    giving the flow coefficient a_j = i dH/dzbar_j and
-
-        G f = sum_j [a_j (d/dz_j - N zbar_j) + conj-part d/dzbar_j] f + i N H f,
-
-    so b_j = -i H_{z_j} and m = iN H - N sum_j a_j zbar_j, which is
-    iN (1 - |beta|) c termwise.  The rotation H = |z|^2 acts diagonally:
-    G z^k = i k z^k.
-    """
-    return _FirstOrder(h, lambda a, b: 1j * N * (1 - b), 1j, -1j)
+def _poisson(f: ChartFunction, g: ChartFunction, scale: complex) -> ChartFunction:
+    """scale P(f, g), P(f, g) = i sum_j (df/dzbar_j dg/dz_j - df/dz_j dg/dzbar_j),
+    in one pass over pairs of terms: for each j both products of a term pair
+    land on the key k1 + k2 - e_j - e_(n+j)."""
+    n = f.nvars
+    out: dict = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            for j in range(n):
+                if p := k1[n + j] * k2[j] - k1[j] * k2[n + j]:
+                    key = tuple(a + b - (i in (j, n + j)) for i, (a, b) in enumerate(zip(k1, k2)))
+                    out[key] = out.get(key, 0.0) + scale * 1j * p * c1 * c2
+    return ChartFunction(out)
 
 
 @dataclass(frozen=True)
@@ -324,14 +299,17 @@ class FockOperator:
         return scalar, float(deviation)
 
 
-def _curvature_matrix(d1, d2, trunc: FockTruncation) -> FockOperator:
-    """Columns of pi [D2, D1] pi - [pi D2 pi, pi D1 pi] for two `_FirstOrder` maps."""
+def _curvature_matrix(symbol, h1, h2, bracket: complex, trunc: FockTruncation) -> FockOperator:
+    """Columns of pi [D2, D1] pi - [pi D2 pi, pi D1 pi], pi D_i pi the Toeplitz
+    operator of symbol(h_i, N) and pi [D2, D1] pi that of
+    symbol(bracket P(h1, h2), N)."""
     if trunc.D < 4:
         raise DegreeOverflowError("curvature columns need D >= 4")
+    N = trunc.N
     m, k = trunc.dim_up_to(trunc.D - 2), trunc.dim_up_to(trunc.D - 4)
-    b1 = trunc.operator_matrix(d1.m, d1.a, m)
-    b2 = trunc.operator_matrix(d2.m, d2.a, m)
-    inner = trunc.operator_matrix(*_bracket(d1, d2), k)
+    b1 = trunc.toeplitz(symbol(h1, N), m)
+    b2 = trunc.toeplitz(symbol(h2, N), m)
+    inner = trunc.toeplitz(symbol(_poisson(h1, h2, bracket), N), k)
     mat = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     mat[:, :k] = inner - (b2 @ b1[:m, :k] - b1 @ b2[:m, :k])
     return FockOperator(mat, trunc, trunc.D - 4)
@@ -347,13 +325,12 @@ def curvature_operator(
 
         pi [L_2, L_1] pi - [pi L_2 pi, pi L_1 pi]
 
-    from the closed-form operator matrices of L_1, L_2 and their bracket.
-    This measures the curvature of the family of holomorphic subspaces in the
-    directions that H_1 and H_2 generate; columns are exact for inputs of
-    degree <= D - 4.
+    from the Toeplitz matrices of sigma_L(H_1), sigma_L(H_2) and
+    sigma_L(2 P(H_1, H_2)), as the module docstring says.  This measures the
+    curvature of the family of holomorphic subspaces in the directions that
+    H_1 and H_2 generate; columns are exact for inputs of degree <= D - 4.
     """
-    N = trunc.N
-    return _curvature_matrix(_lie_operator(h1, N), _lie_operator(h2, N), trunc)
+    return _curvature_matrix(_lie_symbol, h1, h2, 2.0, trunc)
 
 
 def flat_curvature_operator(
@@ -361,8 +338,7 @@ def flat_curvature_operator(
 ) -> FockOperator:
     """Curvature columns with the flat prequantum generators in place of the
     bare Hamiltonian derivations (the multiplication term i N H included)."""
-    N = trunc.N
-    return _curvature_matrix(_bargmann_operator(h1, N), _bargmann_operator(h2, N), trunc)
+    return _curvature_matrix(_generator_symbol, h1, h2, -1.0, trunc)
 
 
 def verify_scalar_curvature(

@@ -13,17 +13,27 @@ For H = p/(1+|z|^2)^m the derivative dH/dzbar lies over (1+|z|^2)^(m+1), so a
 is stored over (1+|z|^2)^(m-1) with no (1+|z|^2)^2 factor to carry.
 
 So G = xi + q with xi = a d/dz + conj(a) d/dzbar and the phase rate
-q = -N a zbar/(1+|z|^2) + i N h.  On holomorphic sections G and the
-commutator of two generators act as
+q = -N a zbar/(1+|z|^2) + i N h.  On holomorphic sections G acts as
 
-    G z^k = k a z^(k-1) + q z^k,      [G2, G1] z^k = k A z^(k-1) + Q z^k,
+    G z^k = k a z^(k-1) + q z^k.
 
-with A = xi2 a1 - xi1 a2 and Q = xi2 q1 - xi1 q2: the a1 a2 d^2/dz^2,
-a_i q_j d/dz and q1 q2 terms of the two products cancel.  The flow fields a
-and A do not depend on N, while q and Q are linear in N: N times their
-values at N = 1.  So the chart algebra of a pair is formed once, with q and Q
-at N = 1, and each level scales them by N and gets B1, B2, the bracket and
-any Toeplitz symbols from one pairing pass.
+Compressed onto the sections, this is a Toeplitz operator T_f s = Pi(f s).
+For holomorphic s and t, integrating conj(t) a ds/dz against
+(1+|z|^2)^(-N-2) dx dy by parts in z (conj(t) is antiholomorphic) gives
+
+    Pi(a ds/dz) = T_{(N+2) a zbar/(1+|z|^2) - da/dz} s,
+
+so Pi G Pi = T_{2 a zbar/(1+|z|^2) - da/dz + i N h}.  With a = i (1+|z|^2)^2
+dh/dzbar this is Tuynman's relation (J. Math. Phys. 28 (1987) 573)
+
+    B_h = Pi G_h Pi = i T_{N h - Delta_1 h},    Delta_1 = (1+|z|^2)^2 d^2/dz dzbar.
+
+The generators close under the Poisson bracket, [G_{h2}, G_{h1}] = G_p with
+p = -xi_{h1} h2, so the compressed commutator is Pi [G2, G1] Pi =
+i T_{N p - Delta_1 p}.  The symbols h, p and their Delta_1 do not depend on
+N, so the chart algebra of a pair is formed once, and each level scales by N,
+adds, and gets B1, B2, the bracket and any Toeplitz symbols from one pairing
+pass.
 
 Chart functions: a `ChartFunction` is p(z, zbar)/(1+|z|^2)^m on a chart of
 C^n, |z|^2 = sum_j z_j zbar_j, with one denominator power m >= 0 and p stored
@@ -43,13 +53,12 @@ unless a = b + j, and then equals the Beta integral
 
 evaluated in log space with every log carried as a (hi, lo) pair of doubles,
 so each pairing is exact to rounding (`SectionBasis`).  Section coefficients
-and phase-space averages are computed this way, and every operator is
-`SectionBasis.operator_matrix` of pairs of chart functions, whatever N: (a, q)
-for the compressed generator, (0, f) for the Toeplitz operator of f and (A, Q)
-for the commutator in the curvature, several pairs in one pass.  The
-quadrature grid (`SphereGrid`, `SectionSpace`) is used only where flows leave
-that algebra: flowed frames in transport and in `curvature_fd`,
-multiplication by sampled grid values (`compress_mult`) and the Gram check.
+and phase-space averages are computed this way, and every operator matrix,
+whatever N, is `SectionBasis.toeplitz` of chart functions, several symbols in
+one pass.  The quadrature grid (`SphereGrid`, `SectionSpace`) is used only
+where flows leave that algebra: flowed frames in transport and in
+`curvature_fd`, multiplication by sampled grid values (`compress_mult`) and
+the Gram check.
 `SectionSpace.frame_at` is the one builder of half-weighted frames on the
 grid, for the grid itself and for its images under a flow; chart functions
 are evaluated on points by `eval_batch` alone.
@@ -298,12 +307,19 @@ def hamiltonian_from_chart(name: str, h: ChartFunction) -> HamiltonianField:
         raise ValueError("Hamiltonian chart function must be real")
     if not h.bounded_at_infinity():
         raise ValueError("Hamiltonian must stay bounded at the chart's far pole")
-    # dh/dzbar lies over (1+|z|^2)^(m+1): dropping two powers of the
-    # denominator is the factor (1+|z|^2)^2, exactly.  A bounded h with m = 0
-    # is constant, and its derivative has no terms.
-    dh = h.dzbar(0)
-    a = 1j * ChartFunction(dh.terms, max(dh.denom - 2, 0))
-    return HamiltonianField(name=name, h=h, a=a)
+    return HamiltonianField(name=name, h=h, a=1j * _times_one_plus_w_squared(h.dzbar(0)))
+
+
+def _times_one_plus_w_squared(d: ChartFunction) -> ChartFunction:
+    """(1+|z|^2)^2 d for d a derivative of a bounded h = p/(1+|z|^2)^m: d lies
+    over m + 1 or more, so two denominator powers drop exactly (with m = 0, h
+    is constant and d has no terms)."""
+    return ChartFunction(d.terms, max(d.denom - 2, 0))
+
+
+def _laplacian(f: ChartFunction) -> ChartFunction:
+    """Delta_1 f = (1+|z|^2)^2 d^2f/dz dzbar of a bounded chart function."""
+    return _times_one_plus_w_squared(f.dzbar(0).dz(0))
 
 
 def rotation_z() -> HamiltonianField:
@@ -494,30 +510,21 @@ class SectionBasis:
         """Coefficients <e_k, f> against the orthonormal monomial sections."""
         return self._pairings(_flat_terms([f]), (np.zeros(1), np.zeros(1)), 1)[:, 0]
 
-    def operator_matrix(self, gens: list) -> np.ndarray:
-        """Matrices <e_j, A e_k> of A z^k = k a z^(k-1) + q z^k, one for each
-        generator (a, q) of chart functions or constants in `gens`, stacked
-        along the first axis.
+    def toeplitz(self, fs: list) -> np.ndarray:
+        """Toeplitz matrices <e_j, f e_k> of the chart functions f in `fs`,
+        stacked along the first axis.
 
-        The terms of all generators are paired at every k in one pass, generator
-        g filling column block g, so each matrix is the same to the bit as when
+        The terms of all symbols are paired at every k in one pass, symbol g
+        filling column block g, so each matrix is the same to the bit as when
         built alone."""
         dim = self.dim
-        fs = [f if isinstance(f, ChartFunction) else ChartFunction({(0, 0): f})
-              for g in gens for f in g]
         owner, s, t, m, c = _flat_terms(fs)
-        # c z^s zbar^t/(1+w)^m in a gives k c z^(s+k-1) zbar^t/(1+w)^m at k >= 1
-        in_a = owner % 2 == 0
-        term, k = np.nonzero(~in_a[:, None] | (np.arange(dim) > 0))
-        in_a, col = in_a[term], owner[term] // 2 * dim + k
-        terms = (col, s[term] + k - in_a, t[term], m[term], c[term] * np.where(in_a, k, 1))
-        scale = tuple(np.concatenate([x] * len(gens)) for x in self.log_norms)
-        out = self._pairings(terms, scale, len(gens) * dim)
-        return out.reshape(dim, len(gens), dim).transpose(1, 0, 2)
-
-    def toeplitz(self, f: ChartFunction) -> np.ndarray:
-        """Toeplitz compression <e_j, f e_k> of multiplication by f."""
-        return self.operator_matrix([(0, f)])[0]
+        # c z^s zbar^t/(1+w)^m times z^k is c z^(s+k) zbar^t/(1+w)^m
+        term, k = np.divmod(np.arange(len(c) * dim), dim)
+        terms = (owner[term] * dim + k, s[term] + k, t[term], m[term], c[term])
+        scale = tuple(np.tile(x, len(fs)) for x in self.log_norms)
+        out = self._pairings(terms, scale, len(fs) * dim)
+        return out.reshape(dim, len(fs), dim).transpose(1, 0, 2)
 
 
 class SectionSpace(SectionBasis):
@@ -574,8 +581,14 @@ class SectionSpace(SectionBasis):
         return self.frame.conj().T @ (values[:, None] * self.frame)
 
 def compress_generator(ham: HamiltonianField, space: SectionBasis) -> np.ndarray:
-    """Matrix <e_j, G e_k> of the compressed prequantum generator (closed form)."""
-    return space.operator_matrix([(ham.a, _phase_rate(ham, space.N))])[0]
+    """Matrix <e_j, G e_k> of the compressed prequantum generator: Tuynman's
+    i T_{N h - Delta_1 h} of the module docstring."""
+    return space.toeplitz([_tuynman(ham.h, _laplacian(ham.h), space.N)])[0]
+
+
+def _tuynman(f: ChartFunction, lap: ChartFunction, N: int) -> ChartFunction:
+    """i (N f - lap), the symbol of Pi G_f Pi at level N given lap = Delta_1 f."""
+    return 1j * (float(N) * f - lap)
 
 
 def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
@@ -644,12 +657,6 @@ def _xi(a: ChartFunction, f: ChartFunction) -> ChartFunction:
     return a * f.dz(0) + a.conj() * f.dzbar(0)
 
 
-def _bracket(g2: tuple, g1: tuple) -> tuple:
-    """(A, Q) of [G2, G1] for generators g_i = (a_i, q_i), as in the module docstring."""
-    (a2, q2), (a1, q1) = g2, g1
-    return _xi(a2, a1) - _xi(a1, a2), _xi(a2, q1) - _xi(a1, q2)
-
-
 def pullback_frame(
     ham: HamiltonianField, space: SectionSpace, t: float, n_steps: int = 32
 ) -> np.ndarray:
@@ -693,9 +700,9 @@ def curvature_commutator(
 ) -> np.ndarray:
     """Curvature along two Hamiltonian directions from the generators.
 
-    Builds Pi [G2, G1] Pi - [Pi G2 Pi, Pi G1 Pi] on the holomorphic range,
-    with [G2, G1] in the closed form (A, Q) of the module docstring; every
-    entry is a closed-form pairing, so entries carry rounding error only.
+    Builds Pi [G2, G1] Pi - [Pi G2 Pi, Pi G1 Pi] on the holomorphic range from
+    the Toeplitz forms of the module docstring; every entry is a closed-form
+    pairing, so entries carry rounding error only.
     """
     ((y, _),) = _curvatures(h1, h2, [space])
     return y
@@ -704,16 +711,14 @@ def curvature_commutator(
 def _curvatures(h1: HamiltonianField, h2: HamiltonianField, spaces, symbols=()):
     """Curvature of the pair on each space, with the Toeplitz matrices of `symbols`.
 
-    (a_i, q_i) and (A, Q) are formed once at N = 1 and scaled by N at each
-    level, as the module docstring says; a level is one `operator_matrix` pass.
+    h1, h2, p = -xi_{h1} h2 and their Delta_1 are formed once, as the module
+    docstring says; a level is one `toeplitz` pass.
     """
-    g1, g2 = ((h.a, _phase_rate(h, 1)) for h in (h1, h2))
-    unit = [g1, g2, _bracket(g2, g1)]
-    symbols = [(0, f) for f in symbols]
+    fs = [h1.h, h2.h, -1.0 * _xi(h1.a, h2.h)]
+    laps = [_laplacian(f) for f in fs]
     for space in spaces:
-        n = float(space.N)
-        b1, b2, bracket, *toeplitz = space.operator_matrix(
-            [(a, n * q) for a, q in unit] + symbols
+        b1, b2, bracket, *toeplitz = space.toeplitz(
+            [_tuynman(f, lap, space.N) for f, lap in zip(fs, laps)] + list(symbols)
         )
         yield bracket - (b2 @ b1 - b1 @ b2), toeplitz
 

@@ -1,15 +1,13 @@
-"""The Fock first-order operators applied to a prefactor in the symbolic algebra.
+"""The Fock operators applied to a prefactor, written out literally.
 
-The one-pass application f -> m f + sum_j (a_j df/dz_j + b_j df/dzbar_j),
-image by image, as an oracle for the closed-form operator matrices and
-bracket of `quantcurv.fock`; and chart functions evaluated at one point.
+The derivation along xi_H and the flat prequantum generator, each from its
+defining formula in `ChartFunction` ops, image by image, as oracles for the
+Toeplitz symbols and Poisson brackets of `quantcurv.fock`; and chart
+functions evaluated at one point.
 """
-
-from operator import add
 
 import numpy as np
 
-from quantcurv import fock
 from quantcurv.sphere import ChartFunction
 
 
@@ -27,23 +25,24 @@ def value(f: ChartFunction, z) -> complex:
     return tot / (1.0 + float(np.vdot(z, z).real)) ** f.denom
 
 
-def apply(op, f: ChartFunction) -> ChartFunction:
-    """Apply a `fock._FirstOrder` to f in one pass over (term, entry) pairs.
+def _unit(n: int, j: int, side: int) -> ChartFunction:
+    """z_j (side 0) or zbar_j (side 1) in n variables."""
+    e = [1 if k == j else 0 for k in range(n)]
+    return ChartFunction.monomial(*((e, [0] * n) if side == 0 else ([0] * n, e)))
 
-    The entries are those of the vector-field part plus one per term of m,
-    slot -1 (a constant 1 appended to each key) with the term's key as shift.
-    """
-    entries = [(-1, key, c) for key, c in op.m.terms.items()]
-    entries += op.field
-    out: dict = {}
-    for key, c in f.terms.items():
-        ab = key + (1,)
-        for k, shift, coeff in entries:
-            p = ab[k]
-            if p:
-                image = tuple(map(add, ab, shift))
-                out[image] = out.get(image, 0.0) + c * (p * coeff)
-    return ChartFunction(out)
+
+def lie_derivative(h: ChartFunction, g: ChartFunction, N: int) -> ChartFunction:
+    """Derivation along xi_H = 2i sum_j (H_{z_j} d_{zbar_j} - H_{zbar_j} d_{z_j})
+    of the state g exp(-N|z|^2/2), as a prefactor."""
+    n = h.nvars
+    out = ChartFunction()
+    for j in range(n):
+        hz = h.dz(j)
+        hzb = h.dzbar(j)
+        out = out + 2j * (hz * g.dzbar(j)) - 2j * (hzb * g.dz(j))
+        zj, zbj = _unit(n, j, 0), _unit(n, j, 1)
+        out = out + 1j * N * ((zbj * hzb) * g) - 1j * N * ((zj * hz) * g)
+    return out
 
 
 def bargmann_generator(h: ChartFunction, f: ChartFunction, N: int) -> ChartFunction:
@@ -52,4 +51,10 @@ def bargmann_generator(h: ChartFunction, f: ChartFunction, N: int) -> ChartFunct
     G f = sum_j [a_j (d/dz_j - N zbar_j) + conj-part d/dzbar_j] f + i N H f
     with a_j = i dH/dzbar_j; the rotation H = |z|^2 acts as G z^k = i k z^k.
     """
-    return apply(fock._bargmann_operator(h, N), f)
+    n = h.nvars
+    out = (1j * N) * (h * f)
+    for j in range(n):
+        a = 1j * h.dzbar(j)
+        abar = -1j * h.dz(j)
+        out = out + a * (f.dz(j) - N * (_unit(n, j, 1) * f)) + abar * f.dzbar(j)
+    return out

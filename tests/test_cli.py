@@ -267,6 +267,16 @@ def test_summarize_missing_passed_column(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("format error: ")
 
 
+def test_summarize_refuses_a_table_without_rows(tmp_path, capsys):
+    # a header alone would pass all() vacuously
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# generated now\nconfig_hash,case,passed\n")
+    assert summarize([str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"format error: {empty}: header but no rows\n"
+    assert "PASS" not in captured.out
+
+
 def test_summarize_failing_rows(tmp_path, capsys):
     f = tmp_path / "f.csv"
     f.write_text("config_hash,case,passed\nabc,one,true\nabc,two,false\n")

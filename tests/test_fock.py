@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quantcurv import fock
+from quantcurv.experiments import ConfigError, validate_config
 from quantcurv.fock import (
     DegreeOverflowError,
     FockOperator,
@@ -17,35 +18,18 @@ from quantcurv.fock import (
 )
 from quantcurv.sphere import ChartFunction
 from quantcurv.symplectic import p_minus_basis, p_plus_basis
-from fock_oracle import apply, bargmann_generator, value
+from curvature_oracle import compressed_curvature
+from fock_oracle import bargmann_generator, lie_derivative, value
 
-SPECS = [fock._lie_operator, fock._bargmann_operator]
-
-
-def _lie_state_reference(h, g, big_n):
-    # derivation along xi_H on g exp(-N|z|^2/2), written out in ChartFunction ops
-    n = h.nvars
-    out = ChartFunction()
-    for j in range(n):
-        hz = h.dz(j)
-        hzb = h.dzbar(j)
-        out = out + 2j * (hz * g.dzbar(j)) - 2j * (hzb * g.dz(j))
-        zj = ChartFunction.monomial([1 if k == j else 0 for k in range(n)])
-        zbj = ChartFunction.monomial([0] * n, [1 if k == j else 0 for k in range(n)])
-        out = out + 1j * big_n * ((zbj * hzb) * g) - 1j * big_n * ((zj * hz) * g)
-    return out
-
-
-def _bargmann_reference(h, f, big_n):
-    # flat prequantum generator, written out in ChartFunction ops
-    n = h.nvars
-    out = (1j * big_n) * (h * f)
-    for j in range(n):
-        a = 1j * h.dzbar(j)
-        abar = -1j * h.dz(j)
-        zbj = ChartFunction.monomial([0] * n, [1 if k == j else 0 for k in range(n)])
-        out = out + a * (f.dz(j) - big_n * (zbj * f)) + abar * f.dzbar(j)
-    return out
+# (literal reference, Toeplitz symbol, factor c of the bracket symbol
+# symbol(c P), curvature function)
+SPECS = [
+    pytest.param((lie_derivative, fock._lie_symbol, 2.0, curvature_operator), id="_lie_operator"),
+    pytest.param(
+        (bargmann_generator, fock._generator_symbol, -1.0, flat_curvature_operator),
+        id="_bargmann_operator",
+    ),
+]
 
 
 def _random_quadratic(n, rng):
@@ -59,21 +43,26 @@ def _norm_constant(tr, alpha):
     return tr._norms[tr.index(alpha)]
 
 
-def _projected_columns(op, tr):
-    # project(op(z^alpha)) in the e_alpha basis, for columns of degree <= D - 2
-    k = tr.dim_up_to(tr.D - 2)
-    mat = np.zeros((tr.dim, k), dtype=complex)
-    for i, alpha in enumerate(tr.basis()[:k]):
-        image = project(apply(op, ChartFunction.monomial(alpha)), tr.N)
-        for key, c in image.terms.items():
+def _columns(images, tr):
+    # projected images of the first len(images) basis monomials, in the e_alpha basis
+    mat = np.zeros((tr.dim, len(images)), dtype=complex)
+    for i, (alpha, image) in enumerate(zip(tr.basis(), images)):
+        for key, c in project(image, tr.N).terms.items():
             beta = key[: tr.n]
             mat[tr.index(beta), i] = c * _norm_constant(tr, alpha) / _norm_constant(tr, beta)
     return mat
 
 
-def _projected_matrix(op, tr):
+def _projected_columns(op, tr):
+    # project(op(z^alpha)) in the e_alpha basis, for columns of degree <= D - 2
     k = tr.dim_up_to(tr.D - 2)
-    return _projected_columns(op, tr)[:k]
+    return _columns([op(ChartFunction.monomial(alpha)) for alpha in tr.basis()[:k]], tr)
+
+
+def _lie_matrix(h, tr):
+    # square block of T_{sigma_L(h)} on degree <= D - 2
+    k = tr.dim_up_to(tr.D - 2)
+    return tr.toeplitz(fock._lie_symbol(h, tr.N), k)[:k]
 
 
 def _pair_monomial(n, i, j):
@@ -91,13 +80,14 @@ def _random_chart_function(n, denom, rng):
 
 
 def _wirtinger_fd(f, z, j, h=1e-3):
-    # d/dz_j and d/dzbar_j at z from fourth-order central differences in x_j, y_j
+    # d/dz_j and d/dzbar_j at z of a chart function or a callable, from
+    # fourth-order central differences in x_j, y_j
+    fn = f if callable(f) else lambda x: value(f, x)
+
     def d(step):
         e = np.zeros(len(z), dtype=complex)
         e[j] = step
-        return (
-            8.0 * (value(f, z + e) - value(f, z - e)) - (value(f, z + 2 * e) - value(f, z - 2 * e))
-        ) / (12.0 * h)
+        return (8.0 * (fn(z + e) - fn(z - e)) - (fn(z + 2 * e) - fn(z - 2 * e))) / (12.0 * h)
 
     fx, fy = d(h), d(1j * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
@@ -258,7 +248,7 @@ def test_lie_matrix_rotation_is_diagonal():
     # H = |z|^2 generates rotation; its operator is diagonal on monomials
     tr = FockTruncation(1, 5, 8)
     h = ChartFunction.monomial((1,), (1,))
-    mat = _projected_matrix(fock._lie_operator(h, tr.N), tr)
+    mat = _lie_matrix(h, tr)
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) < 1e-13
 
@@ -354,7 +344,7 @@ def test_lie_derivative_respects_degree_bands():
     # quadratic Hamiltonians move degree by at most 2
     tr = FockTruncation(1, 4, 8)
     hp = hamiltonian_bipoly(p_plus_basis(1)[0])
-    mat = _projected_matrix(fock._lie_operator(hp, tr.N), tr)
+    mat = _lie_matrix(hp, tr)
     block = tr.basis()[: mat.shape[0]]
     for col, alpha in enumerate(block):
         for row, beta in enumerate(block):
@@ -373,11 +363,11 @@ def test_degree_overflow_guard():
 
 
 def test_lie_derivative_linear():
-    lie = fock._lie_operator(hamiltonian_bipoly(p_plus_basis(1)[0]), 4)
+    h = hamiltonian_bipoly(p_plus_basis(1)[0])
     f = ChartFunction.monomial((1,))
     g = ChartFunction.monomial((2,))
-    lhs = apply(lie, f + g)
-    rhs = apply(lie, f) + apply(lie, g)
+    lhs = lie_derivative(h, f + g, 4)
+    rhs = lie_derivative(h, f, 4) + lie_derivative(h, g, 4)
     pts = np.array([[0.3 + 0.1j], [1.2 - 0.7j]])
     for pt in pts:
         assert value(lhs, pt) == pytest.approx(value(rhs, pt), abs=1e-12)
@@ -386,24 +376,38 @@ def test_lie_derivative_linear():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("big_n", [1, 4, 6])
 def test_first_order_operators_match_literal_formula(n, big_n):
-    # one-pass application against the ChartFunction-op formulas, on inputs
-    # with zbar terms so that every d/dzbar entry contributes
+    # the two literal references against their defining formulas at points,
+    # every derivative a central difference: the derivation of the full state
+    # g exp(-N|z|^2/2) along xi_H, and the generator
+    # sum_j [i H_{zbar_j} (g_{z_j} - N zbar_j g) - i H_{z_j} g_{zbar_j}] + i N H g;
+    # inputs carry zbar terms, so that every d/dzbar part contributes
     rng = np.random.default_rng(100 * n + big_n)
     degs = [a for a in itertools.product(range(4), repeat=n) if sum(a) <= 3]
+    pts = 0.5 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+
+    def gauss(x):
+        return np.exp(-0.5 * big_n * np.vdot(x, x).real)
+
     for _ in range(4):
         h = _random_quadratic(n, rng)
         keys = [a + b for a in degs for b in degs if rng.random() < 0.5]
         g = ChartFunction({key: complex(*rng.standard_normal(2)) for key in keys})
-        for got, ref in (
-            (apply(fock._lie_operator(h, big_n), g), _lie_state_reference(h, g, big_n)),
-            (bargmann_generator(h, g, big_n), _bargmann_reference(h, g, big_n)),
-        ):
-            scale = max(abs(c) for c in ref.terms.values())
-            diff = max(
-                abs(got.terms.get(key, 0.0) - ref.terms.get(key, 0.0))
-                for key in set(got.terms) | set(ref.terms)
+        lie, gen = lie_derivative(h, g, big_n), bargmann_generator(h, g, big_n)
+        for pt in pts:
+            dh = [_wirtinger_fd(h, pt, j) for j in range(n)]
+            dg = [_wirtinger_fd(g, pt, j) for j in range(n)]
+            ds = [_wirtinger_fd(lambda x: value(g, x) * gauss(x), pt, j) for j in range(n)]
+            want_lie = sum(2j * (hz * sb - hb * sz) for (hz, hb), (sz, sb) in zip(dh, ds))
+            want_lie /= gauss(pt)
+            gv = value(g, pt)
+            want_gen = 1j * big_n * value(h, pt) * gv + sum(
+                1j * hb * (gz - big_n * np.conj(pt[j]) * gv) - 1j * hz * gb
+                for j, ((hz, hb), (gz, gb)) in enumerate(zip(dh, dg))
             )
-            assert diff <= 1e-14 * scale
+            # fourth-order differences at step 1e-3: measured <= 9.3e-11
+            # relative, so 1e-9 leaves a 10x margin
+            for got, want in ((lie, want_lie), (gen, want_gen)):
+                assert abs(value(got, pt) - want) <= 1e-9 * abs(want)
 
 
 def test_curvature_operator_products_independent_of_degree(monkeypatch):
@@ -427,45 +431,78 @@ def test_curvature_operator_products_independent_of_degree(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def _max_coeff_gap(got, ref):
-    keys = set(got.terms) | set(ref.terms)
-    return max((abs(got.terms.get(k, 0.0) - ref.terms.get(k, 0.0)) for k in keys), default=0.0)
-
-
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("n", [1, 2])
 def test_bracket_matches_symbolic_composition(n, spec):
-    # (M, A) applied to every basis monomial against D2(D1 f) - D1(D2 f),
-    # composed symbolically; complex random quadratics, so b_j != conj(a_j)
+    # T of the bracket symbol against pi (D2 (D1 f) - D1 (D2 f)), composed
+    # with the literal references on every column; complex random
+    # quadratics, so the d/dzbar part is not the conjugate of the d/dz part
+    # (the images of degree-D - 4 columns are within D before cancellation)
+    literal, symbol, c, _build = spec
     big_n = 3
     rng = np.random.default_rng(40 + n)
-    tr = FockTruncation(n, big_n, 6)
+    tr = FockTruncation(n, big_n, 8)
+    k = tr.dim_up_to(tr.D - 4)
     for _ in range(3):
-        d1, d2 = (spec(_random_quadratic(n, rng), big_n) for _ in range(2))
-        big_m, big_a = fock._bracket(d1, d2)
-        for alpha in tr.basis():
-            f = ChartFunction.monomial(alpha)
-            got = big_m * f
-            for j in range(n):
-                got = got + big_a[j] * f.dz(j)
-            ref = apply(d2, apply(d1, f)) - apply(d1, apply(d2, f))
-            scale = max((abs(c) for c in ref.terms.values()), default=1.0)
-            assert _max_coeff_gap(got, ref) <= 1e-12 * scale
+        h1, h2 = (_random_quadratic(n, rng) for _ in range(2))
+        ref = _columns(
+            [
+                literal(h2, literal(h1, f, big_n), big_n) - literal(h1, literal(h2, f, big_n), big_n)
+                for f in map(ChartFunction.monomial, tr.basis()[:k])
+            ],
+            tr,
+        )
+        got = tr.toeplitz(symbol(fock._poisson(h1, h2, c), big_n), k)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("n, D", [(1, 10), (2, 8)])
 def test_operator_matrix_matches_projected_images(n, D, spec):
-    # closed-form columns against the projected symbolic images, all rows
+    # T of the symbol against the projected images of the literal
+    # reference, all rows
+    literal, symbol, _c, _build = spec
     rng = np.random.default_rng(60 + n)
     tr = FockTruncation(n, 4, D)
     k = tr.dim_up_to(D - 2)
     for _ in range(3):
-        op = spec(_random_quadratic(n, rng), tr.N)
-        ref = _projected_columns(op, tr)
-        got = tr.operator_matrix(op.m, op.a, k)
+        h = _random_quadratic(n, rng)
+        ref = _projected_columns(lambda f: literal(h, f, tr.N), tr)
+        got = tr.toeplitz(symbol(h, tr.N), k)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("n, D", [(1, 8), (2, 7)])
+def test_curvature_matches_compressed_curvature_oracle(n, D, spec):
+    # the three Toeplitz matrices of a curvature against the literal
+    # references composed one image at a time, for library and random
+    # complex quadratics
+    literal, _symbol, _c, build = spec
+    big_n = 3
+    tr = FockTruncation(n, big_n, D)
+    rng = np.random.default_rng(80 + n)
+    hams = [hamiltonian_bipoly(p_plus_basis(n)[0]), hamiltonian_bipoly(p_minus_basis(n)[-1])]
+    hams += [_random_quadratic(n, rng) for _ in range(2)]
+    basis = [ChartFunction.monomial(alpha) for alpha in tr.basis()[: tr.dim_up_to(D - 2)]]
+    for h1, h2 in itertools.combinations(hams, 2):
+        got = build(h1, h2, tr).columns()
+        ref = compressed_curvature(
+            basis,
+            lambda f: literal(h1, f, big_n),
+            lambda f: literal(h2, f, big_n),
+            lambda images: _columns(images, tr),
+            got.shape[1],
+        )
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_toeplitz_exact_where_integer_powers_of_n_overflow():
+    # <e_0, T_{zbar^3} e_3> = sqrt(3!/N^3), with N^3 past the int64 range
+    big_n = 3_000_000
+    t = FockTruncation(1, big_n, 8).toeplitz(ChartFunction.monomial((0,), (3,)), 4)
+    assert t[0, 3] == pytest.approx(math.sqrt(6.0 / big_n**3), rel=1e-14)
 
 
 @pytest.mark.parametrize("build", [curvature_operator, flat_curvature_operator])
@@ -498,3 +535,28 @@ def test_curvature_operator_constructions_independent_of_degree(monkeypatch):
         curvature_operator(h1, h2, FockTruncation(2, 4, D))
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _bargmann_config(n, N, D):
+    return {
+        "seed": 1,
+        "experiments": [
+            {
+                "experiment": "bargmann-curvature",
+                "parameters": {"n": n, "N": N, "D": D},
+                "output_path": "b.csv",
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_config_rejects_fock_sizes_past_bounds(n):
+    # validated only: a run at the bounds takes ~12 s at n = 2
+    validate_config(_bargmann_config(n, fock.FOCK_LEVEL_MAX, fock.FOCK_DEGREE_MAX))
+    with pytest.raises(ConfigError, match="bargmann N must be <= 50000000"):
+        validate_config(_bargmann_config(n, fock.FOCK_LEVEL_MAX + 1, 10))
+    with pytest.raises(ConfigError, match="bargmann D must be <= 40"):
+        validate_config(_bargmann_config(n, 4, fock.FOCK_DEGREE_MAX + 1))
+    with pytest.raises(ConfigError, match="bargmann N"):
+        validate_config(_bargmann_config(n, 10**150, 10))
