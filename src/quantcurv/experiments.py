@@ -14,6 +14,7 @@ import cmath
 import math
 import os
 import sys
+from itertools import product
 
 import numpy as np
 
@@ -146,6 +147,11 @@ def _check_bargmann(p: dict) -> dict:
         raise ConfigError("bargmann n must be 1 or 2")
     if out["n_random_pairs"] < 2:
         raise ConfigError("'n_random_pairs' must be >= 2: the spread compares two ratios")
+    if out["n_random_pairs"] > fock.FOCK_PAIRS_MAX:
+        raise ConfigError(
+            f"'n_random_pairs' must be <= {fock.FOCK_PAIRS_MAX}: "
+            "the pairs are one batch, ~80 KB each at D = 40"
+        )
     if out["D"] < 8:
         raise ConfigError("bargmann D must be >= 8 (curvature needs degree margin)")
     if out["D"] > fock.FOCK_DEGREE_MAX:
@@ -167,53 +173,50 @@ def _run_bargmann(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:
     pairs = _index_pairs(n)
 
     def max_dev(op_list_1, op_list_2, target):
+        # one curvature batch per table; each pair's columns are reduced in place
+        curvs = fock.curvature_operator([(h1, h2) for h1 in op_list_1 for h2 in op_list_2], trunc)
         worst = 0.0
-        for i, h1 in enumerate(op_list_1):
-            for j, h2 in enumerate(op_list_2):
-                curv = fock.curvature_operator(h1, h2, trunc)
-                cols = curv.columns()
-                t = target(pairs[i], pairs[j], cols.shape[1])
-                block = cols.copy()
-                block[: cols.shape[1], :] -= t
-                worst = max(worst, float(np.linalg.norm(block)))
+        for (pair1, pair2), curv in zip(product(pairs, repeat=2), curvs):
+            cols = curv.matrix
+            diag = np.arange(cols.shape[1])
+            cols[diag, diag] -= target(pair1, pair2)  # target times the identity
+            worst = max(worst, float(np.linalg.norm(cols)))
         return worst
 
     zero = lambda *_: 0.0
     dev_holo = max_dev(holo, holo, zero)
     dev_anti = max_dev(anti, anti, zero)
 
-    def mixed_target(pair1, pair2, k):
+    def mixed_target(pair1, pair2):
         (m, l), (r, s) = pair1, pair2
-        coeff = 4.0 * ((m == r) * (l == s) + (m == s) * (l == r))
-        return coeff * np.eye(k)
+        return 4.0 * ((m == r) * (l == s) + (m == s) * (l == r))
 
     dev_mixed = max_dev(holo, anti, mixed_target)
 
     plus = [fock.hamiltonian_bipoly(q) for q in p_plus_basis(n)]
     minus = [fock.hamiltonian_bipoly(q) for q in p_minus_basis(n)]
 
-    def cross_target(pair1, pair2, k):
+    def cross_target(pair1, pair2):
         (m, l), (r, s) = pair1, pair2
-        coeff = -8.0j * ((m == r) * (l == s) + (m == s) * (l == r))
-        return coeff * np.eye(k)
+        return -8.0j * ((m == r) * (l == s) + (m == s) * (l == r))
 
     dev_cross = max_dev(plus, minus, cross_target)
     dev_same = max(max_dev(plus, plus, zero), max_dev(minus, minus, zero))
 
-    ratios = []
-    trunc1 = fock.FockTruncation(n=1, N=N, D=D)
+    # the random pairs are drawn first, then checked in order as one batch
     j1 = standard_complex_structure(1)
     gp, gm = p_plus_basis(1)[0].generator, p_minus_basis(1)[0].generator
+    drawn = []
     attempts = 0
-    while len(ratios) < p["n_random_pairs"] and attempts < 10 * p["n_random_pairs"]:
+    while len(drawn) < p["n_random_pairs"] and attempts < 10 * p["n_random_pairs"]:
         attempts += 1
         c = rng.standard_normal(4)
         q1 = QuadraticHamiltonian(c[0] * gp + c[1] * gm)
         q2 = QuadraticHamiltonian(c[2] * gp + c[3] * gm)
-        om = omega_pairing(q1.generator, q2.generator, j1)
-        if abs(om) < 1e-6:
-            continue
-        res = fock.verify_scalar_curvature(q1, q2, trunc1)
+        if abs(omega_pairing(q1.generator, q2.generator, j1)) >= 1e-6:
+            drawn.append((q1, q2))
+    ratios = []
+    for res in fock.verify_scalar_curvature(drawn, fock.FockTruncation(n=1, N=N, D=D)):
         if res["deviation"] > p["tol_scalar"]:
             ratios.append(None)
             break
@@ -372,10 +375,15 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
 
 
 def _check_teichmuller(p: dict) -> dict:
-    return _read(p, "teichmuller-symbol parameters", {
+    out = _read(p, "teichmuller-symbol parameters", {
         "n_tuples": (int, _REQUIRED), "tol_pairing": (float, 1e-10),
         "tol_sp": (float, 1e-9), "tol_wp": (float, 1e-12),
     })
+    if out["n_tuples"] > teichmuller.TEICHMULLER_TUPLES_MAX:
+        raise ConfigError(
+            f"'n_tuples' must be <= {teichmuller.TEICHMULLER_TUPLES_MAX}: ~0.22 ms a tuple"
+        )
+    return out
 
 
 def _run_teichmuller(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:

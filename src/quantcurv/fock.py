@@ -37,7 +37,11 @@ So a curvature matrix is the Toeplitz matrices of three symbols, each formed
 in one pass over the terms whatever D.  In `FockTruncation.toeplitz` a term
 c z^gamma zbar^beta meets the column z^alpha as c z^e zbar^beta with
 e = alpha + gamma, which projects to c N^{-|beta|} e!/(e - beta)! z^(e - beta),
-every column taking each term at once.
+every column taking each term of every symbol in the list at once.
+Curvatures come in batches of pairs: a batch builds each symbol's Toeplitz
+matrix once, one pass for the distinct Hamiltonians and one for the
+brackets of all pairs, and each matrix is the same to the bit as one built
+alone.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "DegreeOverflowError",
     "FOCK_DEGREE_MAX",
     "FOCK_LEVEL_MAX",
+    "FOCK_PAIRS_MAX",
     "hamiltonian_bipoly",
     "FockTruncation",
     "FockOperator",
@@ -69,36 +74,59 @@ class DegreeOverflowError(ValueError):
     """Raised when a requested operation needs degrees beyond the truncation."""
 
 
-# Bounds of a bargmann-curvature config.  D: a run at n = 2 costs ~D^6, 12 s
-# and 139 MB peak at D = 40 (41 s at 50; 2 vCPU, one BLAS thread), and its
-# deviations (<= 1.4e-11) stay 7x inside the default tol_identity.  N: the
+# Bounds of a bargmann-curvature config.  D: a run at n = 2 costs ~D^6, 10.5 s
+# and 195 MB peak at D = 40 (2 vCPU, one BLAS thread; the peak is one
+# identity table's batch of matrices), and its deviations (<= 1.4e-11) stay
+# 7x inside the default tol_identity.  N: the
 # basis norms sqrt(N^|alpha|/alpha!), |alpha| <= 40, fit a double while
 # N^40 < 1.8e308, N < 5.08e7; a run at N = 5e7 deviates no more.
 FOCK_DEGREE_MAX = 40
 FOCK_LEVEL_MAX = 50_000_000
+# Bound of a bargmann-curvature config's n_random_pairs.  The pairs are one
+# curvature batch, which holds every pair's matrices: ~80 KB a pair at
+# D = 40, so 1000 pairs take 0.9 s and 121 MB peak there.
+FOCK_PAIRS_MAX = 1000
 
 # perfbench/tracing.py instruments `fock.BiPolynomial.__mul__`; the name stays
 # bound to the one symbolic algebra until that tracer is changed.
 BiPolynomial = ChartFunction
 
 
+# Coefficients of x_j = (z_j + zbar_j)/2 and y_j = (z_j - zbar_j)/(2i) on
+# (z_j, zbar_j).
+_REAL_PARTS = ((0.5 + 0j, 0.5 + 0j), (-0.5j, 0.5j))
+
+
 def hamiltonian_bipoly(h: QuadraticHamiltonian) -> ChartFunction:
-    """Rewrite a real quadratic Hamiltonian in the (z, zbar) variables."""
+    """Rewrite a real quadratic Hamiltonian in the (z, zbar) variables.
+
+    One pass over the entries S_ab of the form matrix, with v = (x, y):
+    each product v_a v_b is summed into its up to four (z, zbar) terms, then
+    scaled by S_ab and added, so every coefficient is summed in the order,
+    and with the roundings, of the products v_a * v_b of chart functions.
+    """
     n = h.n
-    s = h.form_matrix()
-    xs, ys = [], []
-    zero = (0,) * n
-    for j in range(n):
-        e = tuple(int(k == j) for k in range(n))
-        xs.append(ChartFunction({e + zero: 0.5, zero + e: 0.5}))
-        ys.append(ChartFunction({e + zero: -0.5j, zero + e: 0.5j}))
-    vs = xs + ys
-    out = ChartFunction()
-    for a in range(2 * n):
-        for b in range(2 * n):
-            if s[a, b]:
-                out = out + s[a, b] * (vs[a] * vs[b])
-    return out
+    out: dict = {}
+    for a, row in enumerate(h.form_matrix().tolist()):
+        for b, s_ab in enumerate(row):
+            if not s_ab:
+                continue
+            prod: dict = {}
+            for side_a, ca in enumerate(_REAL_PARTS[a // n]):
+                for side_b, cb in enumerate(_REAL_PARTS[b // n]):
+                    key = [0] * (2 * n)
+                    key[a % n + side_a * n] += 1
+                    key[b % n + side_b * n] += 1
+                    key = tuple(key)
+                    prod[key] = prod.get(key, 0.0) + ca * cb
+            for key, c in prod.items():
+                if c:
+                    total = out.get(key, 0.0) + s_ab * c
+                    if total:
+                        out[key] = total
+                    else:
+                        out.pop(key, None)
+    return ChartFunction(out)
 
 
 @dataclass(frozen=True)
@@ -159,24 +187,28 @@ class FockTruncation:
             return int(self._rows[alpha])
         raise ValueError(f"{alpha} is not in the truncation")
 
-    def toeplitz(self, f: ChartFunction, ncols: int) -> np.ndarray:
-        """Matrix of z^alpha -> pi(f z^alpha), the Toeplitz operator of f.
+    def toeplitz(self, fs: list, ncols: int) -> np.ndarray:
+        """Matrices of z^alpha -> pi(f z^alpha), the Toeplitz operators of the
+        chart functions f in `fs`, stacked along the first axis.
 
         Rows are all basis vectors, columns the first `ncols`, both in the
-        e_alpha basis; every column takes each term of f at once, as the
-        module docstring says.  Raises DegreeOverflowError when an image
-        leaves the truncation.
+        e_alpha basis; every column takes each term of every symbol at once,
+        as the module docstring says, and symbol g fills only matrix g, so
+        each matrix is the same to the bit as when built alone.  Raises
+        DegreeOverflowError when an image leaves the truncation.
         """
         n = self.n
-        out = np.zeros((self.dim, ncols), dtype=complex)
-        if not f.terms:
+        out = np.zeros((len(fs), self.dim, ncols), dtype=complex)
+        owner = np.array([g for g, f in enumerate(fs) for _ in f.terms], dtype=np.int64)
+        if not owner.size:
             return out
-        keys = np.array(list(f.terms))
+        keys = np.array([key for f in fs for key in f.terms])
         gamma, beta = keys[:, :n], keys[:, n:]
         # e: (term, column, variable); w: the coefficient, times
         # e_j!/(e_j - beta_j)! / N^beta_j one variable at a time
         e = self._exps[:ncols] + gamma[:, None, :]
-        w = np.repeat(np.array(list(f.terms.values()))[:, None], ncols, axis=1)
+        coeffs = np.array([c for f in fs for c in f.terms.values()])
+        w = np.repeat(coeffs[:, None], ncols, axis=1)
         perm = np.ones_like(e)
         for t in range(beta.max()):
             perm *= np.where(t < beta[:, None, :], e - t, 1)
@@ -189,7 +221,7 @@ class FockTruncation:
         if degree > self.D:
             raise DegreeOverflowError(f"output degree {degree} exceeds truncation D = {self.D}")
         rows = self._rows[tuple(image.T)]
-        np.add.at(out, (rows, col), w[term, col])
+        np.add.at(out, (owner[term], rows, col), w[term, col])
         out *= self._norms[:ncols]
         # per part: numpy's complex division rounds twice (by a reciprocal)
         out.real /= self._norms[:, None]
@@ -262,28 +294,21 @@ def _poisson(f: ChartFunction, g: ChartFunction, scale: complex) -> ChartFunctio
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Matrix of an operator in the orthonormal monomial basis.
+    """Exact columns of an operator in the orthonormal monomial basis.
 
-    Columns are exact for input monomials of total degree <= valid_degree and
-    identically zero beyond, reflecting that compositions of degree-raising
-    operators are only faithful on a margin inside the truncation.
+    `matrix` has a row for every basis vector and a column for each input
+    monomial of total degree <= valid_degree, reflecting that compositions
+    of degree-raising operators are only faithful on a margin inside the
+    truncation.
     """
 
     matrix: np.ndarray
     trunc: FockTruncation
     valid_degree: int
 
-    def restrict(self, degree: int | None = None) -> np.ndarray:
-        """Square block on the subspace of degree <= `degree` (default: valid)."""
-        degree = self.valid_degree if degree is None else degree
-        k = self.trunc.dim_up_to(degree)
-        return self.matrix[:k, :k]
-
-    def columns(self, degree: int | None = None) -> np.ndarray:
-        """All rows of the exact columns (degree <= `degree`)."""
-        degree = self.valid_degree if degree is None else degree
-        k = self.trunc.dim_up_to(degree)
-        return self.matrix[:, :k]
+    def restrict(self) -> np.ndarray:
+        """Square block on the subspace of degree <= valid_degree."""
+        return self.matrix[: self.matrix.shape[1]]
 
     def scalar_fit(self) -> tuple[complex, float]:
         """Fit the exact columns to scalar * identity.
@@ -292,33 +317,55 @@ class FockOperator:
         distance of the columns from scalar * identity, divided by sqrt of
         the number of columns.
         """
-        cols = self.columns()
+        cols = self.matrix
         k = cols.shape[1]
         scalar = complex(np.trace(cols) / k)
         deviation = np.linalg.norm(cols - scalar * np.eye(*cols.shape)) / math.sqrt(k)
         return scalar, float(deviation)
 
 
-def _curvature_matrix(symbol, h1, h2, bracket: complex, trunc: FockTruncation) -> FockOperator:
-    """Columns of pi [D2, D1] pi - [pi D2 pi, pi D1 pi], pi D_i pi the Toeplitz
-    operator of symbol(h_i, N) and pi [D2, D1] pi that of
-    symbol(bracket P(h1, h2), N)."""
+def _curvatures(symbol, pairs: list, bracket: complex, trunc: FockTruncation) -> list:
+    """Curvature columns of each pair (h1, h2): pi [D2, D1] pi - [pi D2 pi,
+    pi D1 pi], pi D_i pi the Toeplitz operator of symbol(h_i, N) and
+    pi [D2, D1] pi that of symbol(bracket P(h1, h2), N).
+
+    One `toeplitz` call builds the matrix of each distinct Hamiltonian (by
+    identity) once, and one more the bracket matrices of all pairs; each
+    pair's commutator is then subtracted in place from its bracket matrix,
+    which becomes that pair's `FockOperator`.
+    """
     if trunc.D < 4:
         raise DegreeOverflowError("curvature columns need D >= 4")
     N = trunc.N
     m, k = trunc.dim_up_to(trunc.D - 2), trunc.dim_up_to(trunc.D - 4)
-    b1 = trunc.toeplitz(symbol(h1, N), m)
-    b2 = trunc.toeplitz(symbol(h2, N), m)
-    inner = trunc.toeplitz(symbol(_poisson(h1, h2, bracket), N), k)
-    mat = np.zeros((trunc.dim, trunc.dim), dtype=complex)
-    mat[:, :k] = inner - (b2 @ b1[:m, :k] - b1 @ b2[:m, :k])
-    return FockOperator(mat, trunc, trunc.D - 4)
+    hams = {id(h): h for pair in pairs for h in pair}
+    at = {key: i for i, key in enumerate(hams)}
+    # an empty symbol: its zero matrix, in the operators' own allocation,
+    # holds each pair's second product (a separate buffer of this size would
+    # stay resident in the heap after the call)
+    ops = trunc.toeplitz([symbol(h, N) for h in hams.values()] + [ChartFunction()], m)
+    q = ops[-1, :, :k]
+    out = trunc.toeplitz([symbol(_poisson(h1, h2, bracket), N) for h1, h2 in pairs], k)
+    for curv, (h1, h2) in zip(out, pairs):
+        b1, b2 = ops[at[id(h1)]], ops[at[id(h2)]]
+        # the first product goes into the pair's own bracket matrix, so no
+        # second buffer is needed: the bracket's few nonzeros are set aside,
+        # 0 - (b2 b1 - b1 b2) is formed in place and they are added back,
+        # which rounds as bracket - (b2 b1 - b1 b2) does, entry by entry
+        flat = curv.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        bracket_values = flat[nonzero]
+        np.matmul(b2, b1[:m, :k], out=curv)
+        np.matmul(b1, b2[:m, :k], out=q)
+        curv -= q
+        np.subtract(0.0, curv, out=curv)
+        flat[nonzero] += bracket_values
+    return [FockOperator(curv, trunc, trunc.D - 4) for curv in out]
 
 
-def curvature_operator(
-    h1: ChartFunction, h2: ChartFunction, trunc: FockTruncation
-) -> FockOperator:
-    """Difference between the compressed commutator and the commutator of compressions.
+def curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]:
+    """Difference between the compressed commutator and the commutator of
+    compressions, for each pair (H_1, H_2) in `pairs`.
 
     For Hamiltonian derivations L_i along xi_{H_i} and the holomorphic
     projection pi, builds
@@ -329,45 +376,56 @@ def curvature_operator(
     sigma_L(2 P(H_1, H_2)), as the module docstring says.  This measures the
     curvature of the family of holomorphic subspaces in the directions that
     H_1 and H_2 generate; columns are exact for inputs of degree <= D - 4.
+    The pairs are one batch: a Hamiltonian passed as the same object in
+    several pairs has its matrix built once, and the batch holds the
+    columns of all its pairs at once.
     """
-    return _curvature_matrix(_lie_symbol, h1, h2, 2.0, trunc)
+    return _curvatures(_lie_symbol, pairs, 2.0, trunc)
 
 
-def flat_curvature_operator(
-    h1: ChartFunction, h2: ChartFunction, trunc: FockTruncation
-) -> FockOperator:
+def flat_curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]:
     """Curvature columns with the flat prequantum generators in place of the
-    bare Hamiltonian derivations (the multiplication term i N H included)."""
-    return _curvature_matrix(_generator_symbol, h1, h2, -1.0, trunc)
+    bare Hamiltonian derivations (the multiplication term i N H included),
+    batched over `pairs` as in `curvature_operator`."""
+    return _curvatures(_generator_symbol, pairs, -1.0, trunc)
 
 
 def verify_scalar_curvature(
-    q1: QuadraticHamiltonian,
-    q2: QuadraticHamiltonian,
+    pairs: list,
     trunc: FockTruncation,
     sym_tol: float = 1e-10,
-) -> dict:
-    """Measure how close the curvature along two p-directions is to a scalar.
+) -> list[dict]:
+    """Measure how close the curvature along pairs of p-directions is to a scalar.
 
-    Both Hamiltonians must have symmetric generators (pure deformation
-    directions).  Returns the fitted scalar, the Hilbert-Schmidt deviation of
-    the curvature columns from scalar * identity (normalized by sqrt of the
-    subspace dimension), the invariant pairing tr(X1 J0 X2), and their ratio.
+    `pairs` holds pairs (q1, q2) of Hamiltonians with symmetric generators
+    (pure deformation directions); all curvatures are one
+    `curvature_operator` batch.  Returns, per pair, the fitted scalar, the
+    Hilbert-Schmidt deviation of the curvature columns from scalar * identity
+    (normalized by sqrt of the subspace dimension), the invariant pairing
+    tr(X1 J0 X2), and their ratio.
     """
-    for q in (q1, q2):
+    bipolys = {}
+    for q in (q for pair in pairs for q in pair):
         x = q.generator
         if np.max(np.abs(x - x.T)) > sym_tol * max(1.0, np.max(np.abs(x))):
             raise ValueError("expected a deformation direction (symmetric generator)")
-    curv = curvature_operator(hamiltonian_bipoly(q1), hamiltonian_bipoly(q2), trunc)
-    scalar, deviation = curv.scalar_fit()
-    omega = omega_pairing(
-        q1.generator, q2.generator, standard_complex_structure(q1.n)
+        if id(q) not in bipolys:
+            bipolys[id(q)] = hamiltonian_bipoly(q)
+    curvs = curvature_operator(
+        [(bipolys[id(q1)], bipolys[id(q2)]) for q1, q2 in pairs], trunc
     )
-    ratio = scalar / omega if abs(omega) > 1e-12 * max(1.0, abs(scalar)) else None
-    return {
-        "scalar": scalar,
-        "deviation": deviation,
-        "omega": omega,
-        "ratio": ratio,
-        "dim": trunc.dim_up_to(curv.valid_degree),
-    }
+    out = []
+    for (q1, q2), curv in zip(pairs, curvs):
+        scalar, deviation = curv.scalar_fit()
+        omega = omega_pairing(q1.generator, q2.generator, standard_complex_structure(q1.n))
+        ratio = scalar / omega if abs(omega) > 1e-12 * max(1.0, abs(scalar)) else None
+        out.append(
+            {
+                "scalar": scalar,
+                "deviation": deviation,
+                "omega": omega,
+                "ratio": ratio,
+                "dim": trunc.dim_up_to(curv.valid_degree),
+            }
+        )
+    return out

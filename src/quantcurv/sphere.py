@@ -782,8 +782,8 @@ def curvature_calibration() -> complex:
     hp = p_plus_basis(1)[0]
     hm = p_minus_basis(1)[0]
     trunc = FockTruncation(n=1, N=6, D=10)
-    curv = flat_curvature_operator(
-        hamiltonian_bipoly(hp), hamiltonian_bipoly(hm), trunc
+    (curv,) = flat_curvature_operator(
+        [(hamiltonian_bipoly(hp), hamiltonian_bipoly(hm))], trunc
     )
     scalar, deviation = curv.scalar_fit()
     if deviation > 1e-10 * abs(scalar):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "TEICHMULLER_TUPLES_MAX",
     "SlicePoint",
     "SliceVariation",
     "slice_variation",
@@ -31,6 +32,10 @@ __all__ = [
     "pairing_closed_form",
     "wp_integrand",
 ]
+
+# Bound of a teichmuller-symbol config's n_tuples: ~0.22 ms a tuple, so a run
+# at the bound takes ~11 s (2 vCPU).
+TEICHMULLER_TUPLES_MAX = 50_000
 
 _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 _Z = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)

@@ -2,8 +2,10 @@
 
 The derivation along xi_H and the flat prequantum generator, each from its
 defining formula in `ChartFunction` ops, image by image, as oracles for the
-Toeplitz symbols and Poisson brackets of `quantcurv.fock`; and chart
-functions evaluated at one point.
+Toeplitz symbols and Poisson brackets of `quantcurv.fock`; a quadratic
+Hamiltonian rewritten in (z, zbar) as a sum of products of chart functions,
+as the oracle of `fock.hamiltonian_bipoly`; and chart functions evaluated at
+one point.
 """
 
 import numpy as np
@@ -23,6 +25,26 @@ def value(f: ChartFunction, z) -> complex:
             term *= z[j] ** key[j] * zb[j] ** key[n + j]
         tot += term
     return tot / (1.0 + float(np.vdot(z, z).real)) ** f.denom
+
+
+def hamiltonian_products(h) -> ChartFunction:
+    """sum_ab S_ab v_a v_b, v = (x, y), x_j = (z_j + zbar_j)/2 and
+    y_j = (z_j - zbar_j)/(2i), with ChartFunction products and sums."""
+    n = h.n
+    s = h.form_matrix()
+    xs, ys = [], []
+    zero = (0,) * n
+    for j in range(n):
+        e = tuple(int(k == j) for k in range(n))
+        xs.append(ChartFunction({e + zero: 0.5, zero + e: 0.5}))
+        ys.append(ChartFunction({e + zero: -0.5j, zero + e: 0.5j}))
+    vs = xs + ys
+    out = ChartFunction()
+    for a in range(2 * n):
+        for b in range(2 * n):
+            if s[a, b]:
+                out = out + s[a, b] * (vs[a] * vs[b])
+    return out
 
 
 def _unit(n: int, j: int, side: int) -> ChartFunction:

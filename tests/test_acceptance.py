@@ -128,14 +128,14 @@ def test_criterion_2_curvature_operator_identities():
                 zz = ChartFunction.monomial(_pair_monomial(n, m, l))
                 bb = ChartFunction.monomial((0,) * n, _pair_monomial(n, r, s))
                 delta = float((m == r) * (l == s) + (m == s) * (l == r))
-                mat = curvature_operator(zz, bb, tr).restrict()
+                mat = curvature_operator([(zz, bb)], tr)[0].restrict()
                 eye = np.eye(mat.shape[0])
                 worst = max(worst, hs_norm(mat - 4.0 * delta * eye))
                 # same-type pairs commute: both orders vanish
                 zz2 = ChartFunction.monomial(_pair_monomial(n, r, s))
-                worst = max(worst, hs_norm(curvature_operator(zz, zz2, tr).restrict()))
+                worst = max(worst, hs_norm(curvature_operator([(zz, zz2)], tr)[0].restrict()))
                 bb2 = ChartFunction.monomial((0,) * n, _pair_monomial(n, m, l))
-                worst = max(worst, hs_norm(curvature_operator(bb2, bb, tr).restrict()))
+                worst = max(worst, hs_norm(curvature_operator([(bb2, bb)], tr)[0].restrict()))
         plus = p_plus_basis(n)
         minus = p_minus_basis(n)
         for i, (a, b) in enumerate(idx):
@@ -143,12 +143,12 @@ def test_criterion_2_curvature_operator_identities():
                 hp = hamiltonian_bipoly(plus[i])
                 hm = hamiltonian_bipoly(minus[j])
                 delta = float((a == r) * (b == s) + (a == s) * (b == r))
-                mat = curvature_operator(hp, hm, tr).restrict()
+                mat = curvature_operator([(hp, hm)], tr)[0].restrict()
                 worst = max(worst, hs_norm(mat - (-8.0j) * delta * np.eye(mat.shape[0])))
                 hp2 = hamiltonian_bipoly(plus[j])
                 hm2 = hamiltonian_bipoly(minus[i])
-                worst = max(worst, hs_norm(curvature_operator(hp, hp2, tr).restrict()))
-                worst = max(worst, hs_norm(curvature_operator(hm2, hm, tr).restrict()))
+                worst = max(worst, hs_norm(curvature_operator([(hp, hp2)], tr)[0].restrict()))
+                worst = max(worst, hs_norm(curvature_operator([(hm2, hm)], tr)[0].restrict()))
     elapsed = time.perf_counter() - t0
     print(f"criterion 2: curvature identity worst HS dev {worst:.3e} ({elapsed:.1f}s)")
     assert worst <= 1e-10
@@ -171,7 +171,7 @@ def test_criterion_3_scalar_curvature_ratio():
         x2 = c[2] * xp + c[3] * xm
         if abs(omega_pairing(x1, x2)) < 1e-6:
             continue
-        rec = verify_scalar_curvature(QuadraticHamiltonian(x1), QuadraticHamiltonian(x2), tr)
+        rec = verify_scalar_curvature([(QuadraticHamiltonian(x1), QuadraticHamiltonian(x2))], tr)[0]
         worst_dev = max(worst_dev, rec["deviation"])
         ratios.append(rec["ratio"])
     ratios = np.array(ratios)

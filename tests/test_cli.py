@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quantcurv
+from quantcurv import fock, teichmuller
 from quantcurv.cli import main, run, summarize
 from quantcurv.experiments import ConfigError, config_hash, validate_config
 
@@ -118,6 +119,25 @@ def test_bargmann_config_defaults_and_two_pairs():
     )
     cfg["experiments"][0]["parameters"] = {"n": 1, "N": 4, "D": 8, "n_random_pairs": 2}
     assert validate_config(cfg)[0]["parameters"]["n_random_pairs"] == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, params, key, bound",
+    [
+        ("bargmann-curvature", {"n": 1, "N": 4, "D": 8}, "n_random_pairs", fock.FOCK_PAIRS_MAX),
+        ("teichmuller-symbol", {}, "n_tuples", teichmuller.TEICHMULLER_TUPLES_MAX),
+    ],
+)
+def test_sample_counts_bounded_by_measured_cost(experiment, params, key, bound):
+    # validated only: a run at the bound takes about a second (1000 pairs,
+    # held in one batch) or ~11 s (50000 tuples)
+    def config(count):
+        entry = {"experiment": experiment, "parameters": dict(params, **{key: count})}
+        return {"seed": 1, "experiments": [dict(entry, output_path="out.csv")]}
+
+    assert validate_config(config(bound))[0]["parameters"][key] == bound
+    with pytest.raises(ConfigError, match=f"'{key}' must be <= {bound}"):
+        validate_config(config(bound + 1))
 
 
 def test_config_hash_stable_under_key_order():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantcurv import fock
-from quantcurv.experiments import ConfigError, validate_config
+from quantcurv.experiments import ConfigError, run_experiment, validate_config
 from quantcurv.fock import (
     DegreeOverflowError,
     FockOperator,
@@ -17,9 +17,15 @@ from quantcurv.fock import (
     verify_scalar_curvature,
 )
 from quantcurv.sphere import ChartFunction
-from quantcurv.symplectic import p_minus_basis, p_plus_basis
+from quantcurv.symplectic import (
+    QuadraticHamiltonian,
+    hamiltonian_from_form,
+    omega_pairing,
+    p_minus_basis,
+    p_plus_basis,
+)
 from curvature_oracle import compressed_curvature
-from fock_oracle import bargmann_generator, lie_derivative, value
+from fock_oracle import bargmann_generator, hamiltonian_products, lie_derivative, value
 
 # (literal reference, Toeplitz symbol, factor c of the bracket symbol
 # symbol(c P), curvature function)
@@ -62,7 +68,7 @@ def _projected_columns(op, tr):
 def _lie_matrix(h, tr):
     # square block of T_{sigma_L(h)} on degree <= D - 2
     k = tr.dim_up_to(tr.D - 2)
-    return tr.toeplitz(fock._lie_symbol(h, tr.N), k)[:k]
+    return tr.toeplitz([fock._lie_symbol(h, tr.N)], k)[0][:k]
 
 
 def _pair_monomial(n, i, j):
@@ -204,7 +210,7 @@ def test_truncation_basis_is_a_copy_of_the_cache():
 
 def test_scalar_fit_reports_off_identity_part():
     tr = FockTruncation(1, 4, 6)
-    mat = np.zeros((7, 7), dtype=complex)
+    mat = np.zeros((7, 5), dtype=complex)
     mat[:5, :5] = 2j * np.eye(5)
     op = FockOperator(mat, tr, 4)
     assert op.scalar_fit() == (2j, 0.0)
@@ -222,7 +228,7 @@ def test_curvature_matches_columnwise_reference(n, D):
     tr = FockTruncation(n, big_n, D)
     rng = np.random.default_rng(5)
     h1, h2 = _random_quadratic(n, rng), _random_quadratic(n, rng)
-    got = flat_curvature_operator(h1, h2, tr)
+    got = flat_curvature_operator([(h1, h2)], tr)[0]
 
     def lie(h, f):
         return bargmann_generator(h, f, big_n)
@@ -257,10 +263,10 @@ def test_curvature_z2_zbar2_oracle():
     tr = FockTruncation(1, 4, 12)
     z2 = ChartFunction.monomial((2,))
     zb2 = ChartFunction.monomial((0,), (2,))
-    mat = curvature_operator(z2, zb2, tr).restrict()
+    mat = curvature_operator([(z2, zb2)], tr)[0].restrict()
     assert np.max(np.abs(mat - 8.0 * np.eye(mat.shape[0]))) < 1e-10
     # antisymmetry in the two arguments
-    mat2 = curvature_operator(zb2, z2, tr).restrict()
+    mat2 = curvature_operator([(zb2, z2)], tr)[0].restrict()
     assert np.max(np.abs(mat + mat2)) < 1e-10
 
 
@@ -273,7 +279,7 @@ def test_curvature_mixed_pair_identity(n):
         for (r, s) in idx:
             zz = ChartFunction.monomial(_pair_monomial(n, m, l))
             bb = ChartFunction.monomial((0,) * n, _pair_monomial(n, r, s))
-            mat = curvature_operator(zz, bb, tr).restrict()
+            mat = curvature_operator([(zz, bb)], tr)[0].restrict()
             expect = 4.0 * ((m == r) * (l == s) + (m == s) * (l == r))
             assert np.max(np.abs(mat - expect * np.eye(mat.shape[0]))) < 1e-10
 
@@ -291,16 +297,16 @@ def test_curvature_deformation_pair_identity(n):
             hp = hamiltonian_bipoly(plus[i])
             hm = hamiltonian_bipoly(minus[j])
             delta = (a == r) * (b == s) + (a == s) * (b == r)
-            mat = curvature_operator(hp, hm, tr).restrict()
+            mat = curvature_operator([(hp, hm)], tr)[0].restrict()
             assert np.max(np.abs(mat - (-8.0j) * delta * np.eye(mat.shape[0]))) < 1e-10
-            matf = flat_curvature_operator(hp, hm, tr).restrict()
+            matf = flat_curvature_operator([(hp, hm)], tr)[0].restrict()
             assert np.max(np.abs(matf - (-2.0j) * delta * np.eye(matf.shape[0]))) < 1e-10
 
 
 def test_curvature_same_sector_vanishes():
     tr = FockTruncation(1, 4, 10)
     hp = hamiltonian_bipoly(p_plus_basis(1)[0])
-    mat = curvature_operator(hp, hp, tr).restrict()
+    mat = curvature_operator([(hp, hp)], tr)[0].restrict()
     assert np.max(np.abs(mat)) < 1e-12
 
 
@@ -312,15 +318,11 @@ def test_scalar_ratio_constant_over_random_pairs():
     for _ in range(20):
         cp = rng.standard_normal(2)
         cm = rng.standard_normal(2)
-        from quantcurv.symplectic import QuadraticHamiltonian, omega_pairing
-
         x1 = cp[0] * p_plus_basis(1)[0].generator + cm[0] * p_minus_basis(1)[0].generator
         x2 = cp[1] * p_plus_basis(1)[0].generator + cm[1] * p_minus_basis(1)[0].generator
         if abs(omega_pairing(x1, x2)) < 1e-6:
             continue
-        rec = verify_scalar_curvature(
-            QuadraticHamiltonian(x1), QuadraticHamiltonian(x2), tr
-        )
+        rec = verify_scalar_curvature([(QuadraticHamiltonian(x1), QuadraticHamiltonian(x2))], tr)[0]
         assert rec["deviation"] <= 1e-8
         ratios.append(rec["ratio"])
     ratios = np.array(ratios)
@@ -359,7 +361,7 @@ def test_degree_overflow_guard():
     z2 = ChartFunction.monomial((2,))
     zb2 = ChartFunction.monomial((0,), (2,))
     with pytest.raises(DegreeOverflowError):
-        curvature_operator(z2, zb2, tr).restrict(3)
+        curvature_operator([(z2, zb2)], tr)
 
 
 def test_lie_derivative_linear():
@@ -426,7 +428,7 @@ def test_curvature_operator_products_independent_of_degree(monkeypatch):
     counts = []
     for D in (8, 10):
         calls.clear()
-        curvature_operator(h1, h2, FockTruncation(2, 4, D))
+        curvature_operator([(h1, h2)], FockTruncation(2, 4, D))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -452,7 +454,7 @@ def test_bracket_matches_symbolic_composition(n, spec):
             ],
             tr,
         )
-        got = tr.toeplitz(symbol(fock._poisson(h1, h2, c), big_n), k)
+        got = tr.toeplitz([symbol(fock._poisson(h1, h2, c), big_n)], k)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -468,7 +470,7 @@ def test_operator_matrix_matches_projected_images(n, D, spec):
     for _ in range(3):
         h = _random_quadratic(n, rng)
         ref = _projected_columns(lambda f: literal(h, f, tr.N), tr)
-        got = tr.toeplitz(symbol(h, tr.N), k)
+        got = tr.toeplitz([symbol(h, tr.N)], k)[0]
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -487,7 +489,7 @@ def test_curvature_matches_compressed_curvature_oracle(n, D, spec):
     hams += [_random_quadratic(n, rng) for _ in range(2)]
     basis = [ChartFunction.monomial(alpha) for alpha in tr.basis()[: tr.dim_up_to(D - 2)]]
     for h1, h2 in itertools.combinations(hams, 2):
-        got = build(h1, h2, tr).columns()
+        got = build([(h1, h2)], tr)[0].matrix
         ref = compressed_curvature(
             basis,
             lambda f: literal(h1, f, big_n),
@@ -501,8 +503,101 @@ def test_curvature_matches_compressed_curvature_oracle(n, D, spec):
 def test_toeplitz_exact_where_integer_powers_of_n_overflow():
     # <e_0, T_{zbar^3} e_3> = sqrt(3!/N^3), with N^3 past the int64 range
     big_n = 3_000_000
-    t = FockTruncation(1, big_n, 8).toeplitz(ChartFunction.monomial((0,), (3,)), 4)
+    (t,) = FockTruncation(1, big_n, 8).toeplitz([ChartFunction.monomial((0,), (3,))], 4)
     assert t[0, 3] == pytest.approx(math.sqrt(6.0 / big_n**3), rel=1e-14)
+
+
+@pytest.mark.parametrize("n, D", [(1, 10), (2, 8)])
+def test_batched_toeplitz_equals_separate_builds(n, D):
+    # one pass over many symbols, an empty one among them, gives each matrix
+    # to the bit
+    rng = np.random.default_rng(20 + n)
+    tr = FockTruncation(n, 4, D)
+    k = tr.dim_up_to(D - 2)
+    hams = [hamiltonian_bipoly(q) for q in p_plus_basis(n) + p_minus_basis(n)]
+    hams += [_random_quadratic(n, rng) for _ in range(2)]
+    cases = [fock._lie_symbol(h, tr.N) for h in hams] + [ChartFunction()]
+    cases += [fock._generator_symbol(fock._poisson(hams[0], h, -1.0), tr.N) for h in hams[1:]]
+    stack = tr.toeplitz(cases, k)
+    assert stack.shape == (len(cases), tr.dim, k)
+    for got, f in zip(stack, cases):
+        assert np.array_equal(got, tr.toeplitz([f], k)[0])
+    assert not stack[len(hams)].any()
+    assert tr.toeplitz([], k).shape == (0, tr.dim, k)
+    # one symbol whose image leaves the truncation fails the whole batch
+    z3 = ChartFunction({(3,) + (0,) * (2 * n - 1): 1.0})
+    with pytest.raises(DegreeOverflowError, match=f"output degree {D + 1}"):
+        tr.toeplitz(cases + [z3], k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamiltonian_bipoly_matches_products_of_chart_functions(n):
+    # the one-pass rewrite against sum_ab S_ab v_a v_b formed with
+    # ChartFunction products: the same terms, in the same order (the order
+    # of the terms fixes the rounding of every matrix built from them)
+    rng = np.random.default_rng(30 + n)
+    hams = p_plus_basis(n) + p_minus_basis(n)
+    for _ in range(24):
+        a = rng.standard_normal((2 * n, 2 * n)) * 10.0 ** rng.integers(-3, 4, (2 * n, 2 * n))
+        a[rng.random((2 * n, 2 * n)) < 0.3] = 0.0
+        hams.append(hamiltonian_from_form(a + a.T))
+    for q in hams:
+        got, want = hamiltonian_bipoly(q), hamiltonian_products(q)
+        assert got.terms == want.terms
+        assert list(got.terms) == list(want.terms)
+
+
+def _random_deformation_pairs(count, rng):
+    gp, gm = p_plus_basis(1)[0].generator, p_minus_basis(1)[0].generator
+    pairs = []
+    while len(pairs) < count:
+        c = rng.standard_normal(4)
+        q1 = QuadraticHamiltonian(c[0] * gp + c[1] * gm)
+        q2 = QuadraticHamiltonian(c[2] * gp + c[3] * gm)
+        if abs(omega_pairing(q1.generator, q2.generator)) >= 1e-6:
+            pairs.append((q1, q2))
+    return pairs
+
+
+def test_scalar_curvature_batch_equals_pairs_checked_alone():
+    tr = FockTruncation(1, 4, 10)
+    pairs = _random_deformation_pairs(5, np.random.default_rng(8))
+    pairs.append(pairs[0][::-1])  # a Hamiltonian in two pairs is built once
+    batch = verify_scalar_curvature(pairs, tr)
+    assert batch == [verify_scalar_curvature([pair], tr)[0] for pair in pairs]
+    assert batch[-1]["scalar"] == pytest.approx(-batch[0]["scalar"], rel=1e-12)
+
+
+def test_random_pair_batch_stops_at_first_failing_pair():
+    # every pair deviates from a scalar by rounding, so a tol_scalar below
+    # it fails the first pair checked: no ratio is valid
+    params = {"n": 1, "N": 4, "D": 8, "n_random_pairs": 4, "tol_scalar": 1e-300}
+    _columns, rows, ok = run_experiment("bargmann-curvature", params, np.random.default_rng(3))
+    by_case = {row[0]: row for row in rows}
+    spread, value_row = by_case["scalar-ratio-spread"], by_case["scalar-ratio-value"]
+    assert not ok
+    assert spread[4] == math.inf and spread[-1] is False
+    assert math.isnan(value_row[4]) and math.isnan(value_row[5]) and not value_row[-1]
+
+
+def test_toeplitz_calls_per_run_independent_of_random_pairs(monkeypatch):
+    # the random pairs are one curvature batch, so a run's Toeplitz passes do
+    # not grow with their number
+    calls = []
+    toeplitz = FockTruncation.toeplitz
+
+    def counting_toeplitz(self, fs, ncols):
+        calls.append(len(fs))
+        return toeplitz(self, fs, ncols)
+
+    monkeypatch.setattr(FockTruncation, "toeplitz", counting_toeplitz)
+    counts = []
+    for pairs in (2, 7):
+        calls.clear()
+        params = {"n": 2, "N": 4, "D": 8, "n_random_pairs": pairs}
+        assert run_experiment("bargmann-curvature", params, np.random.default_rng(5))[2]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("build", [curvature_operator, flat_curvature_operator])
@@ -512,9 +607,9 @@ def test_degree_overflow_for_images_leaving_the_truncation(build):
     zb2 = ChartFunction.monomial((0,), (2,))
     for h1, h2 in ((z3, zb2), (zb2, z3)):
         with pytest.raises(DegreeOverflowError, match="output degree 9"):
-            build(h1, h2, FockTruncation(1, 4, 8))
+            build([(h1, h2)], FockTruncation(1, 4, 8))
     with pytest.raises(DegreeOverflowError):
-        build(zb2, zb2, FockTruncation(2, 4, 3))
+        build([(zb2, zb2)], FockTruncation(2, 4, 3))
 
 
 def test_curvature_operator_constructions_independent_of_degree(monkeypatch):
@@ -532,7 +627,7 @@ def test_curvature_operator_constructions_independent_of_degree(monkeypatch):
     counts = []
     for D in (8, 10):
         calls.clear()
-        curvature_operator(h1, h2, FockTruncation(2, 4, D))
+        curvature_operator([(h1, h2)], FockTruncation(2, 4, D))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
