@@ -1,7 +1,7 @@
 """Curvature of quantization bundles: Fock-space models, sphere quantization,
 parallel transport, and a hyperbolic slice pairing, with a batch CLI."""
 
-from .linalg import OdeStepper, hs_norm, orthonormal_columns
+from .linalg import OdeStepper, orthonormal_columns
 from .symplectic import (
     QuadraticHamiltonian,
     chi_symbol,

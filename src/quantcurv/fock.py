@@ -60,6 +60,7 @@ __all__ = [
     "FOCK_DEGREE_MAX",
     "FOCK_LEVEL_MAX",
     "FOCK_PAIRS_MAX",
+    "DEFORMATION_SYM_TOL",
     "hamiltonian_bipoly",
     "FockTruncation",
     "FockOperator",
@@ -86,6 +87,9 @@ FOCK_LEVEL_MAX = 50_000_000
 # curvature batch, which holds every pair's matrices: ~80 KB a pair at
 # D = 40, so 1000 pairs take 0.9 s and 121 MB peak there.
 FOCK_PAIRS_MAX = 1000
+# Relative asymmetry up to which `verify_scalar_curvature` takes a generator
+# for a deformation direction (a symmetric sp(n, R) matrix).
+DEFORMATION_SYM_TOL = 1e-10
 
 # perfbench/tracing.py instruments `fock.BiPolynomial.__mul__`; the name stays
 # bound to the one symbolic algebra until that tracer is changed.
@@ -390,11 +394,7 @@ def flat_curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOper
     return _curvatures(_generator_symbol, pairs, -1.0, trunc)
 
 
-def verify_scalar_curvature(
-    pairs: list,
-    trunc: FockTruncation,
-    sym_tol: float = 1e-10,
-) -> list[dict]:
+def verify_scalar_curvature(pairs: list, trunc: FockTruncation) -> list[dict]:
     """Measure how close the curvature along pairs of p-directions is to a scalar.
 
     `pairs` holds pairs (q1, q2) of Hamiltonians with symmetric generators
@@ -407,7 +407,7 @@ def verify_scalar_curvature(
     bipolys = {}
     for q in (q for pair in pairs for q in pair):
         x = q.generator
-        if np.max(np.abs(x - x.T)) > sym_tol * max(1.0, np.max(np.abs(x))):
+        if np.max(np.abs(x - x.T)) > DEFORMATION_SYM_TOL * max(1.0, np.max(np.abs(x))):
             raise ValueError("expected a deformation direction (symmetric generator)")
         if id(q) not in bipolys:
             bipolys[id(q)] = hamiltonian_bipoly(q)

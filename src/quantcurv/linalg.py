@@ -14,31 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(M* M)) of a square matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"hs_norm expects a square matrix, got shape {m.shape}")
-    return float(np.linalg.norm(m, "fro"))
-
-
 # Largest Gram condition number a frame may have before it is refused.
 GRAM_COND_LIMIT = 1e8
 
 
-def check_gram_spectrum(evals: np.ndarray, cond_limit: float = GRAM_COND_LIMIT) -> None:
+def check_gram_spectrum(evals: np.ndarray) -> None:
     """Refuse a frame whose Gram eigenvalues (ascending) are not all positive
-    or spread by more than `cond_limit`: raises `np.linalg.LinAlgError`."""
-    if evals[0] <= 0 or evals[-1] / evals[0] > cond_limit:
+    or spread by more than `GRAM_COND_LIMIT`: raises `np.linalg.LinAlgError`."""
+    if evals[0] <= 0 or evals[-1] / evals[0] > GRAM_COND_LIMIT:
         raise np.linalg.LinAlgError(
             f"frame Gram matrix is ill-conditioned: smallest eigenvalue {evals[0]:.3e}, "
             f"largest {evals[-1]:.3e}"
         )
 
 
-def orthonormal_columns(
-    frame: np.ndarray, cond_limit: float = GRAM_COND_LIMIT
-) -> np.ndarray:
+def orthonormal_columns(frame: np.ndarray) -> np.ndarray:
     """Orthonormalize frame columns by the inverse square root of their Gram matrix.
 
     Parameters
@@ -46,9 +36,6 @@ def orthonormal_columns(
     frame : (npoints, k) complex array
         Columns are vectors in half-weighted grid coordinates (plain l2
         pairing applies).
-    cond_limit : float
-        Maximum tolerated Gram condition number; beyond it the frame is
-        numerically degenerate and we refuse to proceed.
 
     Returns
     -------
@@ -63,7 +50,7 @@ def orthonormal_columns(
     frame = np.asarray(frame)
     gram = frame.conj().T @ frame
     evals, evecs = np.linalg.eigh(gram)
-    check_gram_spectrum(evals, cond_limit)
+    check_gram_spectrum(evals)
     inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
     return frame @ inv_sqrt
 

@@ -80,12 +80,6 @@ class QuadraticHamiltonian:
     def n(self) -> int:
         return self.generator.shape[0] // 2
 
-    def value(self, v: np.ndarray) -> float:
-        """H(v) = (1/2) v^T sigma^T X v."""
-        sigma = standard_symplectic(self.n)
-        v = np.asarray(v, dtype=float)
-        return 0.5 * float(v @ (sigma.T @ self.generator @ v))
-
     def form_matrix(self) -> np.ndarray:
         """Symmetric S with H(v) = v^T S v."""
         sigma = standard_symplectic(self.n)

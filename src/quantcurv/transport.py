@@ -12,7 +12,10 @@ is the full prequantum generator.  Analytically B(t) equals the compressed
 generator at t = 0 for time-independent Hamiltonians, which is exactly the
 statement that pullback followed by the Schrodinger propagator IS parallel
 transport; numerically B(t) is rebuilt from the flowed frames at every stage,
-so the agreement C_T = S_T is a measurement, not an assumption.
+so the agreement C_T = S_T is a measurement, not an assumption.  The
+reference S_T = exp(T B0) is exact to rounding (one eigh of the Hermitian
+-i B0), so the mismatch `intertwine_check` reports is the frame transport's
+own integration error: O(dt^4) from its RK4 steps.
 
 On holomorphic sections the generator acts as G z^k = k a z^(k-1) + q z^k,
 with a the flow field and q the phase rate (the identity of the `sphere`
@@ -97,7 +100,7 @@ class TransportResult:
     t_end: float
     dt: float
     coeffs: np.ndarray  # C at t_end (moving-frame coefficients)
-    schrodinger: np.ndarray  # S at t_end, same step size
+    schrodinger: np.ndarray  # S at t_end, exact: exp(t_end B0) from one eigh
     generator: np.ndarray = field(repr=False)  # B at t = 0 (compressed)
     gram_end: np.ndarray = field(repr=False)  # F_T^* F_T
     cross_end: np.ndarray = field(repr=False)  # F_0^* F_T
@@ -127,19 +130,16 @@ class TransportResult:
 
 
 def schrodinger_propagate(
-    ham: HamiltonianField, space: SectionSpace, t_end: float, dt: float = 1e-3
+    ham: HamiltonianField, space: SectionSpace, t_end: float
 ) -> np.ndarray:
-    """Propagator S_T on the holomorphic range from Sdot = B0 S, S_0 = I.
+    """Propagator S_T = exp(T B0) on the holomorphic range, exact to rounding.
 
-    B0 is the compressed generator (i times the Hermitian Schrodinger
-    operator); a unitary matrix up to integration error.
+    B0 is the compressed generator, i times the Hermitian Schrodinger
+    operator H = -i B0; with H = V diag(w) V* from one eigh,
+    S_T = V diag(e^{i T w}) V*.
     """
-    b0 = compress_generator(ham, space)
-    n_steps = max(1, round(t_end / dt))
-    stepper = OdeStepper(dt=t_end / n_steps)
-    return stepper.propagate(
-        lambda _t, s: b0 @ s, 0.0, np.eye(space.dim, dtype=complex), t_end
-    )
+    w, v = np.linalg.eigh(-1j * compress_generator(ham, space))
+    return (v * np.exp(1j * t_end * w)) @ v.conj().T
 
 
 class _MovingFrame:
@@ -273,7 +273,7 @@ def parallel_transport(
             f"after t={t_reached:.4g} of t_end={t_end:g} ({exc})"
         ) from exc
 
-    s_mat = schrodinger_propagate(ham, space, t_end, dt)
+    s_mat = schrodinger_propagate(ham, space, t_end)
     return TransportResult(
         ham_name=ham.name,
         N=space.N,

@@ -20,7 +20,6 @@ from quantcurv.fock import (
     project,
     verify_scalar_curvature,
 )
-from quantcurv.linalg import hs_norm
 from quantcurv.sphere import (
     ChartFunction,
     SectionSpace,
@@ -130,12 +129,12 @@ def test_criterion_2_curvature_operator_identities():
                 delta = float((m == r) * (l == s) + (m == s) * (l == r))
                 mat = curvature_operator([(zz, bb)], tr)[0].restrict()
                 eye = np.eye(mat.shape[0])
-                worst = max(worst, hs_norm(mat - 4.0 * delta * eye))
+                worst = max(worst, np.linalg.norm(mat - 4.0 * delta * eye))
                 # same-type pairs commute: both orders vanish
                 zz2 = ChartFunction.monomial(_pair_monomial(n, r, s))
-                worst = max(worst, hs_norm(curvature_operator([(zz, zz2)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(curvature_operator([(zz, zz2)], tr)[0].restrict()))
                 bb2 = ChartFunction.monomial((0,) * n, _pair_monomial(n, m, l))
-                worst = max(worst, hs_norm(curvature_operator([(bb2, bb)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(curvature_operator([(bb2, bb)], tr)[0].restrict()))
         plus = p_plus_basis(n)
         minus = p_minus_basis(n)
         for i, (a, b) in enumerate(idx):
@@ -144,11 +143,11 @@ def test_criterion_2_curvature_operator_identities():
                 hm = hamiltonian_bipoly(minus[j])
                 delta = float((a == r) * (b == s) + (a == s) * (b == r))
                 mat = curvature_operator([(hp, hm)], tr)[0].restrict()
-                worst = max(worst, hs_norm(mat - (-8.0j) * delta * np.eye(mat.shape[0])))
+                worst = max(worst, np.linalg.norm(mat - (-8.0j) * delta * np.eye(mat.shape[0])))
                 hp2 = hamiltonian_bipoly(plus[j])
                 hm2 = hamiltonian_bipoly(minus[i])
-                worst = max(worst, hs_norm(curvature_operator([(hp, hp2)], tr)[0].restrict()))
-                worst = max(worst, hs_norm(curvature_operator([(hm2, hm)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(curvature_operator([(hp, hp2)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(curvature_operator([(hm2, hm)], tr)[0].restrict()))
     elapsed = time.perf_counter() - t0
     print(f"criterion 2: curvature identity worst HS dev {worst:.3e} ({elapsed:.1f}s)")
     assert worst <= 1e-10
@@ -276,9 +275,9 @@ def test_criterion_7_cross_method_curvature():
     space = SectionSpace(16, SphereGrid.for_level(16))
     y = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
     y_rich = curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3, richardson=True)
-    rel = hs_norm(y_rich - y) / hs_norm(y)
-    e1 = hs_norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=2e-3) - y)
-    e2 = hs_norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3) - y)
+    rel = np.linalg.norm(y_rich - y) / np.linalg.norm(y)
+    e1 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=2e-3) - y)
+    e2 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3) - y)
     ratio = e1 / e2
     elapsed = time.perf_counter() - t0
     print(

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from quantcurv.linalg import OdeStepper, hs_norm, orthonormal_columns
+from quantcurv.linalg import OdeStepper, orthonormal_columns
 from curvature_oracle import compressed_curvature
-
-
-def test_hs_norm_values():
-    assert hs_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0), abs=1e-15)
-    assert hs_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
-    assert hs_norm(np.zeros((4, 4))) == 0.0
-    with pytest.raises(ValueError):
-        hs_norm(np.zeros((2, 3)))
 
 
 def test_projector_from_frame_single_vector():

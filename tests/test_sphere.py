@@ -6,7 +6,7 @@ import pytest
 
 from quantcurv import sphere
 from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, run_experiment, validate_config
-from quantcurv.linalg import OdeStepper, hs_norm
+from quantcurv.linalg import OdeStepper
 from quantcurv.sphere import (
     EXACT_LEVEL_MAX,
     GRID_LEVEL_MAX,
@@ -321,20 +321,20 @@ def test_chi_field_same_hamiltonian_vanishes():
 
 def test_curvature_same_hamiltonian_vanishes(space):
     y = curvature_commutator(harmonic_real(), harmonic_real(), space)
-    assert hs_norm(y) < 1e-12
+    assert np.linalg.norm(y) < 1e-12
 
 
 def test_curvature_rotation_pair_vanishes(space):
     # rotations are isometries of the round metric: no curvature between them
     y = curvature_commutator(rotation_z(), rotation_x(), space)
-    assert hs_norm(y) < 1e-10
+    assert np.linalg.norm(y) < 1e-10
 
 
 def test_curvature_antisymmetric_and_anti_hermitian(space):
     y12 = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
     y21 = curvature_commutator(zonal_harmonic(), harmonic_real(), space)
     assert np.max(np.abs(y12 + y21)) < 1e-10
-    assert np.max(np.abs(y12 + y12.conj().T)) < 1e-6 * max(1.0, hs_norm(y12))
+    assert np.max(np.abs(y12 + y12.conj().T)) < 1e-6 * max(1.0, np.linalg.norm(y12))
 
 
 def _bracket_symbol(h1, h2):
@@ -482,18 +482,18 @@ def test_symbol_decay_rows_match_generators_built_at_each_level():
 def test_curvature_fd_matches_commutator(space):
     y = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
     yfd = curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3)
-    assert hs_norm(yfd - y) / hs_norm(y) < 1e-3
+    assert np.linalg.norm(yfd - y) / np.linalg.norm(y) < 1e-3
     yfd2 = curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3, richardson=True)
-    assert hs_norm(yfd2 - y) / hs_norm(y) < 1e-6
+    assert np.linalg.norm(yfd2 - y) / np.linalg.norm(y) < 1e-6
     # halving h divides the h^2 error by about 4
-    e1 = hs_norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=2e-3) - y)
-    e2 = hs_norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3) - y)
+    e1 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=2e-3) - y)
+    e2 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3) - y)
     assert e1 / e2 > 3.5
 
 
 def test_curvature_fd_same_hamiltonian_exact_zero(space):
     yfd = curvature_fd(harmonic_real(), harmonic_real(), space, h=1e-3)
-    assert hs_norm(yfd) == 0.0
+    assert np.linalg.norm(yfd) == 0.0
 
 
 def test_curvature_calibration_constant():

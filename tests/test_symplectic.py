@@ -37,7 +37,7 @@ def test_quadratic_hamiltonian_value_and_gradient():
     # H(v) = (x^2 + y^2) / 2 from the symmetric form I/2
     h = hamiltonian_from_form(np.eye(2) / 2.0)
     v = np.array([3.0, 4.0])
-    assert h.value(v) == pytest.approx(12.5)
+    assert v @ h.form_matrix() @ v == pytest.approx(12.5)
     assert np.allclose(_gradient(h, v), v)
 
 

@@ -45,7 +45,7 @@ def _constant_field(value):
 def test_schrodinger_rotation_phases(space):
     # rotation generator is diag(ik), so the flow is diag(e^{ikt})
     t_end = 0.7
-    s = schrodinger_propagate(rotation_z(), space, t_end, dt=1e-3)
+    s = schrodinger_propagate(rotation_z(), space, t_end)
     expect = np.diag(np.exp(1j * np.arange(7) * t_end))
     assert np.max(np.abs(s - expect)) < 1e-10
 
@@ -53,14 +53,44 @@ def test_schrodinger_rotation_phases(space):
 def test_schrodinger_constant_hamiltonian_phase(space):
     # H = c gives the global phase e^{i c N t} and no mixing
     c, t_end = 0.8, 0.5
-    s = schrodinger_propagate(_constant_field(c), space, t_end, dt=1e-3)
+    s = schrodinger_propagate(_constant_field(c), space, t_end)
     expect = np.exp(1j * c * 6 * t_end) * np.eye(7)
     assert np.max(np.abs(s - expect)) < 1e-10
 
 
 def test_schrodinger_unitary(space):
-    s = schrodinger_propagate(harmonic_real(), space, 1.0, dt=1e-3)
+    s = schrodinger_propagate(harmonic_real(), space, 1.0)
     assert np.max(np.abs(s.conj().T @ s - np.eye(7))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 72])
+@pytest.mark.parametrize("t_end", [1.0, 2.0])
+def test_schrodinger_rotation_is_exact(n, t_end):
+    # exp(T B0) with B0 = diag(ik): no integration error at any level or time
+    space = SectionSpace(n, SphereGrid.for_level(n))
+    s = schrodinger_propagate(rotation_z(), space, t_end)
+    expect = np.diag(np.exp(1j * np.arange(n + 1) * t_end))
+    assert np.max(np.abs(s - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 16, 72])
+def test_schrodinger_matches_eig_exponential(n):
+    # unitary, and equal to exp(T B0) from a general eigendecomposition of B0
+    space = SectionSpace(n, SphereGrid.for_level(n))
+    t_end = 2.0
+    s = schrodinger_propagate(harmonic_real(), space, t_end)
+    w, v = np.linalg.eig(compress_generator(harmonic_real(), space))
+    expect = (v * np.exp(t_end * w)) @ np.linalg.inv(v)
+    assert np.max(np.abs(s.conj().T @ s - np.eye(n + 1))) < 1e-12
+    assert np.max(np.abs(s - expect)) < 1e-12
+
+
+def test_rotation_intertwine_is_the_frame_integration_error(space16):
+    # against an exact reference the mismatch is the frame RK4's O(dt^4):
+    # halving dt divides it by ~16
+    coarse = parallel_transport(rotation_z(), space16, t_end=0.2, dt=2e-3, n_samples=2)
+    fine = parallel_transport(rotation_z(), space16, t_end=0.2, dt=1e-3, n_samples=2)
+    assert intertwine_check(coarse) / intertwine_check(fine) >= 14.0
 
 
 def test_transport_rotation_is_exact(space):
