@@ -340,6 +340,7 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
         "intertwine",
         "max_eq_range",
         "max_eq_deriv",
+        "generator_drift",
         "tol_intertwine",
         "tol_residual",
         "passed",
@@ -349,9 +350,8 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
         ham = HAMILTONIAN_LIBRARY[case["hamiltonian"]]()
         res = transport.parallel_transport(ham, space, t_end=p["t_end"], dt=p["dt"])
         inter = transport.intertwine_check(res)
-        residuals = transport.transport_residuals(res, space)
-        max_range = max(r["eq_range"] for r in residuals)
-        max_deriv = max(r["eq_deriv"] for r in residuals)
+        max_range = max(r["eq_range"] for r in res.residuals)
+        max_deriv = max(r["eq_deriv"] for r in res.residuals)
         ok = (
             inter <= case["tol"]
             and max_range <= p["tol_residual"]
@@ -366,6 +366,7 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
                 inter,
                 max_range,
                 max_deriv,
+                res.generator_drift,
                 case["tol"],
                 p["tol_residual"],
                 ok,

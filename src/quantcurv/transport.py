@@ -9,13 +9,16 @@ frame as P_t = F_t C_t turns the transport equations
 
 into a coefficient ODE Cdot = B(t) C with B(t) = (F*F)^{-1} F*(G F), where G
 is the full prequantum generator.  Analytically B(t) equals the compressed
-generator at t = 0 for time-independent Hamiltonians, which is exactly the
-statement that pullback followed by the Schrodinger propagator IS parallel
-transport; numerically B(t) is rebuilt from the flowed frames at every stage,
-so the agreement C_T = S_T is a measurement, not an assumption.  The
-reference S_T = exp(T B0) is exact to rounding (one eigh of the Hermitian
--i B0), so the mismatch `intertwine_check` reports is the frame transport's
-own integration error: O(dt^4) from its RK4 steps.
+generator B_c = `sphere.compress_generator` for time-independent
+Hamiltonians, which is exactly the statement that pullback followed by the
+Schrodinger propagator IS parallel transport; numerically B(t) is rebuilt
+from the flowed frames at every stage, so the agreement C_T = S_T is a
+measurement, not an assumption.  Every build records its drift
+||B(t) - B_c||_F / ||B_c||_F, and the largest is reported.  The reference
+S_T = exp(T B_c) is exact to rounding (one eigh of the Hermitian -i B_c,
+the same matrix the drift is measured against), so the mismatch
+`intertwine_check` reports is the frame transport's own integration error:
+O(dt^4) from its RK4 steps.
 
 On holomorphic sections the generator acts as G z^k = k a z^(k-1) + q z^k,
 with a the flow field and q the phase rate (the identity of the `sphere`
@@ -24,8 +27,8 @@ two functions the characteristic equations already evaluate.  The rows of
 G F are q F_k + k (||z^(k-1)|| / ||z^k||) a F_(k-1), written next to the
 frame rows, so the Gram F*F and F*(G F) come out of one product F*[F, G F].
 
-Every frame F_t, at each generator build, at the end state and at the
-residual snapshots, is built from a characteristic state (z, c) by
+Every frame F_t, at each generator build, at the end state and in the
+residual stencils, is built from a characteristic state (z, c) by
 `SectionSpace.frame_at`, the one frame builder of the grid path.
 
 The residual check never orthonormalizes a frame: the projector onto the
@@ -42,10 +45,18 @@ The first is summed on the grid, since its norm is a cancellation down to
 data only.  A frame whose Gram has a non-positive eigenvalue or condition
 number above `linalg.GRAM_COND_LIMIT` is refused with a LinAlgError.
 
+The residuals are streamed: a sample's residual is taken as soon as the
+integration reaches the last step its stencil reads (sample + 4), in the
+moving frame's buffers, which are free between generator builds, and every
+state no later sample reads is then dropped.  So at most one stencil's
+states (z, c, C) are alive, not those of every sample: ~0.8 MB rather than
+7.7 MB for 10 samples at N = 16, ~11 MB rather than 107 MB at N = 72.
+
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; the integration
 runs under `np.errstate(over="raise", invalid="raise")` and reports that as
-a `ValueError` naming the Hamiltonian, the level and the time reached.
+a `ValueError` naming the Hamiltonian, the level and the time reached.  The
+residuals run outside that block, so their own failures surface unchanged.
 """
 
 from __future__ import annotations
@@ -100,14 +111,14 @@ class TransportResult:
     t_end: float
     dt: float
     coeffs: np.ndarray  # C at t_end (moving-frame coefficients)
-    schrodinger: np.ndarray  # S at t_end, exact: exp(t_end B0) from one eigh
-    generator: np.ndarray = field(repr=False)  # B at t = 0 (compressed)
+    schrodinger: np.ndarray  # S at t_end, exact: exp(t_end B_c) from one eigh
+    generator: np.ndarray = field(repr=False)  # B at t = 0 (built from the frame)
     gram_end: np.ndarray = field(repr=False)  # F_T^* F_T
     cross_end: np.ndarray = field(repr=False)  # F_0^* F_T
     gram_defect: float  # max |F*F - I| over every generator build
+    generator_drift: float  # max ||B(t) - B_c||_F / ||B_c||_F over every build
     min_coeff_sv: float  # rank monitor for C
-    sample_steps: tuple = ()  # centre steps of the residual stencils
-    snapshots: dict = field(default_factory=dict, repr=False)  # step -> (z, c, C)
+    residuals: list  # one {"t", "eq_range", "eq_deriv"} row per sample time
 
     @property
     def dim(self) -> int:
@@ -129,22 +140,20 @@ class TransportResult:
         return float(np.max(np.abs(g - np.eye(self.dim))))
 
 
-def schrodinger_propagate(
-    ham: HamiltonianField, space: SectionSpace, t_end: float
-) -> np.ndarray:
+def schrodinger_propagate(generator: np.ndarray, t_end: float) -> np.ndarray:
     """Propagator S_T = exp(T B0) on the holomorphic range, exact to rounding.
 
-    B0 is the compressed generator, i times the Hermitian Schrodinger
-    operator H = -i B0; with H = V diag(w) V* from one eigh,
-    S_T = V diag(e^{i T w}) V*.
+    B0 = `generator` is the compressed generator (`compress_generator`), i
+    times the Hermitian Schrodinger operator H = -i B0; with
+    H = V diag(w) V* from one eigh, S_T = V diag(e^{i T w}) V*.
     """
-    w, v = np.linalg.eigh(-1j * compress_generator(ham, space))
+    w, v = np.linalg.eigh(-1j * generator)
     return (v * np.exp(1j * t_end * w)) @ v.conj().T
 
 
 class _MovingFrame:
-    """Characteristic state advanced in half steps, with the coefficient ODE
-    generator rebuilt from the flowed frame on demand.
+    """Characteristic state and transport coefficients advanced in steps,
+    with the coefficient ODE generator rebuilt from the flowed frame.
 
     The frame rows with the rows of G F below them, and the conjugate frame
     rows, live in two buffers owned here (with one row of scratch) and
@@ -154,6 +163,8 @@ class _MovingFrame:
 
     def __init__(self, ham: HamiltonianField, space: SectionSpace, dt: float):
         self.space = space
+        self.ham_name = ham.name
+        self.dt = dt
         self.a = ham.a
         self.q = _phase_rate(ham, space.N)
         self.rhs = characteristic_rhs(ham, space.N, inverse=True)
@@ -163,6 +174,9 @@ class _MovingFrame:
             [n.astype(complex), np.ones(len(n), dtype=complex)]
         )
         d = space.dim
+        self.coeffs = np.eye(d, dtype=complex)  # C at the current state
+        self.b_here = None  # B at the current state, once built
+        self.generator0 = None  # B at t = 0
         # rows 0..d-1: the frame F; rows d..2d-1: G F
         self.rows = np.empty((2 * d, len(n)), dtype=complex)
         self.rows_h = np.empty((d, len(n)), dtype=complex)
@@ -173,11 +187,33 @@ class _MovingFrame:
         self.shift_scale = k * space.norms[:-1] / space.norms[1:]
         self.half_index = 0
         self.gram_defect = 0.0
+        self.closed_form = compress_generator(ham, space)  # B_c
+        # the drift is absolute for a generator B_c = 0
+        self.closed_norm = float(np.linalg.norm(self.closed_form)) or 1.0
+        self.drift = 0.0
 
     def advance_half(self):
         self.state = self.stepper.step(self.rhs, 0.0, self.state, k1=self.k1)
         self.k1 = None
         self.half_index += 1
+
+    def step(self):
+        """One full step: the state by two half steps, and C by one RK4 step
+        of Cdot = B C on the generators built at its start, middle and end."""
+        if self.b_here is None:
+            self.b_here = self.generator0 = self.generator_matrix()
+        self.advance_half()
+        b_mid = self.generator_matrix()
+        self.advance_half()
+        b_next = self.generator_matrix()
+        dt, c_mat = self.dt, self.coeffs
+        k1 = self.b_here @ c_mat
+        k2 = b_mid @ (c_mat + 0.5 * dt * k1)
+        k3 = b_mid @ (c_mat + 0.5 * dt * k2)
+        k4 = b_next @ (c_mat + dt * k3)
+        # rebound, never written in place, so a held state keeps its C
+        self.coeffs = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.b_here = b_next
 
     def frame_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Frame rows at the current state and their conjugate, in the buffers."""
@@ -185,7 +221,8 @@ class _MovingFrame:
         return rows, np.conjugate(rows, out=self.rows_h)
 
     def generator_matrix(self) -> np.ndarray:
-        """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect."""
+        """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect
+        and the drift from B_c."""
         z, c = self.state
         rows, rows_h = self.frame_rows()
         av, qv = eval_batch([self.a, self.q], z)
@@ -202,7 +239,55 @@ class _MovingFrame:
         gram = both[:, :d]
         defect = float(np.max(np.abs(gram - np.eye(d))))
         self.gram_defect = max(self.gram_defect, defect)
-        return np.linalg.solve(gram, both[:, d:])
+        b = np.linalg.solve(gram, both[:, d:])
+        drift = float(np.linalg.norm(b - self.closed_form)) / self.closed_norm
+        self.drift = max(self.drift, drift)
+        return b
+
+
+def _stencils(frame: _MovingFrame, n_steps: int, n_samples: int):
+    """Integrate `frame` over n_steps steps, yielding (j, stencil) for each
+    sample step j as soon as step j + 4 is reached.
+
+    `stencil` maps 0 and every offset m of the derivative stencil to the
+    state (z, c, C) at step j + m.  The samples are `n_samples` interior
+    steps, spread evenly and moved inwards so that every stencil lies in
+    [0, n_steps]; once a stencil is yielded, the states no later sample
+    reads are dropped.  Between yields the integration runs under
+    `np.errstate(over="raise", invalid="raise")`, and a flow leaving the
+    chart raises ValueError; the consumer's work at a yield runs outside it,
+    while the frame's buffers are free.
+    """
+    offsets = (0, *(m for m, _w in _DERIV_STENCIL))
+    reach = max(offsets)
+    samples = sorted(
+        {
+            min(max(int(round((j + 1) * n_steps / (n_samples + 1))), reach), n_steps - reach)
+            for j in range(n_samples)
+        }
+    )
+    reads = {j + m for j in samples for m in offsets}
+    held = {0: (*frame.state, frame.coeffs)} if 0 in reads else {}
+    step = 0
+    for k, j in enumerate([*samples, None]):
+        last = n_steps if j is None else j + reach
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                while step < last:
+                    frame.step()
+                    step += 1
+                    if step in reads:
+                        held[step] = (*frame.state, frame.coeffs)
+        except FloatingPointError as exc:
+            t_reached = 0.5 * frame.dt * frame.half_index
+            raise ValueError(
+                f"transport of {frame.ham_name} at N={frame.space.N}: the flow left "
+                f"the chart after t={t_reached:.4g} of t_end={n_steps * frame.dt:g} ({exc})"
+            ) from exc
+        if j is not None:
+            yield j, {m: held[j + m] for m in offsets}
+            first_read = samples[k + 1] - reach if k + 1 < len(samples) else last + 1
+            held = {i: state for i, state in held.items() if i >= first_read}
 
 
 def parallel_transport(
@@ -216,78 +301,51 @@ def parallel_transport(
 
     The parallel frame is parametrized on the flowed basis, which keeps the
     range condition Pi_t P_t = P_t exact by construction; what is integrated
-    is the coefficient matrix.  The state and coefficients at `n_samples`
-    interior steps, and at the derivative stencil around each, are kept in
-    `snapshots` so the defining equations can be residual-checked afterwards
-    by `transport_residuals`; no other step is stored.
+    is the coefficient matrix.  The defining equations are residual-checked
+    by `transport_residuals` at `n_samples` interior steps while the
+    integration runs, each as soon as its derivative stencil has been
+    reached; no state outside the current stencil is kept.
 
     Raises ValueError if the flow leaves the chart (overflow or an invalid
-    value while integrating).
+    value while integrating), and otherwise np.linalg.LinAlgError if a
+    stencil frame is ill-conditioned: a residual refusal is raised only once
+    the integration is through.
     """
-    d = space.dim
     n_steps = max(8, round(t_end / dt))
     dt = t_end / n_steps
     frame = _MovingFrame(ham, space, dt)
-
-    # keep the difference stencil inside [0, n_steps]
-    samples = sorted(
-        {
-            min(max(int(round((j + 1) * n_steps / (n_samples + 1))), 4), n_steps - 4)
-            for j in range(n_samples)
-        }
-    )
-    snap_steps = set(samples)
-    snap_steps.update(j + m for j in samples for m, _w in _DERIV_STENCIL)
-    # the stepper replaces the state and c_mat is rebound, never written in
-    # place, so a snapshot can hold the arrays themselves
-    snapshots = {}
-
-    c_mat = np.eye(d, dtype=complex)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if 0 in snap_steps:
-                snapshots[0] = (*frame.state, c_mat)
-            b_here = frame.generator_matrix()
-            b0 = b_here.copy()
-            for i in range(1, n_steps + 1):
-                frame.advance_half()
-                b_mid = frame.generator_matrix()
-                frame.advance_half()
-                b_next = frame.generator_matrix()
-                k1 = b_here @ c_mat
-                k2 = b_mid @ (c_mat + 0.5 * dt * k1)
-                k3 = b_mid @ (c_mat + 0.5 * dt * k2)
-                k4 = b_next @ (c_mat + dt * k3)
-                c_mat = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if i in snap_steps:
-                    snapshots[i] = (*frame.state, c_mat)
-                b_here = b_next
-            rows, rows_h = frame.frame_rows()
-            gram_end = rows_h @ rows.T
-            cross_end = np.conjugate(space.frame.T, out=rows_h) @ rows.T
-            min_coeff_sv = float(np.linalg.svd(c_mat, compute_uv=False)[-1])
-    except FloatingPointError as exc:
-        t_reached = 0.5 * dt * frame.half_index
-        raise ValueError(
-            f"transport of {ham.name} at N={space.N}: the flow left the chart "
-            f"after t={t_reached:.4g} of t_end={t_end:g} ({exc})"
-        ) from exc
-
-    s_mat = schrodinger_propagate(ham, space, t_end)
+    # the frame's buffers are free between builds, so the residuals borrow them
+    work = (frame.rows, frame.rows_h, np.empty_like(frame.rows_h))
+    residuals, refused = [], None
+    for j, stencil in _stencils(frame, n_steps, n_samples):
+        if refused is None:
+            try:
+                residuals.append({"t": j * dt, **transport_residuals(stencil, space, dt, work)})
+            except np.linalg.LinAlgError as exc:
+                # a flow leaving the chart later in the run degrades the frames
+                # first; that ValueError, if it comes, names the cause
+                refused = exc
+        del stencil  # its states go before the integration resumes
+    if refused is not None:
+        raise refused
+    rows, rows_h = frame.frame_rows()
+    gram_end = rows_h @ rows.T
+    cross_end = np.conjugate(space.frame.T, out=rows_h) @ rows.T
+    c_mat = frame.coeffs
     return TransportResult(
         ham_name=ham.name,
         N=space.N,
         t_end=t_end,
         dt=dt,
         coeffs=c_mat,
-        schrodinger=s_mat,
-        generator=b0,
+        schrodinger=schrodinger_propagate(frame.closed_form, t_end),
+        generator=frame.generator0,
         gram_end=gram_end,
         cross_end=cross_end,
         gram_defect=frame.gram_defect,
-        min_coeff_sv=min_coeff_sv,
-        sample_steps=tuple(samples),
-        snapshots=snapshots,
+        generator_drift=frame.drift,
+        min_coeff_sv=float(np.linalg.svd(c_mat, compute_uv=False)[-1]),
+        residuals=residuals,
     )
 
 
@@ -302,64 +360,56 @@ def intertwine_check(result: TransportResult) -> float:
     return math.sqrt(max(sq, 0.0)) / math.sqrt(result.dim)
 
 
-def transport_residuals(
-    result: TransportResult, space: SectionSpace
-) -> list[dict]:
-    """Residuals of the two defining transport equations at the sample times.
+def transport_residuals(stencil: dict, space: SectionSpace, dt: float, work: tuple) -> dict:
+    """Residuals of the two defining transport equations at one sample time.
 
     eq_range: ||Pi_t Pdot_t||_HS / sqrt(dim)   (the transport is horizontal)
     eq_deriv: ||Pidot_t P_t - Pdot_t||_HS / sqrt(dim)
 
-    Time derivatives of the frame path and the projector family come from the
-    stored trajectory states through the high-order difference stencil, which
-    shares nothing with the integrator's update rule.  The residuals are
-    formed from Grams as in the module docstring, one stencil frame at a time.
+    `stencil` maps 0 and every offset m of the difference stencil to the
+    trajectory state (z, c, C) at m steps of `dt` from the sample.  Time
+    derivatives of the frame path and the projector family come from those
+    states through the high-order stencil, which shares nothing with the
+    integrator's update rule.  The residuals are formed from Grams as in the
+    module docstring, one stencil frame at a time, in the scratch arrays
+    `work`: complex (2 dim, points), (dim, points) and (dim, points).
 
-    Raises ValueError if `space` is not the level and grid the result was
-    integrated on, and np.linalg.LinAlgError if a frame is ill-conditioned.
+    Raises ValueError if `space` is not the level and grid of the states,
+    and np.linalg.LinAlgError if a frame is ill-conditioned.
     """
     n_points = space.sqrtw.size
-    sizes = {rec[0].size for rec in result.snapshots.values()}
-    if result.N != space.N or sizes - {n_points}:
+    sizes = {z.size for z, _c, _coeff in stencil.values()}
+    levels = {coeff.shape[0] - 1 for _z, _c, coeff in stencil.values()}
+    if levels != {space.N} or sizes != {n_points}:
+        got_n = "/".join(str(n) for n in sorted(levels))
         got = "/".join(str(n) for n in sorted(sizes))
         raise ValueError(
-            f"transport_residuals: the result is at level N={result.N} on {got} "
+            f"transport_residuals: the states are at level N={got_n} on {got} "
             f"points, the space at level N={space.N} on {n_points} points"
         )
-    d = result.dim
-    dt = result.dt
+    d = space.dim
     # rows 0..d-1: the stencil frame F_m; rows d..2d-1: the centre frame F_c
-    rows = np.empty((2 * d, n_points), dtype=complex)
-    rows_h = np.empty((d, n_points), dtype=complex)
-    term = np.empty((d, n_points), dtype=complex)
-    out = []
-    for j in result.sample_steps:
-        z, c, coeff = result.snapshots[j]
-        space.frame_at(z, c, out=rows[d:])
-        centre, stencil = rows[d:], rows[:d]  # frames as rows, F^T
-        gram_c = np.conjugate(centre, out=rows_h) @ centre.T
-        check_gram_spectrum(np.linalg.eigvalsh(gram_c))
+    rows, rows_h, resid = work  # resid: (Pidot P - Pdot)^T
+    z, c, coeff = stencil[0]
+    space.frame_at(z, c, out=rows[d:])
+    centre, frame_m = rows[d:], rows[:d]  # frames as rows, F^T
+    gram_c = np.conjugate(centre, out=rows_h) @ centre.T
+    check_gram_spectrum(np.linalg.eigvalsh(gram_c))
 
-        resid = np.zeros((d, n_points), dtype=complex)  # (Pidot P - Pdot)^T
-        range_sum = np.zeros((d, d), dtype=complex)  # F_c* Pdot
-        for m, w in _DERIV_STENCIL:
-            z, c, coeff_m = result.snapshots[j + m]
-            space.frame_at(z, c, out=stencil)
-            both = np.conjugate(stencil, out=rows_h) @ rows.T  # [G_m, X_m]
-            gram_m, cross_m = both[:, :d], both[:, d:]
-            check_gram_spectrum(np.linalg.eigvalsh(gram_m))
-            range_sum += (w / dt) * (cross_m.conj().T @ coeff_m)
-            mix = (w / dt) * (np.linalg.solve(gram_m, cross_m @ coeff) - coeff_m)
-            resid += np.matmul(mix.T, stencil, out=term)
+    resid.fill(0.0)
+    range_sum = np.zeros((d, d), dtype=complex)  # F_c* Pdot
+    for m, w in _DERIV_STENCIL:
+        z, c, coeff_m = stencil[m]
+        space.frame_at(z, c, out=frame_m)
+        both = np.conjugate(frame_m, out=rows_h) @ rows.T  # [G_m, X_m]
+        gram_m, cross_m = both[:, :d], both[:, d:]
+        check_gram_spectrum(np.linalg.eigvalsh(gram_m))
+        range_sum += (w / dt) * (cross_m.conj().T @ coeff_m)
+        mix = (w / dt) * (np.linalg.solve(gram_m, cross_m @ coeff) - coeff_m)
+        # rows_h is free once `both` is formed
+        resid += np.matmul(mix.T, frame_m, out=rows_h)
 
-        chol = np.linalg.cholesky(gram_c)
-        eq_range = np.linalg.norm(np.linalg.solve(chol, range_sum)) / math.sqrt(d)
-        eq_deriv = np.linalg.norm(resid) / math.sqrt(d)
-        out.append(
-            {
-                "t": j * dt,
-                "eq_range": float(eq_range),
-                "eq_deriv": float(eq_deriv),
-            }
-        )
-    return out
+    chol = np.linalg.cholesky(gram_c)
+    eq_range = np.linalg.norm(np.linalg.solve(chol, range_sum)) / math.sqrt(d)
+    eq_deriv = np.linalg.norm(resid) / math.sqrt(d)
+    return {"eq_range": float(eq_range), "eq_deriv": float(eq_deriv)}

@@ -48,7 +48,7 @@ from quantcurv.teichmuller import (
     slice_variation,
     wp_integrand,
 )
-from quantcurv.transport import intertwine_check, parallel_transport, transport_residuals
+from quantcurv.transport import intertwine_check, parallel_transport
 from fock_oracle import value
 
 _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -300,7 +300,7 @@ def test_criterion_8_transport_intertwines_flow():
         res = parallel_transport(ham, space, t_end=1.0, dt=1e-3, n_samples=10)
         dev = intertwine_check(res)
         worst_res = 0.0
-        for rec in transport_residuals(res, space):
+        for rec in res.residuals:
             worst_res = max(worst_res, rec["eq_range"], rec["eq_deriv"])
         results[ham.name] = (dev, worst_res, tol)
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +25,12 @@ from quantcurv.transport import (
     transport_residuals,
 )
 from sphere_oracle import generator_apply
-from transport_oracle import transport_residuals_reference
+from transport_oracle import (
+    residual_work,
+    stencil_states,
+    stored_residuals,
+    transport_residuals_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +50,7 @@ def _constant_field(value):
 def test_schrodinger_rotation_phases(space):
     # rotation generator is diag(ik), so the flow is diag(e^{ikt})
     t_end = 0.7
-    s = schrodinger_propagate(rotation_z(), space, t_end)
+    s = schrodinger_propagate(compress_generator(rotation_z(), space), t_end)
     expect = np.diag(np.exp(1j * np.arange(7) * t_end))
     assert np.max(np.abs(s - expect)) < 1e-10
 
@@ -53,13 +58,13 @@ def test_schrodinger_rotation_phases(space):
 def test_schrodinger_constant_hamiltonian_phase(space):
     # H = c gives the global phase e^{i c N t} and no mixing
     c, t_end = 0.8, 0.5
-    s = schrodinger_propagate(_constant_field(c), space, t_end)
+    s = schrodinger_propagate(compress_generator(_constant_field(c), space), t_end)
     expect = np.exp(1j * c * 6 * t_end) * np.eye(7)
     assert np.max(np.abs(s - expect)) < 1e-10
 
 
 def test_schrodinger_unitary(space):
-    s = schrodinger_propagate(harmonic_real(), space, 1.0)
+    s = schrodinger_propagate(compress_generator(harmonic_real(), space), 1.0)
     assert np.max(np.abs(s.conj().T @ s - np.eye(7))) < 1e-9
 
 
@@ -68,7 +73,7 @@ def test_schrodinger_unitary(space):
 def test_schrodinger_rotation_is_exact(n, t_end):
     # exp(T B0) with B0 = diag(ik): no integration error at any level or time
     space = SectionSpace(n, SphereGrid.for_level(n))
-    s = schrodinger_propagate(rotation_z(), space, t_end)
+    s = schrodinger_propagate(compress_generator(rotation_z(), space), t_end)
     expect = np.diag(np.exp(1j * np.arange(n + 1) * t_end))
     assert np.max(np.abs(s - expect)) < 1e-12
 
@@ -78,8 +83,9 @@ def test_schrodinger_matches_eig_exponential(n):
     # unitary, and equal to exp(T B0) from a general eigendecomposition of B0
     space = SectionSpace(n, SphereGrid.for_level(n))
     t_end = 2.0
-    s = schrodinger_propagate(harmonic_real(), space, t_end)
-    w, v = np.linalg.eig(compress_generator(harmonic_real(), space))
+    b0 = compress_generator(harmonic_real(), space)
+    s = schrodinger_propagate(b0, t_end)
+    w, v = np.linalg.eig(b0)
     expect = (v * np.exp(t_end * w)) @ np.linalg.inv(v)
     assert np.max(np.abs(s.conj().T @ s - np.eye(n + 1))) < 1e-12
     assert np.max(np.abs(s - expect)) < 1e-12
@@ -120,7 +126,7 @@ def test_transport_non_isometric_intertwines(space):
 
 def test_transport_residuals_small(space):
     res = parallel_transport(harmonic_real(), space, t_end=0.5, dt=2e-3, n_samples=4)
-    recs = transport_residuals(res, space)
+    recs = res.residuals
     assert len(recs) == 4
     for rec in recs:
         assert 0.0 < rec["t"] < 0.5
@@ -130,22 +136,26 @@ def test_transport_residuals_small(space):
 
 @pytest.fixture(scope="module")
 def transported16(space16):
-    return parallel_transport(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=2)
+    """(dt, [(j, stencil), ...]) of a 20-step run with samples at steps 7 and 13."""
+    return stencil_states(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=2)
 
 
-def _with_snapshot(res, step_offset, edit):
-    """A copy of `res` whose snapshot at sample + step_offset is edit(z, c, C),
-    for every sample."""
-    snapshots = dict(res.snapshots)
-    for j in res.sample_steps:
-        snapshots[j + step_offset] = edit(*snapshots[j + step_offset])
-    return dataclasses.replace(res, snapshots=snapshots)
+def _with_state(transported, step_offset, edit):
+    """The stencils of `transported`, each with its state at offset
+    step_offset replaced by edit(z, c, C)."""
+    _dt, stencils = transported
+    return [
+        {**stencil, step_offset: edit(*stencil[step_offset])} for _j, stencil in stencils
+    ]
 
 
-def _coefficient_defect(res, step_offset, delta):
+def _coefficient_defect(transported, step_offset, delta):
+    _dt, stencils = transported
+    _z, _c, coeff = stencils[0][1][0]
+    d = coeff.shape[0]
     rng = np.random.default_rng(0)
-    e = rng.standard_normal((res.dim, res.dim)) + 1j * rng.standard_normal((res.dim, res.dim))
-    return _with_snapshot(res, step_offset, lambda z, c, coeff: (z, c, coeff + delta * e))
+    e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _with_state(transported, step_offset, lambda z, c, coeff: (z, c, coeff + delta * e))
 
 
 _STENCIL_OFFSETS = [m for m, _w in transport._DERIV_STENCIL]
@@ -158,47 +168,90 @@ def test_residuals_with_defect_match_loewdin_oracle(space16, transported16, step
     # (1.6e-5 to 4.2 here); the Gram form and the orthonormalized oracle then
     # differ by rounding in the cancellation alone, measured <= 1.1e-13
     # absolute (2.5e-11 and 2.6e-14 relative at m = +1) at both deltas
-    res = _coefficient_defect(transported16, step_offset, delta)
-    got = transport_residuals(res, space16)
-    ref = transport_residuals_reference(res, space16)
-    assert [rec["t"] for rec in got] == [rec["t"] for rec in ref]
-    for g, r in zip(got, ref):
+    dt = transported16[0]
+    for i, stencil in enumerate(_coefficient_defect(transported16, step_offset, delta)):
+        got = transport_residuals(stencil, space16, dt, residual_work(space16))
+        ref = transport_residuals_reference(stencil, space16, dt)
         for key in ("eq_range", "eq_deriv"):
-            assert r[key] > 1e-6
-            assert g[key] == pytest.approx(r[key], rel=0, abs=1e-12), (key, g["t"])
+            assert ref[key] > 1e-6
+            assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-12), (key, i)
 
 
 @pytest.mark.parametrize("step_offset", _STENCIL_OFFSETS)
 def test_residuals_grow_linearly_in_a_coefficient_defect(space16, transported16, step_offset):
     # 1000 times the defect gives 1000 times the residuals; the defect-free
     # residual (~7e-12) bends the ratio by <= 4.8e-8 (measured)
-    small = transport_residuals(_coefficient_defect(transported16, step_offset, 1e-6), space16)
-    large = transport_residuals(_coefficient_defect(transported16, step_offset, 1e-3), space16)
-    for s, b in zip(small, large):
+    dt = transported16[0]
+    small = _coefficient_defect(transported16, step_offset, 1e-6)
+    large = _coefficient_defect(transported16, step_offset, 1e-3)
+    for i, (s, b) in enumerate(zip(small, large)):
+        s, b = (transport_residuals(x, space16, dt, residual_work(space16)) for x in (s, b))
         for key in ("eq_range", "eq_deriv"):
-            assert b[key] / s[key] == pytest.approx(1e3, rel=1e-6), (key, s["t"])
+            assert b[key] / s[key] == pytest.approx(1e3, rel=1e-6), (key, i)
 
 
 @pytest.mark.parametrize("step_offset", [0, 1, -4])
 def test_residuals_refuse_a_rank_deficient_frame(space16, transported16, step_offset):
     # at a constant z every frame column is a multiple of the first
-    res = _with_snapshot(
+    dt = transported16[0]
+    stencils = _with_state(
         transported16, step_offset, lambda z, c, coeff: (np.full_like(z, 0.3), c, coeff)
     )
-    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
-        transport_residuals(res, space16)
-    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
-        transport_residuals_reference(res, space16)
+    for stencil in stencils:
+        with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+            transport_residuals(stencil, space16, dt, residual_work(space16))
+        with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+            transport_residuals_reference(stencil, space16, dt)
 
 
 def test_residuals_on_another_level_fail_loudly(space, space16, transported16):
+    dt, stencils = transported16
     with pytest.raises(ValueError, match=r"level N=16 on 3456 points, the space at level N=6 on"):
-        transport_residuals(transported16, space)
+        transport_residuals(stencils[0][1], space, dt, residual_work(space))
     # same level, another grid
-    coarse = parallel_transport(rotation_z(), space, t_end=0.02, dt=2e-3, n_samples=1)
+    dt, coarse = stencil_states(rotation_z(), space, t_end=0.02, dt=2e-3, n_samples=1)
     fine = SectionSpace(6, SphereGrid.for_level(16))
     with pytest.raises(ValueError, match=r"level N=6 on \d+ points, the space at level N=6 on 3456"):
-        transport_residuals(coarse, fine)
+        transport_residuals(coarse[0][1], fine, dt, residual_work(fine))
+
+
+def test_streamed_residuals_equal_the_stored_route_on_overlapping_stencils(space16):
+    # 20 steps and 10 samples give 8 distinct sample steps whose stencils
+    # (sample -4..+4) overlap; streaming drops a state only after the last
+    # sample reading it, so every row equals the store-everything route's
+    res = parallel_transport(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=10)
+    ref = stored_residuals(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=10)
+    assert [round(rec["t"] / res.dt) for rec in res.residuals] == [4, 5, 7, 9, 11, 13, 15, 16]
+    assert res.residuals == ref
+
+
+def test_transport_memory_does_not_grow_with_the_sample_count(space16):
+    # one stencil's states are alive at a time, so 10 samples cost what 2 do,
+    # to within one state ((z, c) on 3456 points: 0.11 MB); storing every
+    # stencil's states read 5.36 MB at 2 samples and 11.54 MB at 10, the
+    # streamed route 5.36 MB at both
+    peaks = {}
+    for n_samples in (2, 10):
+        tracemalloc.start()
+        try:
+            parallel_transport(harmonic_real(), space16, t_end=0.1, dt=1e-3, n_samples=n_samples)
+            peaks[n_samples] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[10] - peaks[2]) <= 0.11, peaks
+    assert peaks[10] <= 9.0, peaks
+
+
+@pytest.mark.parametrize(("ham_f", "bound"), [(rotation_z, 1e-14), (harmonic_real, 1e-11)])
+def test_generator_drift_is_rounding(space16, ham_f, bound):
+    # max ||B(t) - B_c||_F / ||B_c||_F over all 201 builds, measured 4.6e-16
+    # (rotation_z) and 2.7e-13 (harmonic_real); the bounds leave a margin
+    # of ~20x and ~40x
+    ham = ham_f()
+    res = parallel_transport(ham, space16, t_end=0.1, dt=1e-3, n_samples=2)
+    b_c = compress_generator(ham, space16)
+    first = np.linalg.norm(res.generator - b_c) / np.linalg.norm(b_c)
+    assert first <= res.generator_drift <= bound
 
 
 def test_transport_refines_with_dt(space):
@@ -218,11 +271,11 @@ def test_transport_result_fields(space):
     assert res.t_end == pytest.approx(0.3)
     assert res.coeffs.shape == (7, 7)
     assert res.min_coeff_sv > 0.9
-    assert len(res.sample_steps) == len(set(res.sample_steps)) == 3
-    # one (z, c, C) record per full step that a residual stencil reads
-    stencil = (0, 1, -1, 2, -2, 4, -4)
-    assert set(res.snapshots) == {j + m for j in res.sample_steps for m in stencil}
-    assert all(len(rec) == 3 and rec[2].shape == (7, 7) for rec in res.snapshots.values())
+    # one residual row per sample, at distinct interior times
+    assert len(res.residuals) == len({rec["t"] for rec in res.residuals}) == 3
+    for rec in res.residuals:
+        assert set(rec) == {"t", "eq_range", "eq_deriv"}
+        assert 0.0 < rec["t"] < 0.3
 
 
 def test_gram_defect_covers_every_state(space):
@@ -304,13 +357,10 @@ def test_each_characteristic_state_is_evaluated_once(space, monkeypatch):
 
 
 def _result_arrays(res):
-    named = {
+    return {
         name: getattr(res, name)
         for name in ("coeffs", "schrodinger", "generator", "gram_end", "cross_end")
     }
-    for step, record in res.snapshots.items():
-        named.update({f"snapshot {step}[{i}]": a for i, a in enumerate(record)})
-    return named
 
 
 def test_repeated_transport_shares_no_buffer_memory(space):
@@ -323,7 +373,9 @@ def test_repeated_transport_shares_no_buffer_memory(space):
     for name, a in arrays[0].items():
         assert np.array_equal(a, arrays[1][name]), name
     assert first.gram_defect == second.gram_defect
+    assert first.generator_drift == second.generator_drift
     assert first.min_coeff_sv == second.min_coeff_sv
+    assert first.residuals == second.residuals
     named = [(f"{i}:{name}", a) for i, d in enumerate(arrays) for name, a in d.items()]
     for j, (name_a, a) in enumerate(named):
         for name_b, b in named[j + 1 :]:
@@ -335,6 +387,15 @@ def test_flow_leaving_chart_fails_loudly(space16):
     # outer grid ring through it before t = 0.1
     with pytest.raises(ValueError, match=r"rotation_x at N=16: the flow left the chart after t="):
         parallel_transport(rotation_x(), space16, t_end=0.1, dt=1e-3)
+
+
+def test_frame_refusal_inside_the_chart_stays_a_linalg_error(space16):
+    # at t_end = 0.048 the flow stays in the chart, but the frame around the
+    # last sample (step 44) is ill-conditioned; at t_end = 0.1 the same
+    # stencil is reached first and the run still reports the flow leaving
+    # the chart (test above), since a refusal is raised only at the end
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        parallel_transport(rotation_x(), space16, t_end=0.048, dt=1e-3, n_samples=10)
 
 
 def test_short_rotation_x_transport_intertwines(space16):
@@ -377,6 +438,20 @@ def test_step_count_bound_at_validation():
         validate(t_end=2.0, dt=2.0 / (TRANSPORT_STEPS_MAX + 1))
     with pytest.raises(ConfigError, match="exceeds"):
         validate(N=72, t_end=2.0, dt=1e-6)
+
+
+def test_cli_reports_the_generator_drift(tmp_path):
+    out_path = tmp_path / "transport.csv"
+    entry = _transport_entry(
+        out_path, N=6, t_end=0.02, cases=[{"hamiltonian": "harmonic_real", "tol": 1e-3}]
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "experiments": [entry]}))
+    assert run(str(path)) == 0
+    lines = [ln for ln in out_path.read_text().splitlines() if not ln.startswith("#")]
+    header, row = lines[0].split(","), lines[1].split(",")
+    assert header.index("generator_drift") == header.index("max_eq_deriv") + 1
+    assert 0.0 < float(row[header.index("generator_drift")]) <= 1e-11
 
 
 def test_cli_reports_the_step_it_integrated_with(tmp_path):
