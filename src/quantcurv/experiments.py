@@ -157,9 +157,7 @@ def _check_bargmann(p: dict) -> dict:
     if out["D"] > fock.FOCK_DEGREE_MAX:
         raise ConfigError(f"bargmann D must be <= {fock.FOCK_DEGREE_MAX}: a run costs ~D^6")
     if out["N"] > fock.FOCK_LEVEL_MAX:
-        raise ConfigError(
-            f"bargmann N must be <= {fock.FOCK_LEVEL_MAX}: basis norms overflow a double"
-        )
+        raise ConfigError(f"bargmann N must be <= {fock.FOCK_LEVEL_MAX}")
     return out
 
 
@@ -320,11 +318,12 @@ def _check_schrodinger(p: dict) -> dict:
     t_end, dt = out["t_end"], out["dt"]
     if t_end > 2:
         raise ConfigError("t_end must lie in (0, 2]")
-    if round(t_end / dt) > transport.TRANSPORT_STEPS_MAX:
+    # round(t_end / dt) > the bound, unrounded: a subnormal dt makes it inf
+    if t_end / dt > transport.TRANSPORT_STEPS_MAX + 0.5:
         raise ConfigError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds "
             f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
-            "(~0.4 s a step at N = 72, so ~33 min there); raise dt"
+            "(~0.4 s a step at N = 72, so ~33 min there); raise 'dt'"
         )
     return out
 

@@ -34,10 +34,11 @@ Poisson bracket P(f, g) = i sum_j (df/dzbar_j dg/dz_j - df/dz_j dg/dzbar_j):
 [G_H2, G_H1] = G_{-P(H1, H2)} and [L_H2, L_H1] = L_{2 P(H1, H2)}.
 
 So a curvature matrix is the Toeplitz matrices of three symbols, each formed
-in one pass over the terms whatever D.  In `FockTruncation.toeplitz` a term
-c z^gamma zbar^beta meets the column z^alpha as c z^e zbar^beta with
-e = alpha + gamma, which projects to c N^{-|beta|} e!/(e - beta)! z^(e - beta),
-every column taking each term of every symbol in the list at once.
+in one pass over the terms whatever D.  A term c z^gamma zbar^beta meets the
+column z^alpha as c z^e zbar^beta, e = alpha + gamma, which projects to
+c N^{-|beta|} e!/(e - beta)! z^(e - beta); `FockTruncation.toeplitz` forms it
+as the Gaussian pairing e!/N^|e| over the norms of z^(e - beta) and z^alpha,
+in the sphere's log-space Toeplitz pass, exact to rounding at any N.
 Curvatures come in batches of pairs: a batch builds each symbol's Toeplitz
 matrix once, one pass for the distinct Hamiltonians and one for the
 brackets of all pairs, and each matrix is the same to the bit as one built
@@ -52,7 +53,7 @@ from itertools import product
 
 import numpy as np
 
-from .sphere import ChartFunction
+from .sphere import ChartFunction, _dd_log, _dd_sum, _dd_times, _log_factorials, _toeplitz
 from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_structure
 
 __all__ = [
@@ -77,10 +78,10 @@ class DegreeOverflowError(ValueError):
 
 # Bounds of a bargmann-curvature config.  D: a run at n = 2 costs ~D^6, 10.5 s
 # and 195 MB peak at D = 40 (2 vCPU, one BLAS thread; the peak is one
-# identity table's batch of matrices), and its deviations (<= 1.4e-11) stay
-# 7x inside the default tol_identity.  N: the
-# basis norms sqrt(N^|alpha|/alpha!), |alpha| <= 40, fit a double while
-# N^40 < 1.8e308, N < 5.08e7; a run at N = 5e7 deviates no more.
+# identity table's batch of matrices), and its deviations (<= 2.1e-11) stay
+# 4x inside the default tol_identity.  N: entries are formed in log space, so
+# no power of N overflows (those deviations read the same at N = 5e7 and 1e9);
+# the bound keeps the value configs have always been held to.
 FOCK_DEGREE_MAX = 40
 FOCK_LEVEL_MAX = 50_000_000
 # Bound of a bargmann-curvature config's n_random_pairs.  The pairs are one
@@ -138,17 +139,16 @@ class FockTruncation:
     """Monomial basis of holomorphic prefactors up to total degree D.
 
     The orthonormal basis vectors are e_alpha = z^alpha sqrt(N^|alpha|/alpha!)
-    (one common measure constant dropped); the basis list is ordered by total
-    degree, then lexicographically, so leading blocks are the low-degree
-    subspaces.
+    for the Gaussian probability measure, where <z^(e-beta), z^e zbar^beta> =
+    e!/N^|e|; the basis list is ordered by total degree, then lexicographically,
+    so leading blocks are the low-degree subspaces.
     """
 
     n: int
     N: int
     D: int
-    _basis: list = field(init=False, repr=False, compare=False)
-    _norms: np.ndarray = field(init=False, repr=False, compare=False)
-    _exps: np.ndarray = field(init=False, repr=False, compare=False)
+    exps: np.ndarray = field(init=False, repr=False, compare=False)
+    log_norms: tuple = field(init=False, repr=False, compare=False)
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,24 +160,21 @@ class FockTruncation:
             if sum(alpha) <= self.D
         ]
         idx.sort(key=lambda a: (sum(a), a))
-        norms = [
-            math.sqrt(self.N ** sum(a) / math.prod(math.factorial(k) for k in a))
-            for a in idx
-        ]
         exps = np.array(idx, dtype=np.int64)
         rows = np.full((self.D + 1,) * self.n, -1)  # dense exponent -> row lookup
         rows[tuple(exps.T)] = np.arange(len(idx))
-        object.__setattr__(self, "_basis", idx)
-        object.__setattr__(self, "_norms", np.array(norms))
-        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_rows", rows)
+        # ||z^alpha||^2 = <z^alpha, z^alpha>; halving a pair is exact
+        hi, lo = self._log_pairing(exps, None, None)
+        object.__setattr__(self, "log_norms", (0.5 * hi, 0.5 * lo))
 
     def basis(self) -> list[tuple[int, ...]]:
-        return list(self._basis)
+        return [tuple(alpha) for alpha in self.exps.tolist()]
 
     @property
     def dim(self) -> int:
-        return len(self._basis)
+        return len(self.exps)
 
     def dim_up_to(self, degree: int) -> int:
         """Number of basis monomials of total degree <= `degree`."""
@@ -191,46 +188,28 @@ class FockTruncation:
             return int(self._rows[alpha])
         raise ValueError(f"{alpha} is not in the truncation")
 
+    def _log_pairing(self, e, _beta, _m):
+        """log e!/N^|e| as a pair, the power of N a multiple of the pair log N."""
+        hi, lo = _log_factorials(int(e.max(initial=0)))
+        n_hi, n_lo = _dd_times(_dd_log(self.N), e.sum(axis=1))
+        return _dd_sum(*((hi[x], lo[x]) for x in e.T), (-n_hi, -n_lo))
+
+    def _row(self, r):
+        """Row of the image z^r; raises DegreeOverflowError past degree D."""
+        degree = r.sum(axis=1).max(initial=0)
+        if degree > self.D:
+            raise DegreeOverflowError(f"output degree {degree} exceeds truncation D = {self.D}")
+        return self._rows[tuple(r.T)]
+
     def toeplitz(self, fs: list, ncols: int) -> np.ndarray:
         """Matrices of z^alpha -> pi(f z^alpha), the Toeplitz operators of the
         chart functions f in `fs`, stacked along the first axis.
 
         Rows are all basis vectors, columns the first `ncols`, both in the
-        e_alpha basis; every column takes each term of every symbol at once,
-        as the module docstring says, and symbol g fills only matrix g, so
-        each matrix is the same to the bit as when built alone.  Raises
+        e_alpha basis, from one `sphere._toeplitz` pass.  Raises
         DegreeOverflowError when an image leaves the truncation.
         """
-        n = self.n
-        out = np.zeros((len(fs), self.dim, ncols), dtype=complex)
-        owner = np.array([g for g, f in enumerate(fs) for _ in f.terms], dtype=np.int64)
-        if not owner.size:
-            return out
-        keys = np.array([key for f in fs for key in f.terms])
-        gamma, beta = keys[:, :n], keys[:, n:]
-        # e: (term, column, variable); w: the coefficient, times
-        # e_j!/(e_j - beta_j)! / N^beta_j one variable at a time
-        e = self._exps[:ncols] + gamma[:, None, :]
-        coeffs = np.array([c for f in fs for c in f.terms.values()])
-        w = np.repeat(coeffs[:, None], ncols, axis=1)
-        perm = np.ones_like(e)
-        for t in range(beta.max()):
-            perm *= np.where(t < beta[:, None, :], e - t, 1)
-        ratio = perm / float(self.N) ** beta[:, None, :]  # an int64 power would wrap
-        for j in range(n):
-            w = w * ratio[:, :, j]
-        term, col = np.nonzero(w)
-        image = e[term, col] - beta[term]
-        degree = image.sum(axis=1).max(initial=0)
-        if degree > self.D:
-            raise DegreeOverflowError(f"output degree {degree} exceeds truncation D = {self.D}")
-        rows = self._rows[tuple(image.T)]
-        np.add.at(out, (owner[term], rows, col), w[term, col])
-        out *= self._norms[:ncols]
-        # per part: numpy's complex division rounds twice (by a reciprocal)
-        out.real /= self._norms[:, None]
-        out.imag /= self._norms[:, None]
-        return out
+        return _toeplitz(fs, self, ncols)
 
 
 def project(f: ChartFunction, N: int) -> ChartFunction:

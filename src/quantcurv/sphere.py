@@ -55,10 +55,10 @@ evaluated in log space with every log carried as a (hi, lo) pair of doubles,
 so each pairing is exact to rounding (`SectionBasis`).  Section coefficients
 and phase-space averages are computed this way, and every operator matrix,
 whatever N, is `SectionBasis.toeplitz` of chart functions, several symbols in
-one pass.  The quadrature grid (`SphereGrid`, `SectionSpace`) is used only
-where flows leave that algebra: flowed frames in transport and in
-`curvature_fd`, multiplication by sampled grid values (`compress_mult`) and
-the Gram check.
+one pass of `_toeplitz`, which `quantcurv.fock` shares.  The quadrature grid
+(`SphereGrid`, `SectionSpace`) is used only where flows leave that algebra:
+flowed frames in transport and in `curvature_fd`, multiplication by sampled
+grid values (`compress_mult`) and the Gram check.
 `SectionSpace.frame_at` is the one builder of half-weighted frames on the
 grid, for the grid itself and for its images under a flow; chart functions
 are evaluated on points by `eval_batch` alone.
@@ -398,6 +398,24 @@ def _dd_exp(pair):
     return np.exp(hi) * (1.0 + lo)
 
 
+def _dd_times(pair, k):
+    """k (hi + lo) as a pair, for integers 0 <= k < 2**26: hi splits into two
+    halves of at most 26 bits (Veltkamp), whose products with k are exact."""
+    hi, lo = pair
+    t = 134217729.0 * hi  # 2**27 + 1
+    top = t - (t - hi)
+    return _dd_sum((k * top, k * lo), (k * (hi - top), 0.0))
+
+
+@lru_cache(maxsize=16)
+def _dd_log(k: int):
+    """log k as a (hi, lo) pair, from 40-digit `decimal` arithmetic."""
+    from decimal import Context, Decimal
+
+    x = Context(prec=40).ln(Decimal(k))
+    return float(x), float(x - Decimal(float(x)))
+
+
 class _LogFactorials:
     """log k! as (hi, lo) arrays with hi + lo exact to ~32 digits.
 
@@ -441,13 +459,38 @@ def _log_beta(N: int, a: np.ndarray, m):
     return _dd_sum((hi[a], lo[a]), (hi[top - 1 - a], lo[top - 1 - a]), (-hi[top], -lo[top]))
 
 
-def _flat_terms(fs: list[ChartFunction]):
-    """Terms of several chart functions as arrays (owner index, a, b, m, coeff)."""
-    idx = np.array(
-        [(i, a, b, f.denom) for i, f in enumerate(fs) for (a, b) in f.terms], dtype=int
-    ).reshape(-1, 4)
-    coeff = np.array([c for f in fs for c in f.terms.values()], dtype=complex)
-    return (*idx.T, coeff)
+def _toeplitz(fs: list[ChartFunction], basis, ncols: int) -> np.ndarray:
+    """Matrices <e_r, f e_col>, f in `fs`, stacked: rows every e_alpha =
+    z^alpha/||z^alpha|| of the monomial `basis`, columns its first `ncols`.
+
+    A term c z^gamma zbar^beta/(1+w)^m takes z^col to c exp(log <z^r, z^e
+    zbar^beta/(1+w)^m> - log||z^r|| - log||z^col||) e_r, e = col + gamma,
+    r = e - beta >= 0, the logs (hi, lo) pairs, from the basis's `exps`,
+    `log_norms`, `_log_pairing(e, beta, m)` and `_row(r)` (-1: z^r leaves the
+    space).  Each matrix is the same to the bit as when built alone.
+    """
+    n = basis.exps.shape[1]
+    out = np.zeros((len(fs), len(basis.exps), ncols), dtype=complex)
+    owner = np.array([g for g, f in enumerate(fs) for _ in f.terms], dtype=np.int64)
+    if not owner.size:
+        return out
+    keys = np.array([key for f in fs for key in f.terms], dtype=np.int64)
+    m = np.array([f.denom for f in fs for _ in f.terms], dtype=np.int64)
+    c = np.array([c for f in fs for c in f.terms.values()], dtype=complex)
+    e = basis.exps[:ncols] + keys[:, None, :n]
+    term, col = np.nonzero(np.all(e >= keys[:, None, n:], axis=2))
+    e, beta = e[term, col], keys[term, n:]
+    rows = basis._row(e - beta)
+    keep = rows >= 0
+    term, col, rows, e, beta = term[keep], col[keep], rows[keep], e[keep], beta[keep]
+    hi, lo = basis.log_norms
+    logv = _dd_sum(
+        basis._log_pairing(e, beta, m[term]),
+        (-hi[rows], -lo[rows]),
+        (-hi[col], -lo[col]),
+    )
+    np.add.at(out, (owner[term], rows, col), c[term] * _dd_exp(logv))
+    return out
 
 
 def phase_average(f: ChartFunction) -> float:
@@ -456,75 +499,49 @@ def phase_average(f: ChartFunction) -> float:
     Only the radial terms a = b survive the angular integral; each is the
     Beta integral a! (m-a)! / (m+1)!.
     """
-    _i, a, b, m, c = _flat_terms([f])
-    keep = a == b
-    a, m, c = a[keep], m[keep], c[keep]
-    if np.any(a > m):
+    a = np.array([a for a, b in f.terms if a == b], dtype=np.int64)
+    c = np.array([c for (a, b), c in f.terms.items() if a == b], dtype=complex)
+    if np.any(a > f.denom):
         raise ValueError("chart function is not integrable over the sphere")
-    return float(np.sum(c * _dd_exp(_log_beta(0, a, m))).real)
+    return float(np.sum(c * _dd_exp(_log_beta(0, a, f.denom))).real)
 
 
 class SectionBasis:
     """Level-N holomorphic sections in the orthonormal basis e_k = z^k/||z^k||.
 
-    Grid-free: every pairing of a section with a chart function is the
-    closed-form Beta integral of the module docstring.  Each matrix entry is
-    formed as exp(log Beta - log||z^j|| - log||z^k||), so entries stay O(1)
-    even at levels where ||z^k||^2 itself underflows a double; the log is
-    summed from (hi, lo) pairs with error-free two-sums, so the entry is
-    exact to rounding at every level.
+    Grid-free: every matrix is `_toeplitz` with the Beta pairing, so entries
+    stay O(1) even where ||z^k||^2 underflows a double, exact to rounding.
     """
 
     def __init__(self, N: int):
         self.N = N
-        # ||z^k||^2 = pi k! (N-k)! / (N+1)!; halving a pair is exact
-        hi, lo = _dd_sum(_LOG_PI, _log_beta(N, np.arange(N + 1), 0))
+        self.exps = np.arange(N + 1)[:, None]
+        # ||z^k||^2 = <z^k, z^k>; halving a pair is exact
+        hi, lo = self._log_pairing(self.exps, None, 0)
         self.log_norms = (0.5 * hi, 0.5 * lo)
 
     @property
     def dim(self) -> int:
         return self.N + 1
 
-    def _pairings(self, terms, log_scale, ncols: int) -> np.ndarray:
-        """Matrix <e_j, f_k> * exp(-log_scale[k]) for f_k the sum of the flat terms
-        (k, a, b, m, c) c z^a zbar^b/(1+w)^m; `log_scale` is a (hi, lo) pair."""
-        N = self.N
-        k, a, b, m, c = terms
-        j = a - b
-        keep = (j >= 0) & (j <= N)
-        k, a, j, m, c = k[keep], a[keep], j[keep], m[keep], c[keep]
-        if np.any(a > N + m):
-            raise ValueError(f"pairing with level-{N} sections diverges")
-        (norm_hi, norm_lo), (scale_hi, scale_lo) = self.log_norms, log_scale
-        logv = _dd_sum(
-            _LOG_PI,
-            _log_beta(N, a, m),
-            (-norm_hi[j], -norm_lo[j]),
-            (-scale_hi[k], -scale_lo[k]),
-        )
-        out = np.zeros((N + 1, ncols), dtype=complex)
-        np.add.at(out, (j, k), c * _dd_exp(logv))
-        return out
+    def _log_pairing(self, e, _beta, m):
+        """log pi Beta as a pair (`_log_beta`); ValueError where it diverges."""
+        if np.any(e[:, 0] > self.N + m):
+            raise ValueError(f"pairing with level-{self.N} sections diverges")
+        return _dd_sum(_LOG_PI, _log_beta(self.N, e[:, 0], m))
+
+    def _row(self, r):
+        """Row of the image z^r: r itself, -1 past N (it leaves the space)."""
+        return np.where(r[:, 0] <= self.N, r[:, 0], -1)
 
     def coeffs(self, f: ChartFunction) -> np.ndarray:
-        """Coefficients <e_k, f> against the orthonormal monomial sections."""
-        return self._pairings(_flat_terms([f]), (np.zeros(1), np.zeros(1)), 1)[:, 0]
+        """Coefficients <e_k, f>: ||z^0|| times the column of z^0 under f."""
+        return _toeplitz([f], self, 1)[0, :, 0] * _dd_exp(tuple(x[0] for x in self.log_norms))
 
     def toeplitz(self, fs: list) -> np.ndarray:
         """Toeplitz matrices <e_j, f e_k> of the chart functions f in `fs`,
-        stacked along the first axis.
-
-        The terms of all symbols are paired at every k in one pass, symbol g
-        filling column block g, so each matrix is the same to the bit as when
-        built alone."""
-        dim = self.dim
-        owner, s, t, m, c = _flat_terms(fs)
-        # c z^s zbar^t/(1+w)^m times z^k is c z^(s+k) zbar^t/(1+w)^m
-        term, k = np.divmod(np.arange(len(c) * dim), dim)
-        terms = (owner[term] * dim + k, s[term] + k, t[term], m[term], c[term])
-        scale = tuple(np.tile(x, len(fs)) for x in self.log_norms)
-        out = self._pairings(terms, scale, len(fs) * dim)
-        return out.reshape(dim, len(fs), dim).transpose(1, 0, 2)
+        stacked along the first axis, from one `_toeplitz` pass."""
+        return _toeplitz(fs, self, self.dim)
 
 
 class SectionSpace(SectionBasis):

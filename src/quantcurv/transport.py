@@ -307,9 +307,9 @@ def parallel_transport(
     reached; no state outside the current stencil is kept.
 
     Raises ValueError if the flow leaves the chart (overflow or an invalid
-    value while integrating), and otherwise np.linalg.LinAlgError if a
-    stencil frame is ill-conditioned: a residual refusal is raised only once
-    the integration is through.
+    value while integrating), and otherwise np.linalg.LinAlgError, naming the
+    Hamiltonian, level and sample time, if a stencil frame is ill-conditioned:
+    a residual refusal is raised only once the integration is through.
     """
     n_steps = max(8, round(t_end / dt))
     dt = t_end / n_steps
@@ -324,10 +324,13 @@ def parallel_transport(
             except np.linalg.LinAlgError as exc:
                 # a flow leaving the chart later in the run degrades the frames
                 # first; that ValueError, if it comes, names the cause
-                refused = exc
+                refused = (j * dt, exc)
         del stencil  # its states go before the integration resumes
     if refused is not None:
-        raise refused
+        t, exc = refused
+        raise np.linalg.LinAlgError(
+            f"transport of {ham.name} at N={space.N}: the frame at t={t:.4g} is refused ({exc})"
+        ) from exc
     rows, rows_h = frame.frame_rows()
     gram_end = rows_h @ rows.T
     cross_end = np.conjugate(space.frame.T, out=rows_h) @ rows.T

@@ -382,6 +382,10 @@ _BAD_VALUES = (
     ]
     + [_bad("schrodinger-intertwine", "tol", bad, _with_case(tol=bad)) for bad in _BAD_NUMBERS]
     + [
+        # t_end/dt overflows to inf: refused by the step bound, not by round()
+        _bad("schrodinger-intertwine", "dt", 1e-310, dict(_with_case(), dt=1e-310, t_end=1.0))
+    ]
+    + [
         _bad("sphere-convergence", "N_list", bad, {"N_list": bad})
         for bad in ([True, 16], [8, 2.7], [16, 8], [16, 16])
     ]

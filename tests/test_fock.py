@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,7 +47,8 @@ def _random_quadratic(n, rng):
 
 def _norm_constant(tr, alpha):
     # sqrt(N^|alpha| / alpha!) normalizing z^alpha, for alpha in the truncation
-    return tr._norms[tr.index(alpha)]
+    (hi, lo), i = tr.log_norms, tr.index(alpha)
+    return math.exp(-(hi[i] + lo[i]))
 
 
 def _columns(images, tr):
@@ -248,6 +250,57 @@ def test_curvature_matches_columnwise_reference(n, D):
         rest = [r for r in range(tr.dim) if r not in ref_rows]
         worst = max(worst, float(np.max(np.abs(got.matrix[rest, i]), initial=0.0)))
     assert worst < 1e-12 * max(1.0, float(np.max(np.abs(got.matrix))))
+
+
+def _decimal_toeplitz(tr, f, ncols):
+    """<e_r, T_f e_col> at 40 digits: c z^gamma zbar^beta takes z^col to
+    c N^-|beta| e!/r! z^r, e = col + gamma, r = e - beta (nothing when some
+    r_j < 0), and e_alpha = z^alpha sqrt(N^|alpha|/alpha!)."""
+    n, fact = tr.n, math.factorial
+    out = np.zeros((tr.dim, ncols), dtype=complex)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        big_n = Decimal(tr.N)
+
+        def norm(alpha):
+            return (big_n ** sum(alpha) / math.prod(fact(a) for a in alpha)).sqrt()
+
+        for i, col in enumerate(tr.basis()[:ncols]):
+            sums = {}
+            for key, c in f.terms.items():
+                e = [a + g for a, g in zip(col, key[:n])]
+                r = tuple(x - b for x, b in zip(e, key[n:]))
+                if min(r) < 0:
+                    continue
+                w = Decimal(math.prod(fact(x) for x in e)) / math.prod(fact(x) for x in r)
+                w = w / big_n ** sum(key[n:]) * norm(col) / norm(r)
+                re, im = sums.get(r, (Decimal(0), Decimal(0)))
+                sums[r] = (re + Decimal(c.real) * w, im + Decimal(c.imag) * w)
+            for r, (re, im) in sums.items():
+                out[tr.index(r), i] = complex(float(re), float(im))
+    return out
+
+
+def test_toeplitz_matches_decimal_oracle():
+    # generator, Lie and bracket symbols of random quadratics at n = 2;
+    # zbar^3 at a level where N^(3/2) is large; and zbar^40 at N = 1e9, whose
+    # one entry <e_0, T e_40> = sqrt(40!/N^40) = 9.0e-157 although N^40 is no
+    # double: each matrix to a few ulp of its largest entry
+    tr = FockTruncation(2, 4, 10)
+    rng = np.random.default_rng(11)
+    h1, h2 = _random_quadratic(2, rng), _random_quadratic(2, rng)
+    k = tr.dim_up_to(8)
+    cases = [
+        (tr, fock._generator_symbol(h1, tr.N), k),
+        (tr, fock._lie_symbol(h2, tr.N), k),
+        (tr, fock._lie_symbol(fock._poisson(h1, h2, 2.0), tr.N), k),
+        (FockTruncation(1, 3 * 10**6, 12), ChartFunction.monomial(0, 3, coeff=0.3 - 1.1j), 11),
+        (FockTruncation(1, 10**9, 40), ChartFunction.monomial(0, 40), 41),
+    ]
+    for tr, f, ncols in cases:
+        want = _decimal_toeplitz(tr, f, ncols)
+        got = tr.toeplitz([f], ncols)[0]
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_lie_matrix_rotation_is_diagonal():

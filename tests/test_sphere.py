@@ -427,7 +427,7 @@ def test_curvature_builds_chart_functions_independent_of_level(monkeypatch):
 
 def test_ladder_symbolic_work_independent_of_levels(monkeypatch):
     # the chart algebra of the pair is formed once per ladder, and each level
-    # is one pairing pass, however many levels the ladder has
+    # is one Toeplitz pass, however many levels the ladder has
     curvature_calibration()  # cached: its Fock products are not the ladder's
     counts = {}
 
@@ -439,7 +439,7 @@ def test_ladder_symbolic_work_independent_of_levels(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ChartFunction, "__mul__", counting("mul", ChartFunction.__mul__))
-    monkeypatch.setattr(SectionBasis, "_pairings", counting("pair", SectionBasis._pairings))
+    monkeypatch.setattr(sphere, "_toeplitz", counting("pair", sphere._toeplitz))
     products = []
     for n_list in ([8], [8, 16, 32, 64, 80]):
         counts.update(mul=0, pair=0)

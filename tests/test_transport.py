@@ -393,9 +393,15 @@ def test_frame_refusal_inside_the_chart_stays_a_linalg_error(space16):
     # at t_end = 0.048 the flow stays in the chart, but the frame around the
     # last sample (step 44) is ill-conditioned; at t_end = 0.1 the same
     # stencil is reached first and the run still reports the flow leaving
-    # the chart (test above), since a refusal is raised only at the end
-    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+    # the chart (test above), since a refusal is raised only at the end,
+    # naming the Hamiltonian, the level and the sample time, with its cause
+    with pytest.raises(np.linalg.LinAlgError) as info:
         parallel_transport(rotation_x(), space16, t_end=0.048, dt=1e-3, n_samples=10)
+    assert str(info.value).startswith(
+        "transport of rotation_x at N=16: the frame at t=0.044 is refused "
+        "(frame Gram matrix is ill-conditioned"
+    )
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_short_rotation_x_transport_intertwines(space16):
