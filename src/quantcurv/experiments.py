@@ -286,7 +286,9 @@ def _run_sphere(p: dict, _rng) -> tuple[list, list, bool]:
     rows = []
     prev = None
     for row in table:
-        ratio = row["eps"] / prev["eps"] if prev else math.nan
+        ratio = math.nan
+        if prev:  # after an exact zero, nothing is left to decay unless eps grew
+            ratio = row["eps"] / prev["eps"] if prev["eps"] else (math.inf if row["eps"] else 0.0)
         ok = True
         if prev and prev["N"] >= p["ratio_min_N"]:
             ok = ratio <= p["ratio_bound"]

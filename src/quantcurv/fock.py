@@ -36,13 +36,13 @@ Poisson bracket P(f, g) = i sum_j (df/dzbar_j dg/dz_j - df/dz_j dg/dzbar_j):
 So a curvature matrix is the Toeplitz matrices of three symbols, each formed
 in one pass over the terms whatever D.  A term c z^gamma zbar^beta meets the
 column z^alpha as c z^e zbar^beta, e = alpha + gamma, which projects to
-c N^{-|beta|} e!/(e - beta)! z^(e - beta); `FockTruncation.toeplitz` forms it
-as the Gaussian pairing e!/N^|e| over the norms of z^(e - beta) and z^alpha,
-in the sphere's log-space Toeplitz pass, exact to rounding at any N.
-Curvatures come in batches of pairs: a batch builds each symbol's Toeplitz
-matrix once, one pass for the distinct Hamiltonians and one for the
-brackets of all pairs, and each matrix is the same to the bit as one built
-alone.
+c N^{-|beta|} e!/(e - beta)! z^(e - beta); the sphere's log-space Toeplitz
+pass forms it as the Gaussian pairing e!/N^|e| over the norms of z^(e - beta)
+and z^alpha, exact to rounding at any N.  Curvatures come in batches of
+pairs from the sphere's curvature routine, fed the symbols above, P and the
+column margins (an operator of order 2 or 4 keeps the columns of degree
+<= D - 2 or D - 4 in the truncation): one pass for the distinct Hamiltonians,
+one for the brackets of all pairs, each matrix the same to the bit as alone.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from itertools import product
 
 import numpy as np
 
-from .sphere import ChartFunction, _dd_log, _dd_sum, _dd_times, _log_factorials, _toeplitz
+from .sphere import ChartFunction, _curvatures, _dd_log, _dd_sum, _dd_times, _log_factorials
 from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_structure
 
 __all__ = [
@@ -76,17 +76,19 @@ class DegreeOverflowError(ValueError):
     """Raised when a requested operation needs degrees beyond the truncation."""
 
 
-# Bounds of a bargmann-curvature config.  D: a run at n = 2 costs ~D^6, 10.5 s
-# and 195 MB peak at D = 40 (2 vCPU, one BLAS thread; the peak is one
-# identity table's batch of matrices), and its deviations (<= 2.1e-11) stay
-# 4x inside the default tol_identity.  N: entries are formed in log space, so
-# no power of N overflows (those deviations read the same at N = 5e7 and 1e9);
-# the bound keeps the value configs have always been held to.
+# Bounds of a bargmann-curvature config.  D: a run at n = 2 costs ~D^6, 6.8-8.7 s
+# and a 172 MB tracemalloc peak at D = 40 (`_run_bargmann` in a fresh
+# interpreter, 2 vCPU, one BLAS thread; the peak is one identity table's batch
+# of matrices), and its deviations (<= 2.1e-11) stay 4x inside the default
+# tol_identity.  N: entries are formed in log space, so no power of N
+# overflows (those deviations read the same at N = 5e7 and 1e9); the bound
+# keeps the value configs have always been held to.
 FOCK_DEGREE_MAX = 40
 FOCK_LEVEL_MAX = 50_000_000
 # Bound of a bargmann-curvature config's n_random_pairs.  The pairs are one
 # curvature batch, which holds every pair's matrices: ~80 KB a pair at
-# D = 40, so 1000 pairs take 0.9 s and 121 MB peak there.
+# D = 40, so a run at n = 1 with 1000 pairs takes 1.4-1.8 s at a 91 MB peak,
+# measured as above.
 FOCK_PAIRS_MAX = 1000
 # Relative asymmetry up to which `verify_scalar_curvature` takes a generator
 # for a deformation direction (a symmetric sp(n, R) matrix).
@@ -201,15 +203,12 @@ class FockTruncation:
             raise DegreeOverflowError(f"output degree {degree} exceeds truncation D = {self.D}")
         return self._rows[tuple(r.T)]
 
-    def toeplitz(self, fs: list, ncols: int) -> np.ndarray:
-        """Matrices of z^alpha -> pi(f z^alpha), the Toeplitz operators of the
-        chart functions f in `fs`, stacked along the first axis.
-
-        Rows are all basis vectors, columns the first `ncols`, both in the
-        e_alpha basis, from one `sphere._toeplitz` pass.  Raises
-        DegreeOverflowError when an image leaves the truncation.
-        """
-        return _toeplitz(fs, self, ncols)
+    def columns(self, order: int) -> int:
+        """Number of leading columns, those of degree <= D - order, whose
+        images under an operator of that order stay in the truncation."""
+        if order > self.D:
+            raise DegreeOverflowError(f"an operator of order {order} needs D >= {order}")
+        return self.dim_up_to(self.D - order)
 
 
 def project(f: ChartFunction, N: int) -> ChartFunction:
@@ -250,14 +249,14 @@ def _symbol(h: ChartFunction, weight, lap: complex) -> ChartFunction:
     return ChartFunction(out)
 
 
-def _generator_symbol(h: ChartFunction, N: int) -> ChartFunction:
-    """sigma_G(h) = i (N h - Delta h): pi G_h pi is its Toeplitz operator."""
-    return _symbol(h, lambda _degree: 1j * N, -1j)
+def _generator_symbol(h: ChartFunction):
+    """N -> sigma_G(h) = i (N h - Delta h): pi G_h pi is its Toeplitz operator."""
+    return lambda N: _symbol(h, lambda _degree: 1j * N, -1j)
 
 
-def _lie_symbol(h: ChartFunction, N: int) -> ChartFunction:
-    """sigma_L(h) = 2i Delta h - i N E h: pi L_h pi is its Toeplitz operator."""
-    return _symbol(h, lambda degree: -1j * N * degree, 2j)
+def _lie_symbol(h: ChartFunction):
+    """N -> sigma_L(h) = 2i Delta h - i N E h: pi L_h pi is its Toeplitz operator."""
+    return lambda N: _symbol(h, lambda degree: -1j * N * degree, 2j)
 
 
 def _poisson(f: ChartFunction, g: ChartFunction, scale: complex) -> ChartFunction:
@@ -307,45 +306,6 @@ class FockOperator:
         return scalar, float(deviation)
 
 
-def _curvatures(symbol, pairs: list, bracket: complex, trunc: FockTruncation) -> list:
-    """Curvature columns of each pair (h1, h2): pi [D2, D1] pi - [pi D2 pi,
-    pi D1 pi], pi D_i pi the Toeplitz operator of symbol(h_i, N) and
-    pi [D2, D1] pi that of symbol(bracket P(h1, h2), N).
-
-    One `toeplitz` call builds the matrix of each distinct Hamiltonian (by
-    identity) once, and one more the bracket matrices of all pairs; each
-    pair's commutator is then subtracted in place from its bracket matrix,
-    which becomes that pair's `FockOperator`.
-    """
-    if trunc.D < 4:
-        raise DegreeOverflowError("curvature columns need D >= 4")
-    N = trunc.N
-    m, k = trunc.dim_up_to(trunc.D - 2), trunc.dim_up_to(trunc.D - 4)
-    hams = {id(h): h for pair in pairs for h in pair}
-    at = {key: i for i, key in enumerate(hams)}
-    # an empty symbol: its zero matrix, in the operators' own allocation,
-    # holds each pair's second product (a separate buffer of this size would
-    # stay resident in the heap after the call)
-    ops = trunc.toeplitz([symbol(h, N) for h in hams.values()] + [ChartFunction()], m)
-    q = ops[-1, :, :k]
-    out = trunc.toeplitz([symbol(_poisson(h1, h2, bracket), N) for h1, h2 in pairs], k)
-    for curv, (h1, h2) in zip(out, pairs):
-        b1, b2 = ops[at[id(h1)]], ops[at[id(h2)]]
-        # the first product goes into the pair's own bracket matrix, so no
-        # second buffer is needed: the bracket's few nonzeros are set aside,
-        # 0 - (b2 b1 - b1 b2) is formed in place and they are added back,
-        # which rounds as bracket - (b2 b1 - b1 b2) does, entry by entry
-        flat = curv.reshape(-1)
-        nonzero = np.flatnonzero(flat)
-        bracket_values = flat[nonzero]
-        np.matmul(b2, b1[:m, :k], out=curv)
-        np.matmul(b1, b2[:m, :k], out=q)
-        curv -= q
-        np.subtract(0.0, curv, out=curv)
-        flat[nonzero] += bracket_values
-    return [FockOperator(curv, trunc, trunc.D - 4) for curv in out]
-
-
 def curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]:
     """Difference between the compressed commutator and the commutator of
     compressions, for each pair (H_1, H_2) in `pairs`.
@@ -363,14 +323,16 @@ def curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]
     several pairs has its matrix built once, and the batch holds the
     columns of all its pairs at once.
     """
-    return _curvatures(_lie_symbol, pairs, 2.0, trunc)
+    ((curvs, _),) = _curvatures(pairs, [trunc], _lie_symbol, lambda f, g: _poisson(f, g, 2.0))
+    return [FockOperator(curv, trunc, trunc.D - 4) for curv in curvs]
 
 
 def flat_curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]:
     """Curvature columns with the flat prequantum generators in place of the
     bare Hamiltonian derivations (the multiplication term i N H included),
     batched over `pairs` as in `curvature_operator`."""
-    return _curvatures(_generator_symbol, pairs, -1.0, trunc)
+    ((curvs, _),) = _curvatures(pairs, [trunc], _generator_symbol, lambda f, g: _poisson(f, g, -1.0))
+    return [FockOperator(curv, trunc, trunc.D - 4) for curv in curvs]
 
 
 def verify_scalar_curvature(pairs: list, trunc: FockTruncation) -> list[dict]:

@@ -30,10 +30,12 @@ dh/dzbar this is Tuynman's relation (J. Math. Phys. 28 (1987) 573)
 
 The generators close under the Poisson bracket, [G_{h2}, G_{h1}] = G_p with
 p = -xi_{h1} h2, so the compressed commutator is Pi [G2, G1] Pi =
-i T_{N p - Delta_1 p}.  The symbols h, p and their Delta_1 do not depend on
-N, so the chart algebra of a pair is formed once, and each level scales by N,
-adds, and gets B1, B2, the bracket and any Toeplitz symbols from one pairing
-pass.
+i T_{N p - Delta_1 p}, and the curvature is Y = T_{i(N p - Delta_1 p)} -
+[B2, B1].  That formula, in a model's symbol, bracket and column margins, is
+one routine, `_curvatures`, for this model and `quantcurv.fock`.  The symbols
+h, p and their Delta_1 do not depend on N, so the chart algebra of a batch of
+pairs is formed once, and each level scales by N, adds, and gets every B,
+bracket and extra Toeplitz symbol from one pairing pass.
 
 Chart functions: a `ChartFunction` is p(z, zbar)/(1+|z|^2)^m on a chart of
 C^n, |z|^2 = sum_j z_j zbar_j, with one denominator power m >= 0 and p stored
@@ -54,7 +56,7 @@ unless a = b + j, and then equals the Beta integral
 evaluated in log space with every log carried as a (hi, lo) pair of doubles,
 so each pairing is exact to rounding (`SectionBasis`).  Section coefficients
 and phase-space averages are computed this way, and every operator matrix,
-whatever N, is `SectionBasis.toeplitz` of chart functions, several symbols in
+whatever N, is the Toeplitz matrix of a chart function, several symbols in
 one pass of `_toeplitz`, which `quantcurv.fock` shares.  The quadrature grid
 (`SphereGrid`, `SectionSpace`) is used only where flows leave that algebra:
 flowed frames in transport and in `curvature_fd`, multiplication by sampled
@@ -307,7 +309,12 @@ def hamiltonian_from_chart(name: str, h: ChartFunction) -> HamiltonianField:
         raise ValueError("Hamiltonian chart function must be real")
     if not h.bounded_at_infinity():
         raise ValueError("Hamiltonian must stay bounded at the chart's far pole")
-    return HamiltonianField(name=name, h=h, a=1j * _times_one_plus_w_squared(h.dzbar(0)))
+    return HamiltonianField(name=name, h=h, a=_flow(h))
+
+
+def _flow(h: ChartFunction) -> ChartFunction:
+    """a = i (1+|z|^2)^2 dh/dzbar, the flow coefficient of a bounded h."""
+    return 1j * _times_one_plus_w_squared(h.dzbar(0))
 
 
 def _times_one_plus_w_squared(d: ChartFunction) -> ChartFunction:
@@ -493,6 +500,39 @@ def _toeplitz(fs: list[ChartFunction], basis, ncols: int) -> np.ndarray:
     return out
 
 
+def _curvatures(pairs: list, bases, symbol, bracket, extra=()):
+    """Y = T_bracket - [B2, B1] for each pair (f1, f2) of chart functions at
+    each basis in `bases`, with the Toeplitz matrices of the symbols `extra`.
+
+    The model supplies `symbol(f)`, which forms the level-free algebra of f
+    once and returns N -> the symbol of its compressed operator; `bracket`,
+    Pi [D2, D1] Pi being T of symbol(bracket(f1, f2)); and `columns(order)`
+    of a basis, the leading columns an operator of that order keeps in the
+    space.  An f passed as the same object in several pairs gets one matrix.
+    Where every column survives (the sphere) a level is one `_toeplitz` pass;
+    otherwise (Fock) the operators take one on columns(2), the brackets and
+    `extra` another on columns(4), Y's columns.  Each Y is formed in place in
+    its bracket's matrix.  Yields, per basis, the stacked Y and `extra`.
+    """
+    fs = {id(f): f for pair in pairs for f in pair}
+    at = {key: i for i, key in enumerate(fs)}
+    ops = [symbol(f) for f in fs.values()]
+    brackets = [symbol(bracket(f1, f2)) for f1, f2 in pairs]
+    for basis in bases:
+        m, k = basis.columns(2), basis.columns(4)
+        level = [s(basis.N) for s in ops]
+        rest = [s(basis.N) for s in brackets] + list(extra)
+        if k == basis.dim:
+            mats = _toeplitz(level + rest, basis, k)
+            b, rest = mats[: len(level)], mats[len(level) :]
+        else:
+            b, rest = _toeplitz(level, basis, m), _toeplitz(rest, basis, k)
+        for y, (f1, f2) in zip(rest, pairs):
+            b1, b2 = b[at[id(f1)]], b[at[id(f2)]]
+            y -= b2 @ b1[:m, :k] - b1 @ b2[:m, :k]
+        yield rest[: len(pairs)], rest[len(pairs) :]
+
+
 def phase_average(f: ChartFunction) -> float:
     """Exact average (1/pi) int f dmu of a real chart function.
 
@@ -542,6 +582,10 @@ class SectionBasis:
         """Toeplitz matrices <e_j, f e_k> of the chart functions f in `fs`,
         stacked along the first axis, from one `_toeplitz` pass."""
         return _toeplitz(fs, self, self.dim)
+
+    def columns(self, _order: int) -> int:
+        """Every column: a Toeplitz operator keeps the level-N space."""
+        return self.dim
 
 
 class SectionSpace(SectionBasis):
@@ -600,12 +644,14 @@ class SectionSpace(SectionBasis):
 def compress_generator(ham: HamiltonianField, space: SectionBasis) -> np.ndarray:
     """Matrix <e_j, G e_k> of the compressed prequantum generator: Tuynman's
     i T_{N h - Delta_1 h} of the module docstring."""
-    return space.toeplitz([_tuynman(ham.h, _laplacian(ham.h), space.N)])[0]
+    return space.toeplitz([_generator_symbol(ham.h)(space.N)])[0]
 
 
-def _tuynman(f: ChartFunction, lap: ChartFunction, N: int) -> ChartFunction:
-    """i (N f - lap), the symbol of Pi G_f Pi at level N given lap = Delta_1 f."""
-    return 1j * (float(N) * f - lap)
+def _generator_symbol(f: ChartFunction):
+    """N -> i (N f - Delta_1 f), the level-N symbol of Pi G_f Pi, with
+    Delta_1 f formed once."""
+    lap = _laplacian(f)
+    return lambda N: 1j * (float(N) * f - lap)
 
 
 def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
@@ -669,9 +715,11 @@ def _phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
     return (-float(N)) * (ham.a * _ZBAR_OVER_1PW) + (1j * N) * ham.h
 
 
-def _xi(a: ChartFunction, f: ChartFunction) -> ChartFunction:
-    """xi f = a df/dz + conj(a) df/dzbar: the flow field a acting on f."""
-    return a * f.dz(0) + a.conj() * f.dzbar(0)
+def _bracket(h1: ChartFunction, h2: ChartFunction) -> ChartFunction:
+    """p = -xi_{h1} h2, with [G_{h2}, G_{h1}] = G_p: the flow field a of h1
+    acts as xi f = a df/dz + conj(a) df/dzbar."""
+    a = _flow(h1)
+    return -1.0 * (a * h2.dz(0) + a.conj() * h2.dzbar(0))
 
 
 def pullback_frame(
@@ -721,23 +769,8 @@ def curvature_commutator(
     the Toeplitz forms of the module docstring; every entry is a closed-form
     pairing, so entries carry rounding error only.
     """
-    ((y, _),) = _curvatures(h1, h2, [space])
-    return y
-
-
-def _curvatures(h1: HamiltonianField, h2: HamiltonianField, spaces, symbols=()):
-    """Curvature of the pair on each space, with the Toeplitz matrices of `symbols`.
-
-    h1, h2, p = -xi_{h1} h2 and their Delta_1 are formed once, as the module
-    docstring says; a level is one `toeplitz` pass.
-    """
-    fs = [h1.h, h2.h, -1.0 * _xi(h1.a, h2.h)]
-    laps = [_laplacian(f) for f in fs]
-    for space in spaces:
-        b1, b2, bracket, *toeplitz = space.toeplitz(
-            [_tuynman(f, lap, space.N) for f, lap in zip(fs, laps)] + list(symbols)
-        )
-        yield bracket - (b2 @ b1 - b1 @ b2), toeplitz
+    (((y,), _),) = _curvatures([(h1.h, h2.h)], [space], _generator_symbol, _bracket)
+    return y.copy()  # not a view, so that the pass's other matrices are freed
 
 
 def curvature_fd(
@@ -828,8 +861,10 @@ def symbol_decay_experiment(
     chi = chi_field(h1, h2)
     trace_rhs = phase_average(chi)
     rows = []
-    levels = _curvatures(h1, h2, map(SectionBasis, n_list), [chi])
-    for N, (y, (t,)) in zip(n_list, levels):
+    levels = _curvatures(
+        [(h1.h, h2.h)], map(SectionBasis, n_list), _generator_symbol, _bracket, [chi]
+    )
+    for N, ((y,), (t,)) in zip(n_list, levels):
         y = y / c
         eps = float(np.linalg.norm(y - t) ** 2 / (N + 1))
         trace_lhs = float(np.trace(y).real / (N + 1))

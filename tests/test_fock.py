@@ -17,7 +17,8 @@ from quantcurv.fock import (
     project,
     verify_scalar_curvature,
 )
-from quantcurv.sphere import ChartFunction
+from quantcurv import sphere
+from quantcurv.sphere import ChartFunction, _toeplitz
 from quantcurv.symplectic import (
     QuadraticHamiltonian,
     hamiltonian_from_form,
@@ -28,8 +29,8 @@ from quantcurv.symplectic import (
 from curvature_oracle import compressed_curvature
 from fock_oracle import bargmann_generator, hamiltonian_products, lie_derivative, value
 
-# (literal reference, Toeplitz symbol, factor c of the bracket symbol
-# symbol(c P), curvature function)
+# (literal reference, Toeplitz symbol as a function of N, factor c of the
+# bracket symbol symbol(c P), curvature function)
 SPECS = [
     pytest.param((lie_derivative, fock._lie_symbol, 2.0, curvature_operator), id="_lie_operator"),
     pytest.param(
@@ -70,7 +71,7 @@ def _projected_columns(op, tr):
 def _lie_matrix(h, tr):
     # square block of T_{sigma_L(h)} on degree <= D - 2
     k = tr.dim_up_to(tr.D - 2)
-    return tr.toeplitz([fock._lie_symbol(h, tr.N)], k)[0][:k]
+    return _toeplitz([fock._lie_symbol(h)(tr.N)], tr, k)[0][:k]
 
 
 def _pair_monomial(n, i, j):
@@ -291,15 +292,15 @@ def test_toeplitz_matches_decimal_oracle():
     h1, h2 = _random_quadratic(2, rng), _random_quadratic(2, rng)
     k = tr.dim_up_to(8)
     cases = [
-        (tr, fock._generator_symbol(h1, tr.N), k),
-        (tr, fock._lie_symbol(h2, tr.N), k),
-        (tr, fock._lie_symbol(fock._poisson(h1, h2, 2.0), tr.N), k),
+        (tr, fock._generator_symbol(h1)(tr.N), k),
+        (tr, fock._lie_symbol(h2)(tr.N), k),
+        (tr, fock._lie_symbol(fock._poisson(h1, h2, 2.0))(tr.N), k),
         (FockTruncation(1, 3 * 10**6, 12), ChartFunction.monomial(0, 3, coeff=0.3 - 1.1j), 11),
         (FockTruncation(1, 10**9, 40), ChartFunction.monomial(0, 40), 41),
     ]
     for tr, f, ncols in cases:
         want = _decimal_toeplitz(tr, f, ncols)
-        got = tr.toeplitz([f], ncols)[0]
+        got = _toeplitz([f], tr, ncols)[0]
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
@@ -507,7 +508,7 @@ def test_bracket_matches_symbolic_composition(n, spec):
             ],
             tr,
         )
-        got = tr.toeplitz([symbol(fock._poisson(h1, h2, c), big_n)], k)[0]
+        got = _toeplitz([symbol(fock._poisson(h1, h2, c))(big_n)], tr, k)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -523,7 +524,7 @@ def test_operator_matrix_matches_projected_images(n, D, spec):
     for _ in range(3):
         h = _random_quadratic(n, rng)
         ref = _projected_columns(lambda f: literal(h, f, tr.N), tr)
-        got = tr.toeplitz([symbol(h, tr.N)], k)[0]
+        got = _toeplitz([symbol(h)(tr.N)], tr, k)[0]
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -556,7 +557,7 @@ def test_curvature_matches_compressed_curvature_oracle(n, D, spec):
 def test_toeplitz_exact_where_integer_powers_of_n_overflow():
     # <e_0, T_{zbar^3} e_3> = sqrt(3!/N^3), with N^3 past the int64 range
     big_n = 3_000_000
-    (t,) = FockTruncation(1, big_n, 8).toeplitz([ChartFunction.monomial((0,), (3,))], 4)
+    (t,) = _toeplitz([ChartFunction.monomial((0,), (3,))], FockTruncation(1, big_n, 8), 4)
     assert t[0, 3] == pytest.approx(math.sqrt(6.0 / big_n**3), rel=1e-14)
 
 
@@ -569,18 +570,18 @@ def test_batched_toeplitz_equals_separate_builds(n, D):
     k = tr.dim_up_to(D - 2)
     hams = [hamiltonian_bipoly(q) for q in p_plus_basis(n) + p_minus_basis(n)]
     hams += [_random_quadratic(n, rng) for _ in range(2)]
-    cases = [fock._lie_symbol(h, tr.N) for h in hams] + [ChartFunction()]
-    cases += [fock._generator_symbol(fock._poisson(hams[0], h, -1.0), tr.N) for h in hams[1:]]
-    stack = tr.toeplitz(cases, k)
+    cases = [fock._lie_symbol(h)(tr.N) for h in hams] + [ChartFunction()]
+    cases += [fock._generator_symbol(fock._poisson(hams[0], h, -1.0))(tr.N) for h in hams[1:]]
+    stack = _toeplitz(cases, tr, k)
     assert stack.shape == (len(cases), tr.dim, k)
     for got, f in zip(stack, cases):
-        assert np.array_equal(got, tr.toeplitz([f], k)[0])
+        assert np.array_equal(got, _toeplitz([f], tr, k)[0])
     assert not stack[len(hams)].any()
-    assert tr.toeplitz([], k).shape == (0, tr.dim, k)
+    assert _toeplitz([], tr, k).shape == (0, tr.dim, k)
     # one symbol whose image leaves the truncation fails the whole batch
     z3 = ChartFunction({(3,) + (0,) * (2 * n - 1): 1.0})
     with pytest.raises(DegreeOverflowError, match=f"output degree {D + 1}"):
-        tr.toeplitz(cases + [z3], k)
+        _toeplitz(cases + [z3], tr, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -634,23 +635,39 @@ def test_random_pair_batch_stops_at_first_failing_pair():
 
 
 def test_toeplitz_calls_per_run_independent_of_random_pairs(monkeypatch):
-    # the random pairs are one curvature batch, so a run's Toeplitz passes do
-    # not grow with their number
+    # a curvature batch is two engine passes, the operators and then the
+    # brackets, and the random pairs are one batch, so a run's passes do not
+    # grow with their number
     calls = []
-    toeplitz = FockTruncation.toeplitz
+    toeplitz = sphere._toeplitz
 
-    def counting_toeplitz(self, fs, ncols):
+    def counting_toeplitz(fs, basis, ncols):
         calls.append(len(fs))
-        return toeplitz(self, fs, ncols)
+        return toeplitz(fs, basis, ncols)
 
-    monkeypatch.setattr(FockTruncation, "toeplitz", counting_toeplitz)
+    monkeypatch.setattr(sphere, "_toeplitz", counting_toeplitz)
+    h1 = hamiltonian_bipoly(p_plus_basis(2)[0])
+    h2 = hamiltonian_bipoly(p_minus_basis(2)[1])
+    curvature_operator([(h1, h2), (h2, h1), (h1, h1)], FockTruncation(2, 4, 8))
+    assert calls == [2, 3]
     counts = []
     for pairs in (2, 7):
         calls.clear()
         params = {"n": 2, "N": 4, "D": 8, "n_random_pairs": pairs}
         assert run_experiment("bargmann-curvature", params, np.random.default_rng(5))[2]
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("build", [curvature_operator, flat_curvature_operator])
+def test_curvature_of_one_object_twice_equals_two_copies(build):
+    # a pair made of the same object twice gets one matrix for both sides,
+    # and the same columns to the bit as two equal copies
+    tr = FockTruncation(2, 4, 8)
+    for q in p_plus_basis(2) + p_minus_basis(2):
+        h = hamiltonian_bipoly(q)
+        (same,), (copies,) = build([(h, h)], tr), build([(h, hamiltonian_bipoly(q))], tr)
+        assert np.array_equal(same.matrix, copies.matrix)
 
 
 @pytest.mark.parametrize("build", [curvature_operator, flat_curvature_operator])
@@ -700,7 +717,7 @@ def _bargmann_config(n, N, D):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_config_rejects_fock_sizes_past_bounds(n):
-    # validated only: a run at the bounds takes ~12 s at n = 2
+    # validated only: a run at the bounds takes 7-9 s at n = 2
     validate_config(_bargmann_config(n, fock.FOCK_LEVEL_MAX, fock.FOCK_DEGREE_MAX))
     with pytest.raises(ConfigError, match="bargmann N must be <= 50000000"):
         validate_config(_bargmann_config(n, fock.FOCK_LEVEL_MAX + 1, 10))

@@ -339,12 +339,12 @@ def test_curvature_antisymmetric_and_anti_hermitian(space):
 
 def _bracket_symbol(h1, h2):
     """p = -xi_{h1} h2, with [G2, G1] = G_p."""
-    return -1.0 * sphere._xi(h1.a, h2.h)
+    return sphere._bracket(h1.h, h2.h)
 
 
 def _generator_symbol(f, N):
     """i (N f - Delta_1 f), the symbol of Pi G_f Pi."""
-    return sphere._tuynman(f, sphere._laplacian(f), N)
+    return sphere._generator_symbol(f)(N)
 
 
 def _literal_bracket(h1, h2, f, N):
@@ -447,6 +447,45 @@ def test_ladder_symbolic_work_independent_of_levels(monkeypatch):
         assert counts["pair"] == len(n_list)
         products.append(counts["mul"])
     assert products[0] == products[1] > 0
+
+
+def test_curvature_batch_equals_pairs_built_alone():
+    # one batch of two pairs sharing a HamiltonianField object, at two
+    # levels: each Y is the same to the bit as the pair's own curvature
+    h, g, r = harmonic_real(), zonal_harmonic(), rotation_z()
+    pairs = [(h, g), (r, h)]
+    levels = [8, 80]
+    batch = sphere._curvatures(
+        [(h1.h, h2.h) for h1, h2 in pairs],
+        map(SectionBasis, levels),
+        sphere._generator_symbol,
+        sphere._bracket,
+    )
+    for N, (curvs, extra) in zip(levels, batch):
+        assert len(curvs) == len(pairs) and len(extra) == 0
+        for y, (h1, h2) in zip(curvs, pairs):
+            assert np.array_equal(y, curvature_commutator(h1, h2, SectionBasis(N)))
+
+
+def test_curvature_of_one_object_twice_equals_two_copies():
+    # a pair made of the same object twice gets one matrix for both sides,
+    # and the same Y to the bit as two equal copies
+    basis = SectionBasis(33)
+    for f in HAMILTONIAN_LIBRARY.values():
+        h = f()
+        assert np.array_equal(
+            curvature_commutator(h, h, basis), curvature_commutator(h, f(), basis)
+        )
+
+
+@pytest.mark.parametrize("hams", [["rotation_z", "rotation_z"], ["harmonic_real", "harmonic_real"]])
+def test_ladder_of_a_repeated_hamiltonian_reads_zero(hams):
+    # Y = T_chi = 0 exactly, so eps is 0 at every level and each ratio 0
+    params = {"N_list": [8, 16, 32], "hamiltonians": hams}
+    _columns, rows, ok = run_experiment("sphere-convergence", params, np.random.default_rng(0))
+    assert ok
+    assert [row[2] for row in rows] == [0.0, 0.0, 0.0]
+    assert math.isnan(rows[0][3]) and [row[3] for row in rows[1:]] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("big_n", [8, 80, 1024])
