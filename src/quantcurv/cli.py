@@ -134,15 +134,18 @@ def summarize(csv_paths: list[str]) -> int:
             except ValueError as exc:
                 print(f"format error: {path}: {exc}", file=sys.stderr)
                 return 2
-            bad = [r for r, e in zip(rows, eps) if not (math.isfinite(e) and e > 0)]
+            # eps = 0 is an exact result (Y = T_chi = 0), not a bad row
+            bad = [r for r, e in zip(rows, eps) if not (math.isfinite(e) and e >= 0)]
             if bad:
-                print(f"FAIL {path}: eps must be finite and positive to fit a slope")
+                print(f"FAIL {path}: eps must be finite and non-negative")
                 for r in bad:
                     print(f"  bad eps row: {','.join(r)}")
                 any_fail = True
                 continue
-            slope = np.polyfit(np.log(ns), np.log(eps), 1)[0]
-            extra = f" slope={slope:.3f}"
+            positive = eps > 0
+            if np.count_nonzero(positive) >= 2:
+                slope = np.polyfit(np.log(ns[positive]), np.log(eps[positive]), 1)[0]
+                extra = f" slope={slope:.3f}"
         print(f"{verdict} {path}{extra}")
         if not ok:
             any_fail = True

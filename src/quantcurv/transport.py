@@ -193,7 +193,7 @@ class _MovingFrame:
         self.drift = 0.0
 
     def advance_half(self):
-        self.state = self.stepper.step(self.rhs, 0.0, self.state, k1=self.k1)
+        self.state = self.stepper.step(self.rhs, self.state, k1=self.k1)
         self.k1 = None
         self.half_index += 1
 

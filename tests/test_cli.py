@@ -270,6 +270,44 @@ def test_summarize_refuses_non_finite_eps(tmp_path, capsys):
     assert "abc,16,nan,true" in out
 
 
+def test_summarize_passes_a_ladder_of_exact_zeros_that_run_passed(tmp_path, capsys):
+    # a repeated Hamiltonian gives Y = T_chi = 0, so eps is exactly 0 on every row
+    out = tmp_path / "zero.csv"
+    cfg = {
+        "seed": 1,
+        "experiments": [
+            {
+                "experiment": "sphere-convergence",
+                "parameters": {"N_list": [8, 16, 32], "hamiltonians": ["harmonic_real", "harmonic_real"]},
+                "output_path": str(out),
+            }
+        ],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path)) == 0
+    capsys.readouterr()
+    assert summarize([str(out)]) == 0
+    assert capsys.readouterr().out == f"PASS {out}\n"
+
+
+def test_summarize_fits_the_slope_over_positive_eps(tmp_path, capsys):
+    conv = tmp_path / "conv.csv"
+    conv.write_text(
+        "config_hash,N,eps,passed\n"
+        "abc,8,1.0,true\n"
+        "abc,16,0.0,true\n"
+        "abc,32,0.25,true\n"
+    )
+    assert summarize([str(conv)]) == 0
+    assert "slope=-1.000" in capsys.readouterr().out
+    conv.write_text("config_hash,N,eps,passed\nabc,8,1.0,true\nabc,16,-0.5,true\n")
+    assert summarize([str(conv)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "slope=" not in out
+    assert "abc,16,-0.5,true" in out
+
+
 @pytest.mark.parametrize(
     "text",
     [

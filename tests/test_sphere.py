@@ -68,7 +68,7 @@ def _tangent_structure_fd(ham, points, h=1e-3, n_steps=8):
     def conjugated(tt):
         sign = 1.0 if tt >= 0 else -1.0
 
-        def rhs(_tau, y):
+        def rhs(y):
             z = y[0]
             m = y[1:5].real.reshape(2, 2, -1)
             dm = np.einsum("nij,jkn->ikn", _jacobian(ham, z), m)
@@ -77,7 +77,9 @@ def _tangent_structure_fd(ham, points, h=1e-3, n_steps=8):
         m0 = np.zeros((4, len(points)), dtype=complex)
         m0[0] = m0[3] = 1.0
         y0 = np.concatenate([points[None, :], m0])
-        y = OdeStepper(dt=abs(tt) / n_steps).propagate(rhs, 0.0, y0, abs(tt))
+        stepper, y = OdeStepper(dt=abs(tt) / n_steps), y0
+        for _ in range(n_steps):
+            y = stepper.step(rhs, y)
         m = y[1:5].real.reshape(2, 2, -1).transpose(2, 0, 1)
         return np.linalg.inv(m) @ _J0 @ m
 
@@ -533,6 +535,24 @@ def test_curvature_fd_matches_commutator(space):
 def test_curvature_fd_same_hamiltonian_exact_zero(space):
     yfd = curvature_fd(harmonic_real(), harmonic_real(), space, h=1e-3)
     assert np.linalg.norm(yfd) == 0.0
+
+
+def test_curvature_fd_error_halves_as_h_squared_at_n32():
+    # the pullback's integration error stays below the h^2 term: with too few
+    # steps per h the ratio drifts from 4 (4.13 here with 4 steps)
+    space = SectionSpace(32, SphereGrid.for_level(32))
+    y = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
+    e1 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=2e-3) - y)
+    e2 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3) - y)
+    assert 3.95 <= e1 / e2 <= 4.05
+
+
+def test_curvature_fd_refuses_an_ill_conditioned_flowed_frame():
+    # at h = 0.045 the flow of harmonic_real carries grid points far through
+    # the chart, and the flowed frame's Gram is refused
+    space = SectionSpace(16, SphereGrid.for_level(16))
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        curvature_fd(rotation_x(), harmonic_real(), space, h=0.045)
 
 
 def test_curvature_calibration_constant():

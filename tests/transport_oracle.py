@@ -11,6 +11,9 @@ path first, keeping the state (z, c, C) of every step, and only then forms
 each sample's residual from the stored states with the Gram formulas, as an
 oracle for the bookkeeping of the streamed route in `parallel_transport`.
 
+`orthonormal_columns` is the Loewdin orthonormalization those oracle
+frames go through.
+
 `stencil_states` takes the stencils from the integration path
 `parallel_transport` consumes, for tests that edit a state before the
 residual is formed, and `residual_work` the scratch arrays
@@ -21,8 +24,20 @@ import math
 
 import numpy as np
 
-from quantcurv.linalg import check_gram_spectrum, orthonormal_columns
+from quantcurv.linalg import check_gram_spectrum
 from quantcurv.transport import _DERIV_STENCIL, _MovingFrame, _stencils
+
+
+def orthonormal_columns(frame: np.ndarray) -> np.ndarray:
+    """Columns spanning the range of `frame`, orthonormalized by the inverse
+    square root of its Gram matrix (symmetric, or Loewdin, orthonormalization:
+    the orthonormal frame nearest the input).  Raises np.linalg.LinAlgError
+    for a Gram refused by `check_gram_spectrum`."""
+    frame = np.asarray(frame)
+    evals, evecs = np.linalg.eigh(frame.conj().T @ frame)
+    check_gram_spectrum(evals)
+    inv_sqrt = (evecs * (1.0 / np.sqrt(evals))) @ evecs.conj().T
+    return frame @ inv_sqrt
 
 
 def _steps(t_end, dt):
