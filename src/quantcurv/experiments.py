@@ -325,7 +325,7 @@ def _check_schrodinger(p: dict) -> dict:
         raise ConfigError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds "
             f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
-            "(~0.4 s a step at N = 72, so ~33 min there); raise 'dt'"
+            "(~0.3 s a step at N = 72, so ~25 min there); raise 'dt'"
         )
     return out
 

@@ -6,13 +6,14 @@ coordinates: a section s is stored as sqrt(w) * s(points),
 so the weighted L2 pairing becomes the ordinary complex dot product and
 adjoints/Hermiticity checks are the plain matrix ones.
 
-Both grid routes that project onto a flowed frame F, `sphere.curvature_fd`
-and `transport.transport_residuals`, flow it by `OdeStepper.step` and use
+Both grid routes that project onto a flowed frame F (`sphere.curvature_fd`,
+`transport`) flow it by `OdeStepper.step` under `_in_chart` and use
 F G^{-1} F* with the Gram G = F*F, refused by `check_gram_spectrum`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,26 @@ GRAM_COND_LIMIT = 1e8
 
 
 def check_gram_spectrum(evals: np.ndarray) -> None:
-    """Refuse a frame whose Gram eigenvalues (ascending) are not all positive
-    or spread by more than `GRAM_COND_LIMIT`: raises `np.linalg.LinAlgError`."""
-    if evals[0] <= 0 or evals[-1] / evals[0] > GRAM_COND_LIMIT:
+    """Refuse a frame whose Gram eigenvalues (ascending) are not all finite and
+    positive, or spread by more than `GRAM_COND_LIMIT`: `np.linalg.LinAlgError`."""
+    if not (np.isfinite(evals).all() and evals[0] > 0 and evals[-1] / evals[0] <= GRAM_COND_LIMIT):
         raise np.linalg.LinAlgError(
             f"frame Gram matrix is ill-conditioned: smallest eigenvalue {evals[0]:.3e}, "
             f"largest {evals[-1]:.3e}"
         )
+
+
+@contextmanager
+def _in_chart(label: str, t_end: float, reached):
+    """Run a flow under `np.errstate(over="raise", invalid="raise")`; an overflow
+    or invalid value raises ValueError: `label` left the chart at t = reached()."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"{label}: the flow left the chart after t={reached():.4g} of t_end={t_end:g} ({exc})"
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,9 @@ flowed frames in transport and in `curvature_fd`, multiplication by sampled
 grid values (`compress_mult`) and the Gram check.  Both flowed-frame routes
 step `characteristic_rhs` with `OdeStepper.step` and project onto a frame F
 as F G^{-1} F* through its Gram G = F*F.
-`SectionSpace.frame_at` is the one builder of half-weighted frames on the
-grid, for the grid itself and for its images under a flow; chart functions
-are evaluated on points by `eval_batch` alone.
+`SectionSpace._monomial_rows` is the one recurrence that builds frames on the
+grid and on its images under a flow (given a and q, also the rows of G on
+them); chart functions are evaluated on points by `eval_batch` alone.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from operator import add
+from itertools import accumulate, product, repeat
+from operator import add, mul, truediv
 
 import numpy as np
 
-from .linalg import OdeStepper, check_gram_spectrum
+from .linalg import OdeStepper, _in_chart, check_gram_spectrum
 from .symplectic import chi_symbol, standard_complex_structure, tangent_from_generator
 
 __all__ = [
@@ -618,22 +618,31 @@ class SectionSpace(SectionBasis):
     def frame_at(
         self, z: np.ndarray, c, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Half-weighted frame columns c(x) z(x)^k / ||z^k||, k = 0..N.
-
-        `z` holds one point per grid point (the grid itself, or its image
-        under a flow) and `c` the matching phase factors (1 on the grid
-        itself).  Column k is built
-        as a contiguous row from column k-1 times z ||z^(k-1)|| / ||z^k||;
-        the (points, dim) frame is the transposed view.  The rows are written
-        into `out`, a complex (dim, points) array, when one is given, so the
-        frame returned is then a view of `out`.
-        """
-        ratio = self.norms[:-1] / self.norms[1:]
+        """Half-weighted frame columns c(x) z(x)^k / ||z^k||, k = 0..N, at points
+        `z` (the grid or a flowed image): the rows of `_monomial_rows` scaled by
+        1/||z^k||, in `out` (C-ordered complex (dim, points)) if given, as (points, dim)."""
         rows = np.empty((self.dim, len(z)), dtype=complex) if out is None else out
-        rows[0] = self.sqrtw * c / self.norms[0]
-        for k in range(1, self.dim):
-            np.multiply(rows[k - 1], ratio[k - 1] * z, out=rows[k])
+        real = self._monomial_rows(z, c, rows).view(np.float64)  # scaled as reals
+        real *= (1.0 / self.norms)[:, None]
         return rows.T
+
+    def _monomial_rows(self, z, c, rows, av=None, qv=None, w=None) -> np.ndarray:
+        """Rows U_k = c sqrtw z^k, k = 0..N, into rows[:dim]; given the values
+        `av`, `qv` of a and q at the points, also G U_k = (q z + k a) U_(k-1)
+        (G U_0 = q U_0) into rows[dim:], running w = q z + k a in the row `w`
+        down from k = N, so that it is least rounded where it cancels (far out)."""
+        d = self.dim
+        np.multiply(self.sqrtw, c, out=rows[0])
+        for k in range(1, d):
+            np.multiply(rows[k - 1], z, out=rows[k])
+        if av is not None:
+            np.multiply(qv, z, out=w)
+            w += (d - 1) * av
+            for k in range(d - 1, 0, -1):
+                np.multiply(w, rows[k - 1], out=rows[d + k])
+                w -= av
+            np.multiply(rows[0], qv, out=rows[d])
+        return rows
 
     # Closed form, as in the base class; bound here as well so that
     # per-class instrumentation (perfbench/tracing.py) finds it on SectionSpace.
@@ -668,29 +677,25 @@ def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
     amax = max((a for cf in cfs for (a, _b) in cf.terms), default=0)
     bmax = max((b for cf in cfs for (_a, b) in cf.terms), default=0)
     mmax = max((cf.denom for cf in cfs), default=0)
-    za = [None, z]
-    for _ in range(amax - 1):
-        za.append(za[-1] * z)
-    zbp = [None, zb]
-    for _ in range(bmax - 1):
-        zbp.append(zbp[-1] * zb)
+    # running products: za[k] = za[k-1] * z, binv[k] = binv[k-1] / base
+    za = [None, *accumulate(repeat(z, amax), mul)]
+    zbp = [None, *accumulate(repeat(zb, bmax), mul)]
     base = 1.0 + (z * zb).real
-    binv = [None, 1.0 / base]
-    for _ in range(mmax - 1):
-        binv.append(binv[-1] / base)
+    binv = [None, *accumulate([1.0 / base, *repeat(base, mmax - 1)], truediv)]
     out = []
     for cf in cfs:
-        acc = np.zeros_like(z)
+        acc = None  # the first term is written, not added to zeros
         for (a, b), c in cf.terms.items():
             if a and b:
-                acc += c * za[a] * zbp[b]
-            elif a:
-                acc += c * za[a]
-            elif b:
-                acc += c * zbp[b]
+                term = c * za[a] * zbp[b]
+            elif a or b:
+                term = c * (za[a] if a else zbp[b])
             else:
-                acc += c
-        out.append(acc * binv[cf.denom] if cf.denom else acc)
+                term = c if acc is not None else np.full_like(z, c)
+            acc = term if acc is None else np.add(acc, term, out=acc)
+            del term  # freed before the next term is formed
+        acc = np.zeros_like(z) if acc is None else acc
+        out.append(np.multiply(acc, binv[cf.denom], out=acc) if cf.denom else acc)
     return out
 
 
@@ -735,18 +740,20 @@ def pullback_frame(
     the opposite sign.  A negative t gives V_{|t|} e_k, since V_{-t} = V_t^{-1}.
     The columns span the range of Pi_t = V_t^{-1} Pi_0 V_t, and their Gram
     stays the identity up to integration error because V_t is unitary.
-    The characteristics take `n_steps` RK4 steps of |t| / n_steps.
+    The characteristics take `n_steps` RK4 steps of |t| / n_steps; a flow
+    leaving the chart (in them or in the frame) raises ValueError.
     """
     if t == 0.0:
         return space.frame.copy()
-    points = space.grid.points
     rhs = characteristic_rhs(ham, space.N, inverse=t > 0)
-    y = np.stack([points.astype(complex), np.ones(len(points), dtype=complex)])
+    y = np.stack([space.grid.points, np.ones_like(space.grid.points)])
     n_steps = max(n_steps, 1)
     stepper = OdeStepper(dt=abs(t) / n_steps)
-    for _ in range(n_steps):
-        y = stepper.step(rhs, y)
-    return space.frame_at(*y)
+    with _in_chart(f"pullback of {ham.name} at N={space.N}", t, lambda: t * done / n_steps):
+        for done in range(n_steps):
+            y = stepper.step(rhs, y)
+        done = n_steps  # z^k of far points can overflow in the frame itself
+        return space.frame_at(*y)
 
 
 def chi_field(h1: HamiltonianField, h2: HamiltonianField) -> ChartFunction:

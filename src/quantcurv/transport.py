@@ -22,14 +22,13 @@ O(dt^4) from its RK4 steps.
 
 On holomorphic sections the generator acts as G z^k = k a z^(k-1) + q z^k,
 with a the flow field and q the phase rate (the identity of the `sphere`
-module docstring).  So G F needs only a and q at the flowed points, the
-two functions the characteristic equations already evaluate.  The rows of
-G F are q F_k + k (||z^(k-1)|| / ||z^k||) a F_(k-1), written next to the
-frame rows, so the Gram F*F and F*(G F) come out of one product F*[F, G F].
-
-Every frame F_t, at each generator build, at the end state and in the
-residual stencils, is built from a characteristic state (z, c) by
-`SectionSpace.frame_at`, the one frame builder of the grid path.
+module docstring), so G needs only a and q at the flowed points, which the
+characteristic equations already evaluate.  On the rows U_k = c sqrtw z^k of
+a state (z, c), G U_k = (q z + k a) U_(k-1), and one sweep,
+`SectionSpace._monomial_rows`, writes both.  The norms of the frame
+F_k = U_k / ||z^k|| enter only the d x 2d product: [F*F, F*(G F)] is
+U*[U, G U] scaled by 1/(||z^j|| ||z^k||), while `frame_at` scales the frames
+of the end state and of the residual stencils row by row.
 
 The residual check never orthonormalizes a frame: the projector onto the
 range of F_m is F_m G_m^{-1} F_m* with G_m = F_m*F_m.  With P = F_c C_c at a
@@ -54,9 +53,9 @@ states (z, c, C) are alive, not those of every sample: ~0.8 MB rather than
 
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; the integration
-runs under `np.errstate(over="raise", invalid="raise")` and reports that as
-a `ValueError` naming the Hamiltonian, the level and the time reached.  The
-residuals run outside that block, so their own failures surface unchanged.
+runs under `linalg._in_chart`, which reports that as a `ValueError` naming
+the Hamiltonian, the level and the time reached.  The residuals run outside
+it, so their own failures surface unchanged.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import OdeStepper, check_gram_spectrum
+from .linalg import OdeStepper, _in_chart, check_gram_spectrum
 from .sphere import (
     HamiltonianField,
     SectionSpace,
@@ -97,8 +96,8 @@ _DERIV_STENCIL = (
 )
 
 # Largest step count round(t_end / dt) a config may ask for.  A step at the
-# largest transport level N = 72 costs ~0.4 s (0.36-0.44 s measured, 2 vCPU,
-# one BLAS thread), so a run at this bound takes ~33 min there.
+# largest transport level N = 72 costs ~0.3 s (0.24-0.34 s measured, 2 vCPU,
+# one BLAS thread), so a run at this bound takes ~25 min there.
 TRANSPORT_STEPS_MAX = 5000
 
 
@@ -153,38 +152,32 @@ def schrodinger_propagate(generator: np.ndarray, t_end: float) -> np.ndarray:
 
 class _MovingFrame:
     """Characteristic state and transport coefficients advanced in steps,
-    with the coefficient ODE generator rebuilt from the flowed frame.
-
-    The frame rows with the rows of G F below them, and the conjugate frame
-    rows, live in two buffers owned here (with one row of scratch) and
-    rewritten at every build, and the a and q values of a build are handed
-    to the next half step as its first RK4 stage, so each state is
-    evaluated once."""
+    with the coefficient ODE generator rebuilt from the flowed frame by one
+    sweep of the rows U_k and G U_k into buffers owned here (`products`); the
+    a and q values of a build are handed to the next half step as its first
+    RK4 stage, so each state is evaluated once."""
 
     def __init__(self, ham: HamiltonianField, space: SectionSpace, dt: float):
         self.space = space
-        self.ham_name = ham.name
+        self.label = f"transport of {ham.name} at N={space.N}"
         self.dt = dt
         self.a = ham.a
         self.q = _phase_rate(ham, space.N)
         self.rhs = characteristic_rhs(ham, space.N, inverse=True)
         self.stepper = OdeStepper(dt=0.5 * dt)
         n = space.grid.points
-        self.state = np.stack(
-            [n.astype(complex), np.ones(len(n), dtype=complex)]
-        )
+        self.state = np.stack([n, np.ones_like(n)])
         d = space.dim
         self.coeffs = np.eye(d, dtype=complex)  # C at the current state
         self.b_here = None  # B at the current state, once built
         self.generator0 = None  # B at t = 0
-        # rows 0..d-1: the frame F; rows d..2d-1: G F
+        # rows 0..d-1: U_k = c sqrtw z^k; rows d..2d-1: G U_k
         self.rows = np.empty((2 * d, len(n)), dtype=complex)
         self.rows_h = np.empty((d, len(n)), dtype=complex)
-        self.shifted = np.empty(len(n), dtype=complex)  # one row of a F_(k-1)
+        self.w = np.empty(len(n), dtype=complex)  # the row w = q z + k a of a sweep
         self.k1 = None  # self.rhs at self.state, once a build has evaluated it
-        k = np.arange(1, space.dim)
-        # G e_k = k a (||z^(k-1)|| / ||z^k||) e_(k-1) + q e_k on the frame
-        self.shift_scale = k * space.norms[:-1] / space.norms[1:]
+        # entry (j, k) of U*[U, G U] times 1/(||z^j|| ||z^k||): F_k = U_k / ||z^k||
+        self.norm_scale = np.outer(1.0 / space.norms, np.tile(1.0 / space.norms, 2))
         self.half_index = 0
         self.gram_defect = 0.0
         self.closed_form = compress_generator(ham, space)  # B_c
@@ -215,27 +208,20 @@ class _MovingFrame:
         self.coeffs = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         self.b_here = b_next
 
-    def frame_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frame rows at the current state and their conjugate, in the buffers."""
-        rows = self.space.frame_at(*self.state, out=self.rows[: self.space.dim]).T
-        return rows, np.conjugate(rows, out=self.rows_h)
+    def products(self) -> np.ndarray:
+        """[F*F, F*(G F)] at the current state, from one sweep of its rows."""
+        z, c = self.state
+        av, qv = eval_batch([self.a, self.q], z)
+        # characteristic_rhs(inverse=True) at this state
+        self.k1 = np.stack([-av, -qv * c])
+        rows = self.space._monomial_rows(z, c, self.rows, av, qv, self.w)
+        return (np.conjugate(rows[: self.space.dim], out=self.rows_h) @ rows.T) * self.norm_scale
 
     def generator_matrix(self) -> np.ndarray:
         """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect
         and the drift from B_c."""
-        z, c = self.state
-        rows, rows_h = self.frame_rows()
-        av, qv = eval_batch([self.a, self.q], z)
-        # characteristic_rhs(inverse=True) at this state
-        self.k1 = np.stack([-av, -qv * c])
         d = self.space.dim
-        g_rows, shifted = self.rows[d:], self.shifted
-        np.multiply(rows, qv, out=g_rows)
-        for k in range(1, d):
-            np.multiply(rows[k - 1], av, out=shifted)
-            shifted *= self.shift_scale[k - 1]
-            g_rows[k] += shifted
-        both = rows_h @ self.rows.T  # [F*F, F*(G F)]
+        both = self.products()
         gram = both[:, :d]
         defect = float(np.max(np.abs(gram - np.eye(d))))
         self.gram_defect = max(self.gram_defect, defect)
@@ -254,9 +240,9 @@ def _stencils(frame: _MovingFrame, n_steps: int, n_samples: int):
     steps, spread evenly and moved inwards so that every stencil lies in
     [0, n_steps]; once a stencil is yielded, the states no later sample
     reads are dropped.  Between yields the integration runs under
-    `np.errstate(over="raise", invalid="raise")`, and a flow leaving the
-    chart raises ValueError; the consumer's work at a yield runs outside it,
-    while the frame's buffers are free.
+    `linalg._in_chart`, and a flow leaving the chart raises ValueError; the
+    consumer's work at a yield runs outside it, while the frame's buffers
+    are free.
     """
     offsets = (0, *(m for m, _w in _DERIV_STENCIL))
     reach = max(offsets)
@@ -271,19 +257,12 @@ def _stencils(frame: _MovingFrame, n_steps: int, n_samples: int):
     step = 0
     for k, j in enumerate([*samples, None]):
         last = n_steps if j is None else j + reach
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                while step < last:
-                    frame.step()
-                    step += 1
-                    if step in reads:
-                        held[step] = (*frame.state, frame.coeffs)
-        except FloatingPointError as exc:
-            t_reached = 0.5 * frame.dt * frame.half_index
-            raise ValueError(
-                f"transport of {frame.ham_name} at N={frame.space.N}: the flow left "
-                f"the chart after t={t_reached:.4g} of t_end={n_steps * frame.dt:g} ({exc})"
-            ) from exc
+        with _in_chart(frame.label, n_steps * frame.dt, lambda: 0.5 * frame.dt * frame.half_index):
+            while step < last:
+                frame.step()
+                step += 1
+                if step in reads:
+                    held[step] = (*frame.state, frame.coeffs)
         if j is not None:
             yield j, {m: held[j + m] for m in offsets}
             first_read = samples[k + 1] - reach if k + 1 < len(samples) else last + 1
@@ -331,9 +310,9 @@ def parallel_transport(
         raise np.linalg.LinAlgError(
             f"transport of {ham.name} at N={space.N}: the frame at t={t:.4g} is refused ({exc})"
         ) from exc
-    rows, rows_h = frame.frame_rows()
-    gram_end = rows_h @ rows.T
-    cross_end = np.conjugate(space.frame.T, out=rows_h) @ rows.T
+    rows = space.frame_at(*frame.state, out=frame.rows[: space.dim]).T
+    gram_end = np.conjugate(rows, out=frame.rows_h) @ rows.T
+    cross_end = np.conjugate(space.frame.T, out=frame.rows_h) @ rows.T
     c_mat = frame.coeffs
     return TransportResult(
         ham_name=ham.name,

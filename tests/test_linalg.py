@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantcurv.linalg import OdeStepper
+from quantcurv.linalg import OdeStepper, check_gram_spectrum
 from curvature_oracle import compressed_curvature
 from transport_oracle import orthonormal_columns
 
@@ -42,6 +42,16 @@ def test_projector_rank_deficient_frame_rejected():
     frame = np.ones((5, 2))
     with pytest.raises(np.linalg.LinAlgError):
         orthonormal_columns(frame)
+
+
+@pytest.mark.parametrize(
+    "evals", [[np.nan, np.nan], [1.0, np.nan, 2.0], [np.inf, np.inf], [1.0, np.inf], [-np.inf, 1.0]]
+)
+def test_gram_spectrum_refuses_non_finite_eigenvalues(evals):
+    # a NaN is neither <= 0 nor above the condition limit, and inf / inf is
+    # NaN, so only a finiteness check refuses these
+    with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
+        check_gram_spectrum(np.array(evals))
 
 
 @pytest.mark.parametrize("n", [4, 2])

@@ -555,6 +555,21 @@ def test_curvature_fd_refuses_an_ill_conditioned_flowed_frame():
         curvature_fd(rotation_x(), harmonic_real(), space, h=0.045)
 
 
+def test_pullback_leaving_the_chart_raises_value_error():
+    # rotation_x carries the outer grid ring through the far pole before
+    # t = 0.1: with 4 steps the flowed points stay finite and z^16 overflows
+    # in the frame; with curvature_fd's 16 steps a step itself overflows
+    space = SectionSpace(16, SphereGrid.for_level(16))
+    with pytest.raises(
+        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0.1 of"
+    ):
+        pullback_frame(rotation_x(), space, 0.1, n_steps=4)
+    with pytest.raises(
+        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0\.0"
+    ):
+        curvature_fd(rotation_x(), harmonic_real(), space, h=0.1)
+
+
 def test_curvature_calibration_constant():
     assert curvature_calibration() == pytest.approx(-0.125j, abs=1e-12)
 

@@ -8,6 +8,7 @@ from quantcurv import sphere, transport
 from quantcurv.cli import run
 from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, validate_config
 from quantcurv.sphere import (
+    GRID_LEVEL_MAX,
     ChartFunction,
     SectionSpace,
     SphereGrid,
@@ -24,7 +25,7 @@ from quantcurv.transport import (
     schrodinger_propagate,
     transport_residuals,
 )
-from sphere_oracle import generator_apply
+from sphere_oracle import eval_batch_reference, generator_apply
 from transport_oracle import (
     residual_work,
     stencil_states,
@@ -315,6 +316,52 @@ def test_generator_matrix_matches_per_column_images(n):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), ham.name
             frame.advance_half()
             frame.advance_half()
+
+
+@pytest.mark.parametrize("n", [6, 16, GRID_LEVEL_MAX])
+def test_build_product_matches_frame_at_rows_and_column_images(n):
+    # the build sweeps unnormalized rows U_k = c sqrtw z^k (~1e-155 on the
+    # outer ring at N = 72) and scales only [F*F, F*(G F)]; the reference
+    # takes F from `frame_at` and each column of G F on its own,
+    # c sqrtw (k a z^(k-1) + q z^k) / ||z^k|| from the powers z**k.  After one
+    # step the flows of rotation_x and rotation_y at N = 72 carry the outer
+    # ring from |z| = 134 to 154, where q z + N a cancels: a sweep running
+    # w = q z + k a up from k = 0 reads 6.9e-13 there, down from k = N 2.5e-14
+    space = SectionSpace(n, SphereGrid.for_level(n))
+    for ham in _chart_hamiltonians():
+        frame = transport._MovingFrame(ham, space, dt=2e-3)
+        for _ in range(2):
+            z, c = frame.state
+            f = space.frame_at(z, c).T
+            av, qv = eval_batch_reference([frame.a, frame.q], z)
+            g = np.empty_like(f)
+            for k in range(space.dim):
+                image = qv * z**k + (k * av * z ** (k - 1) if k else 0.0)
+                g[k] = image * (space.sqrtw * c) / space.norms[k]
+            ref = np.concatenate([f.conj() @ f.T, f.conj() @ g.T], axis=1)
+            del g
+            got = frame.products()
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), ham.name
+            frame.advance_half()
+            frame.advance_half()
+
+
+def test_build_allocates_no_frame_sized_buffer(space16):
+    # the bound is the tracemalloc peak of ten harmonic_real builds at N = 16
+    # when G F was formed from the normalized frame rows in a row loop
+    # (638,904 bytes, 11.55 rows of 3456 complex points, numpy 2.4); the
+    # sweep writes into the frame's own buffers and eval_batch writes each
+    # function's first term and scales it in place (583,448 bytes)
+    frame = transport._MovingFrame(harmonic_real(), space16, dt=1e-3)
+    frame.generator_matrix()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            frame.generator_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 638_904, peak
 
 
 def test_generator_at_start_is_compressed_generator(space16):
