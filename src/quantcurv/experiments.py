@@ -333,18 +333,11 @@ def _check_schrodinger(p: dict) -> dict:
 def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
     grid = sphere.SphereGrid.for_level(p["N"])
     space = sphere.SectionSpace(p["N"], grid)
+    # generator_drift, gram_defect and isometry_defect are reported only
     columns = [
-        "hamiltonian",
-        "N",
-        "dt",
-        "t_end",
-        "intertwine",
-        "max_eq_range",
-        "max_eq_deriv",
-        "generator_drift",
-        "tol_intertwine",
-        "tol_residual",
-        "passed",
+        "hamiltonian", "N", "dt", "t_end", "intertwine", "max_eq_range", "max_eq_deriv",
+        "generator_drift", "tol_intertwine", "tol_residual", "passed", "gram_defect",
+        "isometry_defect",
     ]
     rows = []
     for case in p["cases"]:
@@ -358,22 +351,12 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
             and max_range <= p["tol_residual"]
             and max_deriv <= p["tol_residual"]
         )
-        rows.append(
-            [
-                case["hamiltonian"],
-                p["N"],
-                res.dt,
-                p["t_end"],
-                inter,
-                max_range,
-                max_deriv,
-                res.generator_drift,
-                case["tol"],
-                p["tol_residual"],
-                ok,
-            ]
-        )
-    return columns, rows, all(r[-1] for r in rows)
+        rows.append([
+            case["hamiltonian"], p["N"], res.dt, p["t_end"], inter, max_range, max_deriv,
+            res.generator_drift, case["tol"], p["tol_residual"], ok, res.gram_defect,
+            res.isometry_defect(),
+        ])
+    return columns, rows, all(r[columns.index("passed")] for r in rows)
 
 
 def _check_teichmuller(p: dict) -> dict:

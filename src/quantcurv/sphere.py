@@ -596,7 +596,8 @@ class SectionSpace(SectionBasis):
     Vectors carry sqrt(quadrature weight x fiber weight), so the weighted L2
     pairing is the plain complex dot product and the normalized monomial frame
     has an exactly diagonal Gram matrix.  Construction checks that Gram against
-    the identity and refuses a level the grid cannot resolve.
+    the identity, refuses a level the grid cannot resolve and keeps no dim x
+    points array: callers form the grid frame with `frame_at(grid.points, 1.0)`.
     """
 
     def __init__(self, N: int, grid: SphereGrid):
@@ -606,8 +607,8 @@ class SectionSpace(SectionBasis):
         self.norms = _dd_exp(self.log_norms)
         self.grid = grid
         self.sqrtw = np.sqrt(grid.weights * (1.0 + grid.u) ** (-N))
-        self.frame = self.frame_at(grid.points, 1.0)
-        gram = self.frame.conj().T @ self.frame
+        frame = self.frame_at(grid.points, 1.0)
+        gram = frame.conj().T @ frame
         defect = float(np.max(np.abs(gram - np.eye(N + 1))))
         if not defect <= _GRAM_TOL:
             raise ValueError(
@@ -650,7 +651,8 @@ class SectionSpace(SectionBasis):
 
     def compress_mult(self, values: np.ndarray) -> np.ndarray:
         """Toeplitz compression of multiplication by a real grid function."""
-        return self.frame.conj().T @ (values[:, None] * self.frame)
+        frame = self.frame_at(self.grid.points, 1.0)
+        return frame.conj().T @ (values[:, None] * frame)
 
 def compress_generator(ham: HamiltonianField, space: SectionBasis) -> np.ndarray:
     """Matrix <e_j, G e_k> of the compressed prequantum generator: Tuynman's
@@ -744,7 +746,7 @@ def pullback_frame(
     leaving the chart (in them or in the frame) raises ValueError.
     """
     if t == 0.0:
-        return space.frame.copy()
+        return space.frame_at(space.grid.points, 1.0)
     rhs = characteristic_rhs(ham, space.N, inverse=t > 0)
     y = np.stack([space.grid.points, np.ones_like(space.grid.points)])
     n_steps = max(n_steps, 1)
@@ -818,12 +820,13 @@ def curvature_fd(
             for i, ham in ((1, h1), (2, h2))
             for s in (+1, -1)
         }
+        grid_frame = space.frame_at(space.grid.points, 1.0)  # E, once per h
         ms = {}
         for key, f in frames.items():
             f_h = f.conj().T
             gram = f_h @ f
             check_gram_spectrum(np.linalg.eigvalsh(gram))
-            ms[key] = np.linalg.solve(gram, f_h @ space.frame)
+            ms[key] = np.linalg.solve(gram, f_h @ grid_frame)
 
         def delta_pair(i: int, j: int) -> np.ndarray:
             # E* (d_i Pi)(d_j Pi) E assembled from (N+1) x (N+1) blocks

@@ -47,9 +47,13 @@ number above `linalg.GRAM_COND_LIMIT` is refused with a LinAlgError.
 The residuals are streamed: a sample's residual is taken as soon as the
 integration reaches the last step its stencil reads (sample + 4), in the
 moving frame's buffers, which are free between generator builds, and every
-state no later sample reads is then dropped.  So at most one stencil's
-states (z, c, C) are alive, not those of every sample: ~0.8 MB rather than
-7.7 MB for 10 samples at N = 16, ~11 MB rather than 107 MB at N = 72.
+state no later sample reads is then dropped.  One pass forms each
+[G_m, X_m] with F_c in the G U rows; a second sums the residual in those
+rows, rebuilding each F_m.  The end state's Grams take the grid frame F_0,
+which no `SectionSpace` keeps, in the same rows.  So a run holds three
+frame-sized buffers (U and G U, 2d rows, and their conjugate, d rows: 2.8 MB
+at N = 16, 166 MB at N = 72) and one stencil's states (z, c, C), ~0.8 MB and
+~11 MB, where storing every sample's took 7.7 MB and 107 MB.
 
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; the integration
@@ -294,7 +298,7 @@ def parallel_transport(
     dt = t_end / n_steps
     frame = _MovingFrame(ham, space, dt)
     # the frame's buffers are free between builds, so the residuals borrow them
-    work = (frame.rows, frame.rows_h, np.empty_like(frame.rows_h))
+    work = (frame.rows, frame.rows_h)
     residuals, refused = [], None
     for j, stencil in _stencils(frame, n_steps, n_samples):
         if refused is None:
@@ -310,9 +314,11 @@ def parallel_transport(
         raise np.linalg.LinAlgError(
             f"transport of {ham.name} at N={space.N}: the frame at t={t:.4g} is refused ({exc})"
         ) from exc
-    rows = space.frame_at(*frame.state, out=frame.rows[: space.dim]).T
+    d = space.dim
+    rows = space.frame_at(*frame.state, out=frame.rows[:d]).T  # F_T
+    grid = space.frame_at(space.grid.points, 1.0, out=frame.rows[d:]).T  # F_0
     gram_end = np.conjugate(rows, out=frame.rows_h) @ rows.T
-    cross_end = np.conjugate(space.frame.T, out=frame.rows_h) @ rows.T
+    cross_end = np.conjugate(grid, out=frame.rows_h) @ rows.T
     c_mat = frame.coeffs
     return TransportResult(
         ham_name=ham.name,
@@ -353,8 +359,9 @@ def transport_residuals(stencil: dict, space: SectionSpace, dt: float, work: tup
     derivatives of the frame path and the projector family come from those
     states through the high-order stencil, which shares nothing with the
     integrator's update rule.  The residuals are formed from Grams as in the
-    module docstring, one stencil frame at a time, in the scratch arrays
-    `work`: complex (2 dim, points), (dim, points) and (dim, points).
+    module docstring, one stencil frame at a time, in the two scratch arrays
+    `work`, complex (2 dim, points) and (dim, points); the second half of the
+    first holds the residual.
 
     Raises ValueError if `space` is not the level and grid of the states,
     and np.linalg.LinAlgError if a frame is ill-conditioned.
@@ -371,15 +378,15 @@ def transport_residuals(stencil: dict, space: SectionSpace, dt: float, work: tup
         )
     d = space.dim
     # rows 0..d-1: the stencil frame F_m; rows d..2d-1: the centre frame F_c
-    rows, rows_h, resid = work  # resid: (Pidot P - Pdot)^T
+    rows, rows_h = work
     z, c, coeff = stencil[0]
     space.frame_at(z, c, out=rows[d:])
     centre, frame_m = rows[d:], rows[:d]  # frames as rows, F^T
     gram_c = np.conjugate(centre, out=rows_h) @ centre.T
     check_gram_spectrum(np.linalg.eigvalsh(gram_c))
 
-    resid.fill(0.0)
     range_sum = np.zeros((d, d), dtype=complex)  # F_c* Pdot
+    mixes = []
     for m, w in _DERIV_STENCIL:
         z, c, coeff_m = stencil[m]
         space.frame_at(z, c, out=frame_m)
@@ -387,9 +394,15 @@ def transport_residuals(stencil: dict, space: SectionSpace, dt: float, work: tup
         gram_m, cross_m = both[:, :d], both[:, d:]
         check_gram_spectrum(np.linalg.eigvalsh(gram_m))
         range_sum += (w / dt) * (cross_m.conj().T @ coeff_m)
-        mix = (w / dt) * (np.linalg.solve(gram_m, cross_m @ coeff) - coeff_m)
-        # rows_h is free once `both` is formed
-        resid += np.matmul(mix.T, frame_m, out=rows_h)
+        mixes.append((w / dt) * (np.linalg.solve(gram_m, cross_m @ coeff) - coeff_m))
+
+    # F_c is no longer read, so its rows hold (Pidot P - Pdot)^T, summed in
+    # the same m order over each F_m rebuilt in rows[:d]
+    resid = centre
+    resid.fill(0.0)
+    for (m, _w), mix in zip(_DERIV_STENCIL, mixes):
+        z, c, _coeff_m = stencil[m]
+        resid += np.matmul(mix.T, space.frame_at(z, c, out=frame_m).T, out=rows_h)
 
     chol = np.linalg.cholesky(gram_c)
     eq_range = np.linalg.norm(np.linalg.solve(chol, range_sum)) / math.sqrt(d)

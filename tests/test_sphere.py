@@ -141,9 +141,16 @@ def test_monomial_gram_closed_form(big_n):
 
 
 def test_section_space_frame_orthonormal(space):
-    frame = getattr(space, "frame")
+    frame = space.frame_at(space.grid.points, 1.0)
     gram = frame.conj().T @ frame
     assert np.max(np.abs(gram - np.eye(space.dim))) < 1e-12
+
+
+def test_section_space_holds_no_frame_sized_array(space):
+    # the grid frame is formed where it is used and dropped after the Gram check
+    frame_size = space.dim * space.grid.points.size
+    sizes = [v.size for v in vars(space).values() if isinstance(v, np.ndarray)]
+    assert sizes and frame_size not in sizes
 
 
 @pytest.mark.parametrize("big_n", [8, 16, GRID_LEVEL_MAX])
@@ -153,7 +160,7 @@ def test_section_space_frame_is_normalized_monomials(big_n):
     space = SectionSpace(big_n, SphereGrid.for_level(big_n))
     z = space.grid.points
     ref = np.column_stack([space.sqrtw * z**k / space.norms[k] for k in range(big_n + 1)])
-    assert np.max(np.abs(space.frame - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(space.frame_at(z, 1.0) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_frame_at_writes_into_a_given_buffer(space):
@@ -171,12 +178,13 @@ def test_frame_at_writes_into_a_given_buffer(space):
 def test_pullback_frame_of_rotation_is_a_phase(space, t):
     # the rotation flow maps z^k to e^{ikt} z^k, so V_t^{-1} e_k = e^{-ikt} e_k
     k = np.arange(space.dim)
-    expect = space.frame * np.exp(-1j * k * t)
+    expect = space.frame_at(space.grid.points, 1.0) * np.exp(-1j * k * t)
     assert np.max(np.abs(pullback_frame(rotation_z(), space, t) - expect)) <= 1e-12
 
 
 def test_projector_properties(space):
-    p = space.frame @ space.frame.conj().T
+    frame = space.frame_at(space.grid.points, 1.0)
+    p = frame @ frame.conj().T
     assert np.max(np.abs(p - p.conj().T)) < 1e-12
     assert np.max(np.abs(p @ p - p)) < 1e-12
     assert np.trace(p).real == pytest.approx(9.0, abs=1e-10)
@@ -594,10 +602,11 @@ def test_exact_coeffs_match_grid_on_generator_columns(big_n):
     # the closed-form pairing against the independent quadrature
     # frame^H @ (sqrtw f), on every column G z^k of two generators
     space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    frame = space.frame_at(space.grid.points, 1.0)
     for ham in (harmonic_real(), zonal_harmonic()):
         for k in range(big_n + 1):
             gk = generator_apply(ham, ChartFunction.monomial(k), big_n)
-            grid = space.frame.conj().T @ (space.sqrtw * gk.eval(space.grid.points))
+            grid = frame.conj().T @ (space.sqrtw * gk.eval(space.grid.points))
             assert _rel(space.coeffs(gk), grid) <= 1e-11, (ham.name, k)
 
 

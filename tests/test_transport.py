@@ -243,6 +243,23 @@ def test_transport_memory_does_not_grow_with_the_sample_count(space16):
     assert peaks[10] <= 9.0, peaks
 
 
+def test_transport_holds_three_frame_sized_buffers():
+    # the moving frame's rows (2 frames) and conjugate rows (1 frame) are the
+    # only frame-sized arrays: the grid frame is formed into the rows at the
+    # end, and the residual is summed in the centre frame's rows; the peak
+    # read 4.99 frames with a stored grid frame and a residual buffer, 3.99
+    # without (33 rows of 10,880 points at N = 32, numpy 2.4)
+    space = SectionSpace(32, SphereGrid.for_level(32))
+    frame_bytes = space.dim * space.grid.points.size * 16
+    tracemalloc.start()
+    try:
+        parallel_transport(harmonic_real(), space, t_end=8e-3, dt=1e-3, n_samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * frame_bytes, peak / frame_bytes
+
+
 @pytest.mark.parametrize(("ham_f", "bound"), [(rotation_z, 1e-14), (harmonic_real, 1e-11)])
 def test_generator_drift_is_rounding(space16, ham_f, bound):
     # max ||B(t) - B_c||_F / ||B_c||_F over all 201 builds, measured 4.6e-16
@@ -505,6 +522,11 @@ def test_cli_reports_the_generator_drift(tmp_path):
     header, row = lines[0].split(","), lines[1].split(",")
     assert header.index("generator_drift") == header.index("max_eq_deriv") + 1
     assert 0.0 < float(row[header.index("generator_drift")]) <= 1e-11
+    # the frame health follows passed, report-only as the drift is
+    assert header[-3:] == ["passed", "gram_defect", "isometry_defect"]
+    assert row[-3] == "true"
+    for value in row[-2:]:
+        assert 0.0 < float(value) <= 1e-9
 
 
 def test_cli_reports_the_step_it_integrated_with(tmp_path):

@@ -56,7 +56,7 @@ def stencil_states(ham, space, t_end, dt, n_samples):
 def residual_work(space):
     """Fresh scratch arrays for `transport_residuals` on `space`."""
     d, n_points = space.dim, space.sqrtw.size
-    return tuple(np.empty((rows, n_points), dtype=complex) for rows in (2 * d, d, d))
+    return tuple(np.empty((rows, n_points), dtype=complex) for rows in (2 * d, d))
 
 
 def transport_residuals_reference(stencil, space, dt) -> dict:
