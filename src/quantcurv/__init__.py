@@ -13,12 +13,10 @@ from .symplectic import (
     standard_symplectic,
 )
 from .fock import (
-    FockOperator,
     FockTruncation,
     curvature_operator,
     flat_curvature_operator,
     hamiltonian_bipoly,
-    project,
     verify_scalar_curvature,
 )
 from .sphere import (

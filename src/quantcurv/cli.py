@@ -134,6 +134,13 @@ def summarize(csv_paths: list[str]) -> int:
             except ValueError as exc:
                 print(f"format error: {path}: {exc}", file=sys.stderr)
                 return 2
+            # run writes N strictly ascending and positive; anything else breaks the fit
+            if not (np.all(np.isfinite(ns)) and ns[0] > 0 and np.all(np.diff(ns) > 0)):
+                print(
+                    f"format error: {path}: N must be finite, positive and strictly ascending",
+                    file=sys.stderr,
+                )
+                return 2
             # eps = 0 is an exact result (Y = T_chi = 0), not a bad row
             bad = [r for r, e in zip(rows, eps) if not (math.isfinite(e) and e >= 0)]
             if bad:

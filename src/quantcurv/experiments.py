@@ -174,8 +174,7 @@ def _run_bargmann(p: dict, rng: np.random.Generator) -> tuple[list, list, bool]:
         # one curvature batch per table; each pair's columns are reduced in place
         curvs = fock.curvature_operator([(h1, h2) for h1 in op_list_1 for h2 in op_list_2], trunc)
         worst = 0.0
-        for (pair1, pair2), curv in zip(product(pairs, repeat=2), curvs):
-            cols = curv.matrix
+        for (pair1, pair2), cols in zip(product(pairs, repeat=2), curvs):
             diag = np.arange(cols.shape[1])
             cols[diag, diag] -= target(pair1, pair2)  # target times the identity
             worst = max(worst, float(np.linalg.norm(cols)))
@@ -333,11 +332,11 @@ def _check_schrodinger(p: dict) -> dict:
 def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
     grid = sphere.SphereGrid.for_level(p["N"])
     space = sphere.SectionSpace(p["N"], grid)
-    # generator_drift, gram_defect and isometry_defect are reported only
+    # generator_drift and the three columns after passed are reported only
     columns = [
         "hamiltonian", "N", "dt", "t_end", "intertwine", "max_eq_range", "max_eq_deriv",
         "generator_drift", "tol_intertwine", "tol_residual", "passed", "gram_defect",
-        "isometry_defect",
+        "isometry_defect", "projector_deviation",
     ]
     rows = []
     for case in p["cases"]:
@@ -354,7 +353,7 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
         rows.append([
             case["hamiltonian"], p["N"], res.dt, p["t_end"], inter, max_range, max_deriv,
             res.generator_drift, case["tol"], p["tol_residual"], ok, res.gram_defect,
-            res.isometry_defect(),
+            res.isometry_defect(), res.projector_deviation(),
         ])
     return columns, rows, all(r[columns.index("passed")] for r in rows)
 

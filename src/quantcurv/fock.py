@@ -43,6 +43,10 @@ pairs from the sphere's curvature routine, fed the symbols above, P and the
 column margins (an operator of order 2 or 4 keeps the columns of degree
 <= D - 2 or D - 4 in the truncation): one pass for the distinct Hamiltonians,
 one for the brackets of all pairs, each matrix the same to the bit as alone.
+A batch is returned as that routine's complex stack, one block of
+`columns(4)` columns per pair, and `scalar_fit` reduces a block to its scalar.
+The projection itself, applied term by term, is a test oracle
+(`tests/fock_oracle.py`): nothing here forms a projected polynomial.
 """
 
 from __future__ import annotations
@@ -64,10 +68,9 @@ __all__ = [
     "DEFORMATION_SYM_TOL",
     "hamiltonian_bipoly",
     "FockTruncation",
-    "FockOperator",
-    "project",
     "curvature_operator",
     "flat_curvature_operator",
+    "scalar_fit",
     "verify_scalar_curvature",
 ]
 
@@ -184,12 +187,6 @@ class FockTruncation:
             return 0
         return math.comb(min(degree, self.D) + self.n, self.n)
 
-    def index(self, alpha) -> int:
-        alpha = tuple(alpha)
-        if len(alpha) == self.n and min(alpha) >= 0 and sum(alpha) <= self.D:
-            return int(self._rows[alpha])
-        raise ValueError(f"{alpha} is not in the truncation")
-
     def _log_pairing(self, e, _beta, _m):
         """log e!/N^|e| as a pair, the power of N a multiple of the pair log N."""
         hi, lo = _log_factorials(int(e.max(initial=0)))
@@ -209,29 +206,6 @@ class FockTruncation:
         if order > self.D:
             raise DegreeOverflowError(f"an operator of order {order} needs D >= {order}")
         return self.dim_up_to(self.D - order)
-
-
-def project(f: ChartFunction, N: int) -> ChartFunction:
-    """Orthogonal projection onto holomorphic prefactors at level N.
-
-    Acts termwise by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha, the
-    coherent-state reproducing identity for the Gaussian weight; the term
-    vanishes when some beta_j exceeds alpha_j.
-    """
-    out: dict = {}
-    n = f.nvars
-    for key, c in f.terms.items():
-        alpha = list(key[:n])
-        for j, b in enumerate(key[n:]):
-            if b:
-                if alpha[j] < b:
-                    break
-                c *= math.perm(alpha[j], b) / N**b
-                alpha[j] -= b
-        else:
-            image = tuple(alpha) + (0,) * n
-            out[image] = out.get(image, 0.0) + c
-    return ChartFunction(out)
 
 
 def _symbol(h: ChartFunction, weight, lap: complex) -> ChartFunction:
@@ -274,39 +248,19 @@ def _poisson(f: ChartFunction, g: ChartFunction, scale: complex) -> ChartFunctio
     return ChartFunction(out)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Exact columns of an operator in the orthonormal monomial basis.
+def scalar_fit(cols: np.ndarray) -> tuple[complex, float]:
+    """Fit curvature columns (dim x k) to scalar * identity.
 
-    `matrix` has a row for every basis vector and a column for each input
-    monomial of total degree <= valid_degree, reflecting that compositions
-    of degree-raising operators are only faithful on a margin inside the
-    truncation.
+    Returns the scalar (mean diagonal entry) and the Hilbert-Schmidt
+    distance of the columns from scalar * identity, divided by sqrt(k).
     """
-
-    matrix: np.ndarray
-    trunc: FockTruncation
-    valid_degree: int
-
-    def restrict(self) -> np.ndarray:
-        """Square block on the subspace of degree <= valid_degree."""
-        return self.matrix[: self.matrix.shape[1]]
-
-    def scalar_fit(self) -> tuple[complex, float]:
-        """Fit the exact columns to scalar * identity.
-
-        Returns the scalar (mean diagonal entry) and the Hilbert-Schmidt
-        distance of the columns from scalar * identity, divided by sqrt of
-        the number of columns.
-        """
-        cols = self.matrix
-        k = cols.shape[1]
-        scalar = complex(np.trace(cols) / k)
-        deviation = np.linalg.norm(cols - scalar * np.eye(*cols.shape)) / math.sqrt(k)
-        return scalar, float(deviation)
+    k = cols.shape[1]
+    scalar = complex(np.trace(cols) / k)
+    deviation = np.linalg.norm(cols - scalar * np.eye(*cols.shape)) / math.sqrt(k)
+    return scalar, float(deviation)
 
 
-def curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]:
+def curvature_operator(pairs: list, trunc: FockTruncation) -> np.ndarray:
     """Difference between the compressed commutator and the commutator of
     compressions, for each pair (H_1, H_2) in `pairs`.
 
@@ -318,21 +272,26 @@ def curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]
     from the Toeplitz matrices of sigma_L(H_1), sigma_L(H_2) and
     sigma_L(2 P(H_1, H_2)), as the module docstring says.  This measures the
     curvature of the family of holomorphic subspaces in the directions that
-    H_1 and H_2 generate; columns are exact for inputs of degree <= D - 4.
-    The pairs are one batch: a Hamiltonian passed as the same object in
-    several pairs has its matrix built once, and the batch holds the
-    columns of all its pairs at once.
+    H_1 and H_2 generate.
+
+    Returns the complex stack of shape (len(pairs), trunc.dim,
+    trunc.columns(4)): a row for every basis vector and a column for each
+    input monomial of degree <= D - 4, the margin inside the truncation on
+    which the composed operators are exact; `m[: m.shape[1]]` is the square
+    block on that subspace.  The pairs are one batch: a Hamiltonian passed
+    as the same object in several pairs has its matrix built once, and the
+    stack holds the columns of all its pairs at once.
     """
     ((curvs, _),) = _curvatures(pairs, [trunc], _lie_symbol, lambda f, g: _poisson(f, g, 2.0))
-    return [FockOperator(curv, trunc, trunc.D - 4) for curv in curvs]
+    return curvs
 
 
-def flat_curvature_operator(pairs: list, trunc: FockTruncation) -> list[FockOperator]:
+def flat_curvature_operator(pairs: list, trunc: FockTruncation) -> np.ndarray:
     """Curvature columns with the flat prequantum generators in place of the
     bare Hamiltonian derivations (the multiplication term i N H included),
-    batched over `pairs` as in `curvature_operator`."""
+    batched over `pairs` and stacked as in `curvature_operator`."""
     ((curvs, _),) = _curvatures(pairs, [trunc], _generator_symbol, lambda f, g: _poisson(f, g, -1.0))
-    return [FockOperator(curv, trunc, trunc.D - 4) for curv in curvs]
+    return curvs
 
 
 def verify_scalar_curvature(pairs: list, trunc: FockTruncation) -> list[dict]:
@@ -356,8 +315,8 @@ def verify_scalar_curvature(pairs: list, trunc: FockTruncation) -> list[dict]:
         [(bipolys[id(q1)], bipolys[id(q2)]) for q1, q2 in pairs], trunc
     )
     out = []
-    for (q1, q2), curv in zip(pairs, curvs):
-        scalar, deviation = curv.scalar_fit()
+    for (q1, q2), cols in zip(pairs, curvs):
+        scalar, deviation = scalar_fit(cols)
         omega = omega_pairing(q1.generator, q2.generator, standard_complex_structure(q1.n))
         ratio = scalar / omega if abs(omega) > 1e-12 * max(1.0, abs(scalar)) else None
         out.append(
@@ -366,7 +325,7 @@ def verify_scalar_curvature(pairs: list, trunc: FockTruncation) -> list[dict]:
                 "deviation": deviation,
                 "omega": omega,
                 "ratio": ratio,
-                "dim": trunc.dim_up_to(curv.valid_degree),
+                "dim": cols.shape[1],
             }
         )
     return out

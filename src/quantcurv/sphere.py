@@ -854,7 +854,7 @@ def curvature_calibration() -> complex:
     linear flows.  The value is -i/8 with these conventions; computing it at
     runtime keeps every normalization choice in one place.
     """
-    from .fock import FockTruncation, flat_curvature_operator, hamiltonian_bipoly
+    from .fock import FockTruncation, flat_curvature_operator, hamiltonian_bipoly, scalar_fit
     from .symplectic import p_minus_basis, p_plus_basis
 
     hp = p_plus_basis(1)[0]
@@ -863,7 +863,7 @@ def curvature_calibration() -> complex:
     (curv,) = flat_curvature_operator(
         [(hamiltonian_bipoly(hp), hamiltonian_bipoly(hm))], trunc
     )
-    scalar, deviation = curv.scalar_fit()
+    scalar, deviation = scalar_fit(curv)
     if deviation > 1e-10 * abs(scalar):
         raise RuntimeError("flat-model curvature is not scalar; conventions broken")
     j0 = standard_complex_structure(1)

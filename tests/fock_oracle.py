@@ -1,12 +1,15 @@
 """The Fock operators applied to a prefactor, written out literally.
 
-The derivation along xi_H and the flat prequantum generator, each from its
+The reproducing-kernel projection onto holomorphic prefactors, term by term;
+the derivation along xi_H and the flat prequantum generator, each from its
 defining formula in `ChartFunction` ops, image by image, as oracles for the
 Toeplitz symbols and Poisson brackets of `quantcurv.fock`; a quadratic
 Hamiltonian rewritten in (z, zbar) as a sum of products of chart functions,
-as the oracle of `fock.hamiltonian_bipoly`; and chart functions evaluated at
-one point.
+as the oracle of `fock.hamiltonian_bipoly`; chart functions evaluated at one
+point; and the square block of a batch's curvature columns.
 """
+
+import math
 
 import numpy as np
 
@@ -25,6 +28,34 @@ def value(f: ChartFunction, z) -> complex:
             term *= z[j] ** key[j] * zb[j] ** key[n + j]
         tot += term
     return tot / (1.0 + float(np.vdot(z, z).real)) ** f.denom
+
+
+def project(f: ChartFunction, N: int) -> ChartFunction:
+    """Orthogonal projection onto holomorphic prefactors at level N.
+
+    Acts termwise by zbar^beta z^alpha -> N^{-|beta|} d^beta z^alpha, the
+    coherent-state reproducing identity for the Gaussian weight; the term
+    vanishes when some beta_j exceeds alpha_j.
+    """
+    out: dict = {}
+    n = f.nvars
+    for key, c in f.terms.items():
+        alpha = list(key[:n])
+        for j, b in enumerate(key[n:]):
+            if b:
+                if alpha[j] < b:
+                    break
+                c *= math.perm(alpha[j], b) / N**b
+                alpha[j] -= b
+        else:
+            image = tuple(alpha) + (0,) * n
+            out[image] = out.get(image, 0.0) + c
+    return ChartFunction(out)
+
+
+def square(cols: np.ndarray) -> np.ndarray:
+    """Square block of curvature columns, on the subspace that they cover."""
+    return cols[: cols.shape[1]]
 
 
 def hamiltonian_products(h) -> ChartFunction:

@@ -17,7 +17,6 @@ from quantcurv.fock import (
     FockTruncation,
     curvature_operator,
     hamiltonian_bipoly,
-    project,
     verify_scalar_curvature,
 )
 from quantcurv.sphere import (
@@ -49,7 +48,7 @@ from quantcurv.teichmuller import (
     wp_integrand,
 )
 from quantcurv.transport import intertwine_check, parallel_transport
-from fock_oracle import value
+from fock_oracle import project, square, value
 
 _J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -127,14 +126,14 @@ def test_criterion_2_curvature_operator_identities():
                 zz = ChartFunction.monomial(_pair_monomial(n, m, l))
                 bb = ChartFunction.monomial((0,) * n, _pair_monomial(n, r, s))
                 delta = float((m == r) * (l == s) + (m == s) * (l == r))
-                mat = curvature_operator([(zz, bb)], tr)[0].restrict()
+                mat = square(curvature_operator([(zz, bb)], tr)[0])
                 eye = np.eye(mat.shape[0])
                 worst = max(worst, np.linalg.norm(mat - 4.0 * delta * eye))
                 # same-type pairs commute: both orders vanish
                 zz2 = ChartFunction.monomial(_pair_monomial(n, r, s))
-                worst = max(worst, np.linalg.norm(curvature_operator([(zz, zz2)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(square(curvature_operator([(zz, zz2)], tr)[0])))
                 bb2 = ChartFunction.monomial((0,) * n, _pair_monomial(n, m, l))
-                worst = max(worst, np.linalg.norm(curvature_operator([(bb2, bb)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(square(curvature_operator([(bb2, bb)], tr)[0])))
         plus = p_plus_basis(n)
         minus = p_minus_basis(n)
         for i, (a, b) in enumerate(idx):
@@ -142,12 +141,12 @@ def test_criterion_2_curvature_operator_identities():
                 hp = hamiltonian_bipoly(plus[i])
                 hm = hamiltonian_bipoly(minus[j])
                 delta = float((a == r) * (b == s) + (a == s) * (b == r))
-                mat = curvature_operator([(hp, hm)], tr)[0].restrict()
+                mat = square(curvature_operator([(hp, hm)], tr)[0])
                 worst = max(worst, np.linalg.norm(mat - (-8.0j) * delta * np.eye(mat.shape[0])))
                 hp2 = hamiltonian_bipoly(plus[j])
                 hm2 = hamiltonian_bipoly(minus[i])
-                worst = max(worst, np.linalg.norm(curvature_operator([(hp, hp2)], tr)[0].restrict()))
-                worst = max(worst, np.linalg.norm(curvature_operator([(hm2, hm)], tr)[0].restrict()))
+                worst = max(worst, np.linalg.norm(square(curvature_operator([(hp, hp2)], tr)[0])))
+                worst = max(worst, np.linalg.norm(square(curvature_operator([(hm2, hm)], tr)[0])))
     elapsed = time.perf_counter() - t0
     print(f"criterion 2: curvature identity worst HS dev {worst:.3e} ({elapsed:.1f}s)")
     assert worst <= 1e-10

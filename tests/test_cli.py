@@ -315,8 +315,16 @@ def test_summarize_fits_the_slope_over_positive_eps(tmp_path, capsys):
         "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,16\n",
         "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,x,0.5,true\n",
         "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,16,small,true\n",
+        "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,nan,0.5,true\n",
+        "config_hash,N,eps,passed\nabc,-8,1.0,true\nabc,16,0.5,true\n",
+        "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,inf,0.5,true\n",
+        "config_hash,N,eps,passed\nabc,8,1.0,true\nabc,8,0.5,true\nabc,16,0.25,true\n",
+        "config_hash,N,eps,passed\nabc,16,1.0,true\nabc,8,0.5,true\n",
     ],
-    ids=["no-passed-column", "short-row", "non-numeric-N", "non-numeric-eps"],
+    ids=[
+        "no-passed-column", "short-row", "non-numeric-N", "non-numeric-eps",
+        "nan-N", "negative-N", "infinite-N", "repeated-N", "descending-N",
+    ],
 )
 def test_summarize_missing_passed_column(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"

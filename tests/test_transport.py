@@ -523,10 +523,16 @@ def test_cli_reports_the_generator_drift(tmp_path):
     assert header.index("generator_drift") == header.index("max_eq_deriv") + 1
     assert 0.0 < float(row[header.index("generator_drift")]) <= 1e-11
     # the frame health follows passed, report-only as the drift is
-    assert header[-3:] == ["passed", "gram_defect", "isometry_defect"]
-    assert row[-3] == "true"
-    for value in row[-2:]:
+    assert header[-4:] == ["passed", "gram_defect", "isometry_defect", "projector_deviation"]
+    assert row[-4] == "true"
+    for value in row[-3:-1]:
         assert 0.0 < float(value) <= 1e-9
+    # harmonic_real moves the holomorphic range off its start: the column is
+    # the run's projector_deviation(), to the bit
+    res = parallel_transport(
+        harmonic_real(), SectionSpace(6, SphereGrid.for_level(6)), t_end=0.02, dt=1e-3
+    )
+    assert float(row[-1]) == res.projector_deviation() > 1e-3
 
 
 def test_cli_reports_the_step_it_integrated_with(tmp_path):
