@@ -20,7 +20,6 @@ from .fock import (
     verify_scalar_curvature,
 )
 from .sphere import (
-    ChartFunction,
     HamiltonianField,
     SectionSpace,
     SphereGrid,
@@ -38,6 +37,7 @@ from .sphere import (
     symbol_decay_experiment,
     zonal_harmonic,
 )
+from .toeplitz import ChartFunction
 from .transport import (
     TransportResult,
     intertwine_check,

@@ -5,7 +5,7 @@ in n variables.  All operators below are computed symbolically on polynomial
 prefactors, so matrix entries are exact up to floating-point rounding; the
 truncation degree D only controls which monomial columns get materialized.
 Polynomials in (z, zbar) are `ChartFunction`s with denominator power 0, keyed
-by flat exponents (alpha, beta) as the `quantcurv.sphere` docstring says.
+by flat exponents (alpha, beta) as the `quantcurv.toeplitz` docstring says.
 
 The key ingredient is the reproducing-kernel projection onto holomorphic
 prefactors, which acts on monomials by
@@ -36,10 +36,11 @@ Poisson bracket P(f, g) = i sum_j (df/dzbar_j dg/dz_j - df/dz_j dg/dzbar_j):
 So a curvature matrix is the Toeplitz matrices of three symbols, each formed
 in one pass over the terms whatever D.  A term c z^gamma zbar^beta meets the
 column z^alpha as c z^e zbar^beta, e = alpha + gamma, which projects to
-c N^{-|beta|} e!/(e - beta)! z^(e - beta); the sphere's log-space Toeplitz
-pass forms it as the Gaussian pairing e!/N^|e| over the norms of z^(e - beta)
-and z^alpha, exact to rounding at any N.  Curvatures come in batches of
-pairs from the sphere's curvature routine, fed the symbols above, P and the
+c N^{-|beta|} e!/(e - beta)! z^(e - beta); the log-space Toeplitz pass of
+`quantcurv.toeplitz` forms it as the Gaussian pairing e!/N^|e| over the norms
+of z^(e - beta) and z^alpha, exact to rounding at any N: `FockTruncation` is a
+basis of that module's protocol.  Curvatures come in batches of pairs from
+its curvature routine, `toeplitz.curvatures`, fed the symbols above, P and the
 column margins (an operator of order 2 or 4 keeps the columns of degree
 <= D - 2 or D - 4 in the truncation): one pass for the distinct Hamiltonians,
 one for the brackets of all pairs, each matrix the same to the bit as alone.
@@ -57,8 +58,8 @@ from itertools import product
 
 import numpy as np
 
-from .sphere import ChartFunction, _curvatures, _dd_log, _dd_sum, _dd_times, _log_factorials
 from .symplectic import QuadraticHamiltonian, omega_pairing, standard_complex_structure
+from .toeplitz import ChartFunction, curvatures, dd_log, dd_sum, dd_times, log_factorials
 
 __all__ = [
     "DegreeOverflowError",
@@ -171,7 +172,7 @@ class FockTruncation:
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "_rows", rows)
         # ||z^alpha||^2 = <z^alpha, z^alpha>; halving a pair is exact
-        hi, lo = self._log_pairing(exps, None, None)
+        hi, lo = self.log_pairing(exps, None, None)
         object.__setattr__(self, "log_norms", (0.5 * hi, 0.5 * lo))
 
     def basis(self) -> list[tuple[int, ...]]:
@@ -187,13 +188,13 @@ class FockTruncation:
             return 0
         return math.comb(min(degree, self.D) + self.n, self.n)
 
-    def _log_pairing(self, e, _beta, _m):
+    def log_pairing(self, e, _beta, _m):
         """log e!/N^|e| as a pair, the power of N a multiple of the pair log N."""
-        hi, lo = _log_factorials(int(e.max(initial=0)))
-        n_hi, n_lo = _dd_times(_dd_log(self.N), e.sum(axis=1))
-        return _dd_sum(*((hi[x], lo[x]) for x in e.T), (-n_hi, -n_lo))
+        hi, lo = log_factorials(int(e.max(initial=0)))
+        n_hi, n_lo = dd_times(dd_log(self.N), e.sum(axis=1))
+        return dd_sum(*((hi[x], lo[x]) for x in e.T), (-n_hi, -n_lo))
 
-    def _row(self, r):
+    def row(self, r):
         """Row of the image z^r; raises DegreeOverflowError past degree D."""
         degree = r.sum(axis=1).max(initial=0)
         if degree > self.D:
@@ -282,7 +283,7 @@ def curvature_operator(pairs: list, trunc: FockTruncation) -> np.ndarray:
     as the same object in several pairs has its matrix built once, and the
     stack holds the columns of all its pairs at once.
     """
-    ((curvs, _),) = _curvatures(pairs, [trunc], _lie_symbol, lambda f, g: _poisson(f, g, 2.0))
+    ((curvs, _),) = curvatures(pairs, [trunc], _lie_symbol, lambda f, g: _poisson(f, g, 2.0))
     return curvs
 
 
@@ -290,7 +291,7 @@ def flat_curvature_operator(pairs: list, trunc: FockTruncation) -> np.ndarray:
     """Curvature columns with the flat prequantum generators in place of the
     bare Hamiltonian derivations (the multiplication term i N H included),
     batched over `pairs` and stacked as in `curvature_operator`."""
-    ((curvs, _),) = _curvatures(pairs, [trunc], _generator_symbol, lambda f, g: _poisson(f, g, -1.0))
+    ((curvs, _),) = curvatures(pairs, [trunc], _generator_symbol, lambda f, g: _poisson(f, g, -1.0))
     return curvs
 
 

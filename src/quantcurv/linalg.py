@@ -7,7 +7,7 @@ so the weighted L2 pairing becomes the ordinary complex dot product and
 adjoints/Hermiticity checks are the plain matrix ones.
 
 Both grid routes that project onto a flowed frame F (`sphere.curvature_fd`,
-`transport`) flow it by `OdeStepper.step` under `_in_chart` and use
+`transport`) flow it by `OdeStepper.step` under `in_chart` and use
 F G^{-1} F* with the Gram G = F*F, refused by `check_gram_spectrum`.
 """
 
@@ -34,7 +34,7 @@ def check_gram_spectrum(evals: np.ndarray) -> None:
 
 
 @contextmanager
-def _in_chart(label: str, t_end: float, reached):
+def in_chart(label: str, t_end: float, reached):
     """Run a flow under `np.errstate(over="raise", invalid="raise")`; an overflow
     or invalid value raises ValueError: `label` left the chart at t = reached()."""
     try:

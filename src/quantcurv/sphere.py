@@ -32,38 +32,32 @@ The generators close under the Poisson bracket, [G_{h2}, G_{h1}] = G_p with
 p = -xi_{h1} h2, so the compressed commutator is Pi [G2, G1] Pi =
 i T_{N p - Delta_1 p}, and the curvature is Y = T_{i(N p - Delta_1 p)} -
 [B2, B1].  That formula, in a model's symbol, bracket and column margins, is
-one routine, `_curvatures`, for this model and `quantcurv.fock`.  The symbols
-h, p and their Delta_1 do not depend on N, so the chart algebra of a batch of
-pairs is formed once, and each level scales by N, adds, and gets every B,
-bracket and extra Toeplitz symbol from one pairing pass.
+one routine, `toeplitz.curvatures`, for this model and `quantcurv.fock`.  The
+symbols h, p and their Delta_1 do not depend on N, so the chart algebra of a
+batch of pairs is formed once, and each level scales by N, adds, and gets
+every B, bracket and extra Toeplitz symbol from one pairing pass.
 
-Chart functions: a `ChartFunction` is p(z, zbar)/(1+|z|^2)^m on a chart of
-C^n, |z|^2 = sum_j z_j zbar_j, with one denominator power m >= 0 and p stored
-as {key: c}, the term c z^alpha zbar^beta under the flat exponent key
-
-    key = (alpha_1, ..., alpha_n, beta_1, ..., beta_n),
-
-so n is the key length over two.  The sphere chart has n = 1 and keys (a, b).
-The flat Fock model (`quantcurv.fock`) uses the same class with m = 0, where
-it is a polynomial in z and zbar and d/dz_j, d/dzbar_j keep m = 0.
-
-Quantities that stay in the small algebra of functions p(z, zbar)/(1+|z|^2)^m
-are closed-form: pairing z^a zbar^b/(1+|z|^2)^m with the section z^j is zero
-unless a = b + j, and then equals the Beta integral
+Symbols are `ChartFunction`s in one variable, keys (a, b), and the matrices
+come from the engine of `quantcurv.toeplitz`, whose docstring states the
+chart algebra and the protocol a basis follows.  Quantities that stay in the
+small algebra of functions p(z, zbar)/(1+|z|^2)^m are closed-form: pairing
+z^a zbar^b/(1+|z|^2)^m with the section z^j is zero unless a = b + j, and
+then equals the Beta integral
 
     pi Gamma(a+1) Gamma(N+m+1-a) / Gamma(N+m+2),
 
 evaluated in log space with every log carried as a (hi, lo) pair of doubles,
-so each pairing is exact to rounding (`SectionBasis`).  Section coefficients
-and phase-space averages are computed this way, and every operator matrix,
-whatever N, is the Toeplitz matrix of a chart function, several symbols in
-one pass of `_toeplitz`, which `quantcurv.fock` shares.  The quadrature grid
+so each pairing is exact to rounding (`SectionBasis`, the protocol's
+`log_pairing` and `row`).  Section coefficients and phase-space averages are
+computed this way, and every operator matrix, whatever N, is the Toeplitz
+matrix of a chart function, several symbols in one pass of
+`toeplitz.toeplitz`, which `quantcurv.fock` shares.  The quadrature grid
 (`SphereGrid`, `SectionSpace`) is used only where flows leave that algebra:
 flowed frames in transport and in `curvature_fd`, multiplication by sampled
 grid values (`compress_mult`) and the Gram check.  Both flowed-frame routes
 step `characteristic_rhs` with `OdeStepper.step` and project onto a frame F
 as F G^{-1} F* through its Gram G = F*F.
-`SectionSpace._monomial_rows` is the one recurrence that builds frames on the
+`SectionSpace.monomial_rows` is the one recurrence that builds frames on the
 grid and on its images under a flow (given a and q, also the rows of G on
 them); chart functions are evaluated on points by `eval_batch` alone.
 """
@@ -73,13 +67,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, product, repeat
-from operator import add, mul, truediv
+from itertools import accumulate, repeat
+from operator import mul, truediv
 
 import numpy as np
 
-from .linalg import OdeStepper, _in_chart, check_gram_spectrum
-from .symplectic import chi_symbol, standard_complex_structure, tangent_from_generator
+from .fock import FockTruncation, flat_curvature_operator, hamiltonian_bipoly, scalar_fit
+from .linalg import OdeStepper, check_gram_spectrum, in_chart
+from .symplectic import chi_symbol, p_minus_basis, p_plus_basis, standard_complex_structure, tangent_from_generator
+from .toeplitz import ChartFunction, curvatures, dd_exp, dd_sum, log_factorials, toeplitz
 
 __all__ = [
     "ChartFunction",
@@ -107,144 +103,6 @@ __all__ = [
     "curvature_calibration",
     "symbol_decay_experiment",
 ]
-
-
-class ChartFunction:
-    """Function sum c z^alpha zbar^beta / (1+|z|^2)^m on a chart of C^n.
-
-    Terms are {key: c} with flat keys (alpha, beta), as the module docstring
-    says.  The class is closed under +, *, d/dz_j, d/dzbar_j and conjugation,
-    which is what makes projector and curvature matrix elements exactly
-    integrable: against monomial sections and the fiber weight, every inner
-    product is a closed-form Beta integral (`SectionBasis`).
-    """
-
-    __slots__ = ("terms", "denom")
-
-    def __init__(self, terms: dict | None = None, denom: int = 0):
-        if denom < 0:
-            raise ValueError("denominator power must be >= 0")
-        self.denom = denom
-        self.terms = (
-            {tuple(key): complex(c) for key, c in terms.items() if c != 0} if terms else {}
-        )
-
-    @classmethod
-    def monomial(cls, alpha, beta=None, coeff: complex = 1.0, denom: int = 0):
-        """coeff z^alpha zbar^beta / (1+|z|^2)^denom; beta defaults to 0, and an
-        integer exponent is a multi-index in one variable."""
-        alpha = tuple(alpha) if np.ndim(alpha) else (int(alpha),)
-        if beta is None:
-            beta = (0,) * len(alpha)
-        beta = tuple(beta) if np.ndim(beta) else (int(beta),)
-        return cls({alpha + beta: coeff}, denom)
-
-    @property
-    def nvars(self) -> int:
-        """n, read off the key length (0 when there are no terms)."""
-        return len(next(iter(self.terms), ())) // 2
-
-    def _with_denom(self, m: int) -> dict:
-        """Terms re-expressed over (1+|z|^2)^m (m >= self.denom): times the
-        multinomial expansion of (1+|z|^2)^k, k = m - self.denom."""
-        k = m - self.denom
-        if k == 0:
-            return dict(self.terms)
-        out: dict = {}
-        for g in product(range(k + 1), repeat=self.nvars):
-            if sum(g) > k:
-                continue
-            coef = math.factorial(k) // math.prod(map(math.factorial, (k - sum(g), *g)))
-            for key, c in self.terms.items():
-                key = tuple(map(add, key, g + g))
-                out[key] = out.get(key, 0.0) + coef * c
-        return out
-
-    def __add__(self, other: "ChartFunction") -> "ChartFunction":
-        m = max(self.denom, other.denom)
-        out = self._with_denom(m)
-        for key, c in other._with_denom(m).items():
-            s = out.get(key, 0.0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return ChartFunction(out, m)
-
-    def __sub__(self, other: "ChartFunction") -> "ChartFunction":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "ChartFunction":
-        return ChartFunction(
-            {key: scalar * c for key, c in self.terms.items()}, self.denom
-        )
-
-    def __mul__(self, other: "ChartFunction") -> "ChartFunction":
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(map(add, k1, k2))
-                s = out.get(key, 0.0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return ChartFunction(out, self.denom + other.denom)
-
-    def dz(self, j: int) -> "ChartFunction":
-        """d/dz_j: over m = 0 the plain derivative, again over m = 0; over
-        m > 0 the quotient rule
-
-            d/dz_j [p/(1+w)^m] = [p_{z_j} (1+w) - m zbar_j p] / (1+w)^(m+1),
-
-        w = |z|^2, with (1+w) applied to p_{z_j} as 1 + sum_k z_k zbar_k."""
-        return self._derivative(j, 0)
-
-    def dzbar(self, j: int) -> "ChartFunction":
-        """d/dzbar_j, the conjugate rule of `dz`."""
-        return self._derivative(j, 1)
-
-    def _derivative(self, j: int, side: int) -> "ChartFunction":
-        """Derivative in key slot j + side n; its conjugate variable is slot
-        j + (1 - side) n."""
-        n, m = self.nvars, self.denom
-        d, e = j + side * n, j + (1 - side) * n
-        out: dict = {}
-        for key, c in self.terms.items():
-            p = key[d]
-            if p:
-                low = key[:d] + (p - 1,) + key[d + 1 :]
-                out[low] = out.get(low, 0.0) + p * c
-                if m:  # the w part of (1 + w): one z_k zbar_k shift each
-                    for k in range(n):
-                        up = list(low)
-                        up[k] += 1
-                        up[k + n] += 1
-                        up = tuple(up)
-                        out[up] = out.get(up, 0.0) + p * c
-            if m:
-                up = key[:e] + (key[e] + 1,) + key[e + 1 :]
-                out[up] = out.get(up, 0.0) - m * c
-        return ChartFunction(out, m + 1 if m else 0)
-
-    def conj(self) -> "ChartFunction":
-        n = self.nvars
-        return ChartFunction(
-            {key[n:] + key[:n]: c.conjugate() for key, c in self.terms.items()}, self.denom
-        )
-
-    def imag(self) -> "ChartFunction":
-        return -0.5j * (self - self.conj())
-
-    def eval(self, z: np.ndarray) -> np.ndarray:
-        """Values at the points z of the one-variable chart (n = 1)."""
-        return eval_batch([self], z)[0]
-
-    def bounded_at_infinity(self) -> bool:
-        return all(sum(key) <= 2 * self.denom for key in self.terms)
-
-    def __repr__(self):
-        return f"ChartFunction(nterms={len(self.terms)}, denom={self.denom})"
 
 
 _ZBAR_OVER_1PW = ChartFunction({(0, 1): 1.0}, denom=1)
@@ -384,78 +242,6 @@ EXACT_LEVEL_MAX = 2048
 _GRAM_TOL = 1e-10
 
 
-def _dd_sum(*pairs):
-    """Sum of (hi, lo) pairs as one pair: error-free on the hi parts.
-
-    Logs are carried as such pairs, whose sum holds ~32 digits, so a pairing
-    stays exact to rounding although its log is a difference of terms of
-    size N log N.
-    """
-    hi, lo = pairs[0]
-    for h, l in pairs[1:]:
-        # Knuth's TwoSum: s + e == hi + h exactly
-        s = hi + h
-        hv = s - hi
-        e = (hi - (s - hv)) + (h - hv)
-        hi, lo = s, lo + (e + l)
-    return hi, lo
-
-
-def _dd_exp(pair):
-    """exp(hi + lo) for |lo| << 1, to a few ulp."""
-    hi, lo = pair
-    return np.exp(hi) * (1.0 + lo)
-
-
-def _dd_times(pair, k):
-    """k (hi + lo) as a pair, for integers 0 <= k < 2**26: hi splits into two
-    halves of at most 26 bits (Veltkamp), whose products with k are exact."""
-    hi, lo = pair
-    t = 134217729.0 * hi  # 2**27 + 1
-    top = t - (t - hi)
-    return _dd_sum((k * top, k * lo), (k * (hi - top), 0.0))
-
-
-@lru_cache(maxsize=16)
-def _dd_log(k: int):
-    """log k as a (hi, lo) pair, from 40-digit `decimal` arithmetic."""
-    from decimal import Context, Decimal
-
-    x = Context(prec=40).ln(Decimal(k))
-    return float(x), float(x - Decimal(float(x)))
-
-
-class _LogFactorials:
-    """log k! as (hi, lo) arrays with hi + lo exact to ~32 digits.
-
-    One table per process, computed in 40-digit `decimal` arithmetic and grown
-    to the largest k asked for; `decimal` is imported on the first growth.
-    """
-
-    def __init__(self):
-        self.hi = self.lo = np.zeros(1)
-        self._top = None  # log of the last tabled factorial, as a Decimal
-
-    def __call__(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The table, covering k = 0..n at least."""
-        if n >= len(self.hi):
-            from decimal import Context, Decimal
-
-            ctx = Context(prec=40)
-            top = Decimal(0) if self._top is None else self._top
-            hi, lo = [], []
-            for k in range(len(self.hi), n + 1):
-                top = ctx.add(top, ctx.ln(Decimal(k)))
-                h = float(top)
-                hi.append(h)
-                lo.append(float(ctx.subtract(top, Decimal(h))))
-            self._top = top
-            self.hi = np.concatenate([self.hi, hi])
-            self.lo = np.concatenate([self.lo, lo])
-        return self.hi, self.lo
-
-
-_log_factorials = _LogFactorials()
 # log pi = 1.14472988584940017414342735135305871164729481291531... as a pair
 _LOG_PI = (1.1447298858494002, 1.0265951162707826e-17)
 
@@ -463,76 +249,9 @@ _LOG_PI = (1.1447298858494002, 1.0265951162707826e-17)
 def _log_beta(N: int, a: np.ndarray, m):
     """log a! (N+m-a)! / (N+m+1)! as a (hi, lo) pair; pi times this Beta value
     is the level-N pairing of z^a zbar^b/(1+w)^m with z^(a-b)."""
-    hi, lo = _log_factorials(N + int(np.max(m, initial=0)) + 1)
+    hi, lo = log_factorials(N + int(np.max(m, initial=0)) + 1)
     top = N + m + 1
-    return _dd_sum((hi[a], lo[a]), (hi[top - 1 - a], lo[top - 1 - a]), (-hi[top], -lo[top]))
-
-
-def _toeplitz(fs: list[ChartFunction], basis, ncols: int) -> np.ndarray:
-    """Matrices <e_r, f e_col>, f in `fs`, stacked: rows every e_alpha =
-    z^alpha/||z^alpha|| of the monomial `basis`, columns its first `ncols`.
-
-    A term c z^gamma zbar^beta/(1+w)^m takes z^col to c exp(log <z^r, z^e
-    zbar^beta/(1+w)^m> - log||z^r|| - log||z^col||) e_r, e = col + gamma,
-    r = e - beta >= 0, the logs (hi, lo) pairs, from the basis's `exps`,
-    `log_norms`, `_log_pairing(e, beta, m)` and `_row(r)` (-1: z^r leaves the
-    space).  Each matrix is the same to the bit as when built alone.
-    """
-    n = basis.exps.shape[1]
-    out = np.zeros((len(fs), len(basis.exps), ncols), dtype=complex)
-    owner = np.array([g for g, f in enumerate(fs) for _ in f.terms], dtype=np.int64)
-    if not owner.size:
-        return out
-    keys = np.array([key for f in fs for key in f.terms], dtype=np.int64)
-    m = np.array([f.denom for f in fs for _ in f.terms], dtype=np.int64)
-    c = np.array([c for f in fs for c in f.terms.values()], dtype=complex)
-    e = basis.exps[:ncols] + keys[:, None, :n]
-    term, col = np.nonzero(np.all(e >= keys[:, None, n:], axis=2))
-    e, beta = e[term, col], keys[term, n:]
-    rows = basis._row(e - beta)
-    keep = rows >= 0
-    term, col, rows, e, beta = term[keep], col[keep], rows[keep], e[keep], beta[keep]
-    hi, lo = basis.log_norms
-    logv = _dd_sum(
-        basis._log_pairing(e, beta, m[term]),
-        (-hi[rows], -lo[rows]),
-        (-hi[col], -lo[col]),
-    )
-    np.add.at(out, (owner[term], rows, col), c[term] * _dd_exp(logv))
-    return out
-
-
-def _curvatures(pairs: list, bases, symbol, bracket, extra=()):
-    """Y = T_bracket - [B2, B1] for each pair (f1, f2) of chart functions at
-    each basis in `bases`, with the Toeplitz matrices of the symbols `extra`.
-
-    The model supplies `symbol(f)`, which forms the level-free algebra of f
-    once and returns N -> the symbol of its compressed operator; `bracket`,
-    Pi [D2, D1] Pi being T of symbol(bracket(f1, f2)); and `columns(order)`
-    of a basis, the leading columns an operator of that order keeps in the
-    space.  An f passed as the same object in several pairs gets one matrix.
-    Where every column survives (the sphere) a level is one `_toeplitz` pass;
-    otherwise (Fock) the operators take one on columns(2), the brackets and
-    `extra` another on columns(4), Y's columns.  Each Y is formed in place in
-    its bracket's matrix.  Yields, per basis, the stacked Y and `extra`.
-    """
-    fs = {id(f): f for pair in pairs for f in pair}
-    at = {key: i for i, key in enumerate(fs)}
-    ops = [symbol(f) for f in fs.values()]
-    brackets = [symbol(bracket(f1, f2)) for f1, f2 in pairs]
-    for basis in bases:
-        m, k = basis.columns(2), basis.columns(4)
-        level = [s(basis.N) for s in ops]
-        rest = [s(basis.N) for s in brackets] + list(extra)
-        if k == basis.dim:
-            mats = _toeplitz(level + rest, basis, k)
-            b, rest = mats[: len(level)], mats[len(level) :]
-        else:
-            b, rest = _toeplitz(level, basis, m), _toeplitz(rest, basis, k)
-        for y, (f1, f2) in zip(rest, pairs):
-            b1, b2 = b[at[id(f1)]], b[at[id(f2)]]
-            y -= b2 @ b1[:m, :k] - b1 @ b2[:m, :k]
-        yield rest[: len(pairs)], rest[len(pairs) :]
+    return dd_sum((hi[a], lo[a]), (hi[top - 1 - a], lo[top - 1 - a]), (-hi[top], -lo[top]))
 
 
 def phase_average(f: ChartFunction) -> float:
@@ -545,13 +264,13 @@ def phase_average(f: ChartFunction) -> float:
     c = np.array([c for (a, b), c in f.terms.items() if a == b], dtype=complex)
     if np.any(a > f.denom):
         raise ValueError("chart function is not integrable over the sphere")
-    return float(np.sum(c * _dd_exp(_log_beta(0, a, f.denom))).real)
+    return float(np.sum(c * dd_exp(_log_beta(0, a, f.denom))).real)
 
 
 class SectionBasis:
     """Level-N holomorphic sections in the orthonormal basis e_k = z^k/||z^k||.
 
-    Grid-free: every matrix is `_toeplitz` with the Beta pairing, so entries
+    Grid-free: every matrix is `toeplitz.toeplitz` with the Beta pairing, so entries
     stay O(1) even where ||z^k||^2 underflows a double, exact to rounding.
     """
 
@@ -559,31 +278,31 @@ class SectionBasis:
         self.N = N
         self.exps = np.arange(N + 1)[:, None]
         # ||z^k||^2 = <z^k, z^k>; halving a pair is exact
-        hi, lo = self._log_pairing(self.exps, None, 0)
+        hi, lo = self.log_pairing(self.exps, None, 0)
         self.log_norms = (0.5 * hi, 0.5 * lo)
 
     @property
     def dim(self) -> int:
         return self.N + 1
 
-    def _log_pairing(self, e, _beta, m):
+    def log_pairing(self, e, _beta, m):
         """log pi Beta as a pair (`_log_beta`); ValueError where it diverges."""
         if np.any(e[:, 0] > self.N + m):
             raise ValueError(f"pairing with level-{self.N} sections diverges")
-        return _dd_sum(_LOG_PI, _log_beta(self.N, e[:, 0], m))
+        return dd_sum(_LOG_PI, _log_beta(self.N, e[:, 0], m))
 
-    def _row(self, r):
+    def row(self, r):
         """Row of the image z^r: r itself, -1 past N (it leaves the space)."""
         return np.where(r[:, 0] <= self.N, r[:, 0], -1)
 
     def coeffs(self, f: ChartFunction) -> np.ndarray:
         """Coefficients <e_k, f>: ||z^0|| times the column of z^0 under f."""
-        return _toeplitz([f], self, 1)[0, :, 0] * _dd_exp(tuple(x[0] for x in self.log_norms))
+        return toeplitz([f], self, 1)[0, :, 0] * dd_exp(tuple(x[0] for x in self.log_norms))
 
     def toeplitz(self, fs: list) -> np.ndarray:
         """Toeplitz matrices <e_j, f e_k> of the chart functions f in `fs`,
-        stacked along the first axis, from one `_toeplitz` pass."""
-        return _toeplitz(fs, self, self.dim)
+        stacked along the first axis, from one `toeplitz.toeplitz` pass."""
+        return toeplitz(fs, self, self.dim)
 
     def columns(self, _order: int) -> int:
         """Every column: a Toeplitz operator keeps the level-N space."""
@@ -604,7 +323,7 @@ class SectionSpace(SectionBasis):
         if grid.n_angular < 4 * N + 8 or grid.n_radial < 2 * N + 16:
             raise ValueError("grid too coarse for level N (needs 4N+8 x 2N+16)")
         super().__init__(N)
-        self.norms = _dd_exp(self.log_norms)
+        self.norms = dd_exp(self.log_norms)
         self.grid = grid
         self.sqrtw = np.sqrt(grid.weights * (1.0 + grid.u) ** (-N))
         frame = self.frame_at(grid.points, 1.0)
@@ -620,14 +339,14 @@ class SectionSpace(SectionBasis):
         self, z: np.ndarray, c, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Half-weighted frame columns c(x) z(x)^k / ||z^k||, k = 0..N, at points
-        `z` (the grid or a flowed image): the rows of `_monomial_rows` scaled by
+        `z` (the grid or a flowed image): the rows of `monomial_rows` scaled by
         1/||z^k||, in `out` (C-ordered complex (dim, points)) if given, as (points, dim)."""
         rows = np.empty((self.dim, len(z)), dtype=complex) if out is None else out
-        real = self._monomial_rows(z, c, rows).view(np.float64)  # scaled as reals
+        real = self.monomial_rows(z, c, rows).view(np.float64)  # scaled as reals
         real *= (1.0 / self.norms)[:, None]
         return rows.T
 
-    def _monomial_rows(self, z, c, rows, av=None, qv=None, w=None) -> np.ndarray:
+    def monomial_rows(self, z, c, rows, av=None, qv=None, w=None) -> np.ndarray:
         """Rows U_k = c sqrtw z^k, k = 0..N, into rows[:dim]; given the values
         `av`, `qv` of a and q at the points, also G U_k = (q z + k a) U_(k-1)
         (G U_0 = q U_0) into rows[dim:], running w = q z + k a in the row `w`
@@ -709,7 +428,7 @@ def characteristic_rhs(ham: HamiltonianField, N: int, inverse: bool):
     -a (inverse=True, the path entering V_t^{-1}) or +a, and the prefactor
     picks up the matching phase rate q = -N a zbar/(1+|z|^2) + i N h.
     """
-    q = _phase_rate(ham, N)
+    q = phase_rate(ham, N)
     sign = -1.0 if inverse else 1.0
 
     def rhs(y):
@@ -720,7 +439,7 @@ def characteristic_rhs(ham: HamiltonianField, N: int, inverse: bool):
     return rhs
 
 
-def _phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
+def phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
     """q = -N a zbar/(1+w) + i N h, the source term along characteristics."""
     return (-float(N)) * (ham.a * _ZBAR_OVER_1PW) + (1j * N) * ham.h
 
@@ -751,7 +470,7 @@ def pullback_frame(
     y = np.stack([space.grid.points, np.ones_like(space.grid.points)])
     n_steps = max(n_steps, 1)
     stepper = OdeStepper(dt=abs(t) / n_steps)
-    with _in_chart(f"pullback of {ham.name} at N={space.N}", t, lambda: t * done / n_steps):
+    with in_chart(f"pullback of {ham.name} at N={space.N}", t, lambda: t * done / n_steps):
         for done in range(n_steps):
             y = stepper.step(rhs, y)
         done = n_steps  # z^k of far points can overflow in the frame itself
@@ -785,7 +504,7 @@ def curvature_commutator(
     the Toeplitz forms of the module docstring; every entry is a closed-form
     pairing, so entries carry rounding error only.
     """
-    (((y,), _),) = _curvatures([(h1.h, h2.h)], [space], _generator_symbol, _bracket)
+    (((y,), _),) = curvatures([(h1.h, h2.h)], [space], _generator_symbol, _bracket)
     return y.copy()  # not a view, so that the pass's other matrices are freed
 
 
@@ -854,9 +573,6 @@ def curvature_calibration() -> complex:
     linear flows.  The value is -i/8 with these conventions; computing it at
     runtime keeps every normalization choice in one place.
     """
-    from .fock import FockTruncation, flat_curvature_operator, hamiltonian_bipoly, scalar_fit
-    from .symplectic import p_minus_basis, p_plus_basis
-
     hp = p_plus_basis(1)[0]
     hm = p_minus_basis(1)[0]
     trunc = FockTruncation(n=1, N=6, D=10)
@@ -889,7 +605,7 @@ def symbol_decay_experiment(
     chi = chi_field(h1, h2)
     trace_rhs = phase_average(chi)
     rows = []
-    levels = _curvatures(
+    levels = curvatures(
         [(h1.h, h2.h)], map(SectionBasis, n_list), _generator_symbol, _bracket, [chi]
     )
     for N, ((y,), (t,)) in zip(n_list, levels):

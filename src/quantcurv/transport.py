@@ -25,7 +25,7 @@ with a the flow field and q the phase rate (the identity of the `sphere`
 module docstring), so G needs only a and q at the flowed points, which the
 characteristic equations already evaluate.  On the rows U_k = c sqrtw z^k of
 a state (z, c), G U_k = (q z + k a) U_(k-1), and one sweep,
-`SectionSpace._monomial_rows`, writes both.  The norms of the frame
+`SectionSpace.monomial_rows`, writes both.  The norms of the frame
 F_k = U_k / ||z^k|| enter only the d x 2d product: [F*F, F*(G F)] is
 U*[U, G U] scaled by 1/(||z^j|| ||z^k||), while `frame_at` scales the frames
 of the end state and of the residual stencils row by row.
@@ -57,7 +57,7 @@ at N = 16, 166 MB at N = 72) and one stencil's states (z, c, C), ~0.8 MB and
 
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; the integration
-runs under `linalg._in_chart`, which reports that as a `ValueError` naming
+runs under `linalg.in_chart`, which reports that as a `ValueError` naming
 the Hamiltonian, the level and the time reached.  The residuals run outside
 it, so their own failures surface unchanged.
 """
@@ -69,14 +69,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import OdeStepper, _in_chart, check_gram_spectrum
+from .linalg import OdeStepper, check_gram_spectrum, in_chart
 from .sphere import (
     HamiltonianField,
     SectionSpace,
-    _phase_rate,
     characteristic_rhs,
     compress_generator,
     eval_batch,
+    phase_rate,
 )
 
 __all__ = [
@@ -166,7 +166,7 @@ class _MovingFrame:
         self.label = f"transport of {ham.name} at N={space.N}"
         self.dt = dt
         self.a = ham.a
-        self.q = _phase_rate(ham, space.N)
+        self.q = phase_rate(ham, space.N)
         self.rhs = characteristic_rhs(ham, space.N, inverse=True)
         self.stepper = OdeStepper(dt=0.5 * dt)
         n = space.grid.points
@@ -218,7 +218,7 @@ class _MovingFrame:
         av, qv = eval_batch([self.a, self.q], z)
         # characteristic_rhs(inverse=True) at this state
         self.k1 = np.stack([-av, -qv * c])
-        rows = self.space._monomial_rows(z, c, self.rows, av, qv, self.w)
+        rows = self.space.monomial_rows(z, c, self.rows, av, qv, self.w)
         return (np.conjugate(rows[: self.space.dim], out=self.rows_h) @ rows.T) * self.norm_scale
 
     def generator_matrix(self) -> np.ndarray:
@@ -244,7 +244,7 @@ def _stencils(frame: _MovingFrame, n_steps: int, n_samples: int):
     steps, spread evenly and moved inwards so that every stencil lies in
     [0, n_steps]; once a stencil is yielded, the states no later sample
     reads are dropped.  Between yields the integration runs under
-    `linalg._in_chart`, and a flow leaving the chart raises ValueError; the
+    `linalg.in_chart`, and a flow leaving the chart raises ValueError; the
     consumer's work at a yield runs outside it, while the frame's buffers
     are free.
     """
@@ -261,7 +261,7 @@ def _stencils(frame: _MovingFrame, n_steps: int, n_samples: int):
     step = 0
     for k, j in enumerate([*samples, None]):
         last = n_steps if j is None else j + reach
-        with _in_chart(frame.label, n_steps * frame.dt, lambda: 0.5 * frame.dt * frame.half_index):
+        with in_chart(frame.label, n_steps * frame.dt, lambda: 0.5 * frame.dt * frame.half_index):
             while step < last:
                 frame.step()
                 step += 1

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from quantcurv.sphere import ChartFunction
+from quantcurv.toeplitz import ChartFunction
 
 
 def value(f: ChartFunction, z) -> complex:

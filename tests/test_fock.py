@@ -17,8 +17,8 @@ from quantcurv.fock import (
     scalar_fit,
     verify_scalar_curvature,
 )
-from quantcurv import sphere
-from quantcurv.sphere import ChartFunction, _toeplitz
+from quantcurv import toeplitz as engine
+from quantcurv.toeplitz import ChartFunction, toeplitz
 from quantcurv.symplectic import (
     QuadraticHamiltonian,
     hamiltonian_from_form,
@@ -80,7 +80,7 @@ def _projected_columns(op, tr):
 def _lie_matrix(h, tr):
     # square block of T_{sigma_L(h)} on degree <= D - 2
     k = tr.dim_up_to(tr.D - 2)
-    return _toeplitz([fock._lie_symbol(h)(tr.N)], tr, k)[0][:k]
+    return toeplitz([fock._lie_symbol(h)(tr.N)], tr, k)[0][:k]
 
 
 def _pair_monomial(n, i, j):
@@ -306,7 +306,7 @@ def test_toeplitz_matches_decimal_oracle():
     ]
     for tr, f, ncols in cases:
         want = _decimal_toeplitz(tr, f, ncols)
-        got = _toeplitz([f], tr, ncols)[0]
+        got = toeplitz([f], tr, ncols)[0]
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
 
 
@@ -515,7 +515,7 @@ def test_bracket_matches_symbolic_composition(n, spec):
             ],
             tr,
         )
-        got = _toeplitz([symbol(fock._poisson(h1, h2, c))(big_n)], tr, k)[0]
+        got = toeplitz([symbol(fock._poisson(h1, h2, c))(big_n)], tr, k)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -531,7 +531,7 @@ def test_operator_matrix_matches_projected_images(n, D, spec):
     for _ in range(3):
         h = _random_quadratic(n, rng)
         ref = _projected_columns(lambda f: literal(h, f, tr.N), tr)
-        got = _toeplitz([symbol(h)(tr.N)], tr, k)[0]
+        got = toeplitz([symbol(h)(tr.N)], tr, k)[0]
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -564,7 +564,7 @@ def test_curvature_matches_compressed_curvature_oracle(n, D, spec):
 def test_toeplitz_exact_where_integer_powers_of_n_overflow():
     # <e_0, T_{zbar^3} e_3> = sqrt(3!/N^3), with N^3 past the int64 range
     big_n = 3_000_000
-    (t,) = _toeplitz([ChartFunction.monomial((0,), (3,))], FockTruncation(1, big_n, 8), 4)
+    (t,) = toeplitz([ChartFunction.monomial((0,), (3,))], FockTruncation(1, big_n, 8), 4)
     assert t[0, 3] == pytest.approx(math.sqrt(6.0 / big_n**3), rel=1e-14)
 
 
@@ -579,16 +579,16 @@ def test_batched_toeplitz_equals_separate_builds(n, D):
     hams += [_random_quadratic(n, rng) for _ in range(2)]
     cases = [fock._lie_symbol(h)(tr.N) for h in hams] + [ChartFunction()]
     cases += [fock._generator_symbol(fock._poisson(hams[0], h, -1.0))(tr.N) for h in hams[1:]]
-    stack = _toeplitz(cases, tr, k)
+    stack = toeplitz(cases, tr, k)
     assert stack.shape == (len(cases), tr.dim, k)
     for got, f in zip(stack, cases):
-        assert np.array_equal(got, _toeplitz([f], tr, k)[0])
+        assert np.array_equal(got, toeplitz([f], tr, k)[0])
     assert not stack[len(hams)].any()
-    assert _toeplitz([], tr, k).shape == (0, tr.dim, k)
+    assert toeplitz([], tr, k).shape == (0, tr.dim, k)
     # one symbol whose image leaves the truncation fails the whole batch
     z3 = ChartFunction({(3,) + (0,) * (2 * n - 1): 1.0})
     with pytest.raises(DegreeOverflowError, match=f"output degree {D + 1}"):
-        _toeplitz(cases + [z3], tr, k)
+        toeplitz(cases + [z3], tr, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -646,13 +646,13 @@ def test_toeplitz_calls_per_run_independent_of_random_pairs(monkeypatch):
     # brackets, and the random pairs are one batch, so a run's passes do not
     # grow with their number
     calls = []
-    toeplitz = sphere._toeplitz
+    real = engine.toeplitz
 
     def counting_toeplitz(fs, basis, ncols):
         calls.append(len(fs))
-        return toeplitz(fs, basis, ncols)
+        return real(fs, basis, ncols)
 
-    monkeypatch.setattr(sphere, "_toeplitz", counting_toeplitz)
+    monkeypatch.setattr(engine, "toeplitz", counting_toeplitz)
     h1 = hamiltonian_bipoly(p_plus_basis(2)[0])
     h2 = hamiltonian_bipoly(p_minus_basis(2)[1])
     curvature_operator([(h1, h2), (h2, h1), (h1, h1)], FockTruncation(2, 4, 8))

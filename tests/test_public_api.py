@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import pkgutil
@@ -13,6 +14,7 @@ from quantcurv import cli
 from quantcurv.experiments import HAMILTONIAN_LIBRARY
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(quantcurv.__path__))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -68,7 +70,7 @@ def _code_names() -> dict:
 NEVER_ENTERED = {
     # bound by name in perfbench/tracing.py, which counts calls to them
     "fock.FockTruncation.basis",
-    "sphere.ChartFunction.eval",
+    "toeplitz.ChartFunction.eval",
     "sphere.SectionBasis.coeffs",  # also bound as SectionSpace.coeffs
     "sphere.SectionSpace.compress_mult",
     # criterion 7's finite-difference cross-check of the curvature
@@ -78,9 +80,9 @@ NEVER_ENTERED = {
     "sphere.curvature_fd.one.delta_pair",
     "sphere.pullback_frame",
     # runs at import time
-    "sphere._LogFactorials.__init__",
+    "toeplitz._LogFactorials.__init__",
     # called by repr() alone
-    "sphere.ChartFunction.__repr__",
+    "toeplitz.ChartFunction.__repr__",
 }
 
 
@@ -122,3 +124,102 @@ def test_run_and_summarize_enter_all_but_the_listed_code(tmp_path):
         sys.setprofile(before)
     assert status == (0, 0)
     assert {name for code, name in names.items() if code not in entered} == NEVER_ENTERED
+
+
+def _source_trees() -> dict:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(quantcurv.__file__).parent.glob("*.py"))
+    }
+
+
+def _package_imports(tree):
+    """(source, name, bound) for each name a module imports from the package:
+    source is the short name of the module imported from, '' for the package
+    itself (`from . import sphere` imports a module)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 or module.split(".")[0] == "quantcurv":
+                source = module.removeprefix("quantcurv").lstrip(".")
+                for alias in node.names:
+                    yield source, alias.name, alias.asname or alias.name
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # a leading underscore keeps a name inside its module: no module of the
+    # package imports one from another, or reads one off an imported module
+    crossings = []
+    for short, tree in _source_trees().items():
+        modules = set()
+        for source, name, bound in _package_imports(tree):
+            if name.startswith("_"):
+                crossings.append(f"{short}: from {source or 'quantcurv'} import {name}")
+            if not source:
+                modules.add(bound)
+        crossings += [
+            f"{short}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ]
+    assert not crossings
+
+
+def test_fock_imports_nothing_from_sphere():
+    # both models stand on the model-neutral engine, not on each other
+    imported = [
+        (source, name)
+        for source, name, _bound in _package_imports(_source_trees()["fock"])
+        if source == "sphere" or (source, name) == ("", "sphere")
+    ]
+    assert not imported
+
+
+# Per-layer metrics of BENCHMARK.json whose code left the package, so the
+# tracer binds nothing to them and they read 0: each function moved to the
+# test oracles (tests/sphere_oracle.py, tests/transport_oracle.py and
+# tests/fock_oracle.py).
+KNOWN_DEAD_LAYERS = {
+    "sphere.generator_apply",
+    "linalg.orthonormal_columns",
+    "fock.project",
+}
+
+
+def test_benchmark_layers_are_bound_where_the_tracer_looks():
+    # perfbench/tracing.py finds a `module.function` layer as a public
+    # function defined in that module, and a `module.Class.attr` layer in
+    # its METHODS table as an entry of the class's __dict__; a layer found
+    # nowhere reads 0 silently, so moving code must keep these bindings
+    spec = importlib.util.spec_from_file_location("_bench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    methods = {name: (short, cls, attr) for short, cls, attr, name, _count in tracing.METHODS}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    layers = {m["name"].rsplit(".", 1)[0] for m in metrics if not m["name"].startswith("trace.")}
+    assert layers
+    dead = set()
+    for layer in sorted(layers):
+        short, *rest = layer.split(".")
+        assert short in tracing.MODULES, layer
+        mod = importlib.import_module(f"quantcurv.{short}")
+        if len(rest) == 1:
+            fn = vars(mod).get(rest[0])
+            bound = (
+                not rest[0].startswith("_")
+                and callable(fn)
+                and not isinstance(fn, type)
+                and getattr(fn, "__module__", None) == mod.__name__
+            )
+        elif layer in methods:
+            _short, cls, attr = methods[layer]
+            bound = attr in vars(getattr(mod, cls))
+        else:
+            bound = False
+        if not bound:
+            dead.add(layer)
+    assert dead == KNOWN_DEAD_LAYERS

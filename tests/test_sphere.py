@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quantcurv import sphere
+from quantcurv import toeplitz as engine
 from quantcurv.experiments import HAMILTONIAN_LIBRARY, ConfigError, run_experiment, validate_config
 from quantcurv.linalg import OdeStepper
 from quantcurv.sphere import (
@@ -449,7 +450,7 @@ def test_ladder_symbolic_work_independent_of_levels(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ChartFunction, "__mul__", counting("mul", ChartFunction.__mul__))
-    monkeypatch.setattr(sphere, "_toeplitz", counting("pair", sphere._toeplitz))
+    monkeypatch.setattr(engine, "toeplitz", counting("pair", engine.toeplitz))
     products = []
     for n_list in ([8], [8, 16, 32, 64, 80]):
         counts.update(mul=0, pair=0)
@@ -465,7 +466,7 @@ def test_curvature_batch_equals_pairs_built_alone():
     h, g, r = harmonic_real(), zonal_harmonic(), rotation_z()
     pairs = [(h, g), (r, h)]
     levels = [8, 80]
-    batch = sphere._curvatures(
+    batch = engine.curvatures(
         [(h1.h, h2.h) for h1, h2 in pairs],
         map(SectionBasis, levels),
         sphere._generator_symbol,
@@ -783,8 +784,8 @@ def test_eval_batch_equals_reference_on_library_fields(N):
     z = _eval_points()
     for make in HAMILTONIAN_LIBRARY.values():
         ham = make()
-        _assert_eval_batch_matches_reference([ham.a, sphere._phase_rate(ham, N)], z)
-        _assert_eval_batch_matches_reference([sphere._phase_rate(ham, N)], z)
+        _assert_eval_batch_matches_reference([ham.a, sphere.phase_rate(ham, N)], z)
+        _assert_eval_batch_matches_reference([sphere.phase_rate(ham, N)], z)
 
 
 def test_eval_batch_equals_reference_on_edge_functions():
