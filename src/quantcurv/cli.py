@@ -4,7 +4,9 @@ Config files are JSON with a single integer seed and a list of experiment
 entries; see the repository README for the schema.  Randomness is drawn from
 numpy's default PCG64 generator, seeded per experiment by spawning children
 of the config seed in entry order, so results are reproducible.  Entries
-run one after another on the calling thread.
+run one after another in the calling process; the cases of a
+`schrodinger-intertwine` entry run side by side in up to min(cases, CPUs)
+processes, the calling one and forked children (see `experiments`).
 
 Exit codes: 0 all checks passed, 1 any failed check or runtime error,
 2 usage/config errors.
@@ -49,7 +51,12 @@ def _write_csv(path: str, columns: list, rows: list, chash: str, stamp: str) -> 
 
 
 def run(config_path: str, seed: int | None = None) -> int:
-    """Execute every experiment in the config, in order; write one CSV per entry."""
+    """Execute every experiment in the config, in order; write one CSV per entry.
+
+    Entries run one at a time in this process; a `schrodinger-intertwine`
+    entry forks a child per further CPU for its cases, all reaped before it
+    returns.  The CSVs are written once every entry has run.
+    """
     try:
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)

@@ -4,6 +4,14 @@ Each experiment takes a validated parameter record plus a dedicated random
 generator and returns (columns, rows, all_passed).  Randomness is used only
 where the experiment calls for sampled inputs; everything else is
 deterministic, so reruns with one seed reproduce rows exactly.
+
+`schrodinger-intertwine` runs its independent cases side by side: this
+process transports case 0, and a forked child per further CPU the process
+may run on takes its share of the rest (`_run_cases`).  Each case runs the
+same code on the same inputs as in one process, so its row is the same to
+the bit; a case's error is re-raised here, the lowest-index one's first.
+No setting chooses the process count, and a process with a second OS
+thread forks nothing.
 """
 
 from __future__ import annotations
@@ -11,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import cmath
+import io
 import math
 import os
+import pickle
 import sys
 from itertools import product
 
@@ -324,7 +334,7 @@ def _check_schrodinger(p: dict) -> dict:
         raise ConfigError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds "
             f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
-            "(~0.3 s a step at N = 72, so ~25 min there); raise 'dt'"
+            "(~0.3 s a step of one case at N = 72, so ~25 min a case there); raise 'dt'"
         )
     return out
 
@@ -338,24 +348,120 @@ def _run_schrodinger(p: dict, _rng) -> tuple[list, list, bool]:
         "generator_drift", "tol_intertwine", "tol_residual", "passed", "gram_defect",
         "isometry_defect", "projector_deviation",
     ]
-    rows = []
-    for case in p["cases"]:
-        ham = HAMILTONIAN_LIBRARY[case["hamiltonian"]]()
-        res = transport.parallel_transport(ham, space, t_end=p["t_end"], dt=p["dt"])
-        inter = transport.intertwine_check(res)
-        max_range = max(r["eq_range"] for r in res.residuals)
-        max_deriv = max(r["eq_deriv"] for r in res.residuals)
-        ok = (
-            inter <= case["tol"]
-            and max_range <= p["tol_residual"]
-            and max_deriv <= p["tol_residual"]
-        )
-        rows.append([
-            case["hamiltonian"], p["N"], res.dt, p["t_end"], inter, max_range, max_deriv,
-            res.generator_drift, case["tol"], p["tol_residual"], ok, res.gram_defect,
-            res.isometry_defect(), res.projector_deviation(),
-        ])
+    rows = _run_cases(lambda case: _schrodinger_row(p, space, case), p["cases"])
     return columns, rows, all(r[columns.index("passed")] for r in rows)
+
+
+def _schrodinger_row(p: dict, space, case: dict) -> list:
+    res = transport.parallel_transport(
+        HAMILTONIAN_LIBRARY[case["hamiltonian"]](), space, t_end=p["t_end"], dt=p["dt"]
+    )
+    inter = transport.intertwine_check(res)
+    max_range = max(r["eq_range"] for r in res.residuals)
+    max_deriv = max(r["eq_deriv"] for r in res.residuals)
+    ok = (
+        inter <= case["tol"]
+        and max_range <= p["tol_residual"]
+        and max_deriv <= p["tol_residual"]
+    )
+    return [
+        case["hamiltonian"], p["N"], res.dt, p["t_end"], inter, max_range, max_deriv,
+        res.generator_drift, case["tol"], p["tol_residual"], ok, res.gram_defect,
+        res.isometry_defect(), res.projector_deviation(),
+    ]
+
+
+def _case_processes(n_cases: int) -> int:
+    """How many processes `_run_cases` shares `n_cases` among: one per CPU
+    this process may run on, at most one a case.  Just this one where fork is
+    unsupported (no `os.sched_getaffinity`) or unsafe: a second OS thread,
+    such as a multi-threaded BLAS starts, may hold a lock across the fork, and
+    Python >= 3.12 warns on forking it."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:
+        return 1
+    return min(n_cases, len(os.sched_getaffinity(0)))
+
+
+def _outcomes(run_case, cases: list, first: int, step: int):
+    """(index, value, error) of cases first, first + step, ... in order,
+    stopping after the first that raises."""
+    for i in range(first, len(cases), step):
+        try:
+            value = run_case(cases[i])
+        except Exception as exc:  # noqa: BLE001 - handed to _run_cases to re-raise
+            yield i, None, exc
+            return
+        yield i, value, None
+
+
+def _run_cases(run_case, cases: list) -> list:
+    """[run_case(case) for case in cases] on up to `_case_processes` CPUs.
+
+    With P processes, this one runs cases 0, P, 2P, ... and forked child k
+    cases k, k + P, ..., each pickling its outcomes down a pipe as they come.
+    The error of the lowest-index case that raised is re-raised here, with
+    its type and message; a child that ends without a case's outcome raises
+    RuntimeError naming the case and the child's exit status.  Every child
+    is reaped before this returns or raises.
+    """
+    procs = _case_processes(len(cases))
+    children = []  # (pid, read end of its pipe), until reaped
+    status = {}  # child k -> exit code, negative for a signal
+    try:
+        for k in range(1, procs):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: its share, then exit skipping the parent's cleanup
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as out:
+                        for i, value, error in _outcomes(run_case, cases, k, procs):
+                            try:
+                                blob = pickle.dumps((i, value, error))
+                            except Exception:  # noqa: BLE001 - an error pickle refuses goes as text
+                                error = RuntimeError(f"{type(error).__name__}: {error}")
+                                blob = pickle.dumps((i, None, error))
+                            out.write(blob)
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        outcomes = {i: (value, error) for i, value, error in _outcomes(run_case, cases, 0, procs)}
+        for k in range(1, procs):
+            pid, pipe = children[0]  # child k
+            blob = pipe.read()
+            stream = io.BytesIO(blob)
+            try:
+                while stream.tell() < len(blob):
+                    i, value, error = pickle.load(stream)
+                    outcomes[i] = (value, error)
+            except Exception:  # noqa: BLE001 - an outcome torn or not unpickled counts as none
+                pass
+            status[k] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
+    for i, case in enumerate(cases):
+        if i not in outcomes:
+            raise RuntimeError(
+                f"the process running case {i} ({case}) ended with exit status "
+                f"{status[i % procs]} before that case's outcome"
+            )
+        if outcomes[i][1] is not None:
+            raise outcomes[i][1]
+    return [outcomes[i][0] for i in range(len(cases))]
 
 
 def _check_teichmuller(p: dict) -> dict:

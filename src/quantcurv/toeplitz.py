@@ -297,9 +297,11 @@ def toeplitz(fs: list[ChartFunction], basis, ncols: int) -> np.ndarray:
     owner = np.array([g for g, f in enumerate(fs) for _ in f.terms], dtype=np.int64)
     if not owner.size:
         return out
-    keys = np.array([key for f in fs for key in f.terms], dtype=np.int64)
-    if keys.shape[1] != 2 * n:
-        raise ValueError(f"symbol keys have {keys.shape[1]} entries; a basis in {n} variables needs {2 * n}")
+    keys = [key for f in fs for key in f.terms]
+    wrong = next((len(key) for key in keys if len(key) != 2 * n), None)
+    if wrong is not None:
+        raise ValueError(f"symbol keys have {wrong} entries; a basis in {n} variables needs {2 * n}")
+    keys = np.array(keys, dtype=np.int64)
     m = np.array([f.denom for f in fs for _ in f.terms], dtype=np.int64)
     c = np.array([c for f in fs for c in f.terms.values()], dtype=complex)
     e = basis.exps[:ncols] + keys[:, None, :n]

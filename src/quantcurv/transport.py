@@ -99,9 +99,10 @@ _DERIV_STENCIL = (
     (-4, -1.0 / 360.0),
 )
 
-# Largest step count round(t_end / dt) a config may ask for.  A step at the
-# largest transport level N = 72 costs ~0.3 s (0.24-0.34 s measured, 2 vCPU,
-# one BLAS thread), so a run at this bound takes ~25 min there.
+# Largest step count round(t_end / dt) a config may ask for.  A step of one
+# case at the largest transport level N = 72 costs ~0.3 s (0.24-0.34 s
+# measured, 2 vCPU, one BLAS thread), so a case at this bound takes ~25 min
+# there; a run's cases share the CPUs, one process each.
 TRANSPORT_STEPS_MAX = 5000
 
 

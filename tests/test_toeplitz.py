@@ -64,8 +64,8 @@ def test_toeplitz_refuses_keys_of_the_wrong_length():
         sphere.toeplitz([two])
     with pytest.raises(ValueError, match="keys have 2 entries; a basis in 2 variables needs 4"):
         toeplitz([one], fock, fock.columns(2))
-    # keys of two lengths in one batch do not stack
-    with pytest.raises(ValueError):
+    # keys of two lengths in one batch: the first wrong length is named
+    with pytest.raises(ValueError, match="keys have 4 entries; a basis in 1 variables needs 2"):
         sphere.toeplitz([ChartFunction({(1, 1): 1.0}, denom=1), two])
     # a symbol with no terms has no keys, and is the zero matrix on any basis
     for basis in (sphere, fock):
