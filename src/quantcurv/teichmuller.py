@@ -30,6 +30,7 @@ __all__ = [
     "h_matrix",
     "pairing_trace",
     "pairing_closed_form",
+    "pairing_scale",
     "wp_integrand",
 ]
 
@@ -152,6 +153,18 @@ def pairing_trace(p: SlicePoint, u1, u2) -> float:
 def pairing_closed_form(p: SlicePoint, v1: complex, v2: complex) -> float:
     """Closed form of the pairing: -(8 / (sigma rho0 f0 E0)) Im(v1 conj(v2))."""
     return -8.0 / (p.sigma * p.rho0 * p.f0 * p.E0) * (v1 * np.conj(v2)).imag
+
+
+def pairing_scale(p: SlicePoint, v1: complex, v2: complex) -> float:
+    """(8 / (sigma rho0 f0 E0)) |v1| |v2|, the size of the pairing's terms.
+
+    The closed form scales it by -Im(v1 conj(v2)) / (|v1| |v2|), which cancels
+    when v1 and v2 are nearly parallel while the trace form's rounding stays
+    relative to this scale, so an error of the pairing is measured against
+    it.  At a flat point (Phi0 = 0, f0 rho0 E0 = sigma) it is the scale
+    (8 / sigma^2) |v1| |v2| of `wp_integrand`.
+    """
+    return 8.0 / (p.sigma * p.rho0 * p.f0 * p.E0) * abs(v1) * abs(v2)
 
 
 def wp_integrand(sigma: float, phi1: complex, phi2: complex) -> float:

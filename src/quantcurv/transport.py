@@ -12,13 +12,24 @@ is the full prequantum generator.  Analytically B(t) equals the compressed
 generator B_c = `sphere.compress_generator` for time-independent
 Hamiltonians, which is exactly the statement that pullback followed by the
 Schrodinger propagator IS parallel transport; numerically B(t) is rebuilt
-from the flowed frames at every stage, so the agreement C_T = S_T is a
+from the flowed frame at every step, so the agreement C_T = S_T is a
 measurement, not an assumption.  Every build records its drift
 ||B(t) - B_c||_F / ||B_c||_F, and the largest is reported.  The reference
 S_T = exp(T B_c) is exact to rounding (one eigh of the Hermitian -i B_c,
 the same matrix the drift is measured against), so the mismatch
 `intertwine_check` reports is the frame transport's own integration error:
 O(dt^4) from its RK4 steps.
+
+The RK4 step of C reads B at t_n, t_n + dt/2 and t_n + dt.  The midpoint is
+not built: it is the cubic through the builds at steps n - 2 .. n + 1,
+
+    B_(n+1/2) = (B_(n-2) - 5 B_(n-1) + 15 B_n + 5 B_(n+1)) / 16,
+
+whose error -(5/128) dt^4 B'''' keeps the step fourth order for any smooth
+B(t), so a step costs one build, not two.  The first two steps have fewer
+builds behind them and build their midpoint too.  The state (z, c) still
+moves by two RK4 half steps of dt/2, so every step state, and with it every
+step build, is the one a midpoint build would see.
 
 On holomorphic sections the generator acts as G z^k = k a z^(k-1) + q z^k,
 with a the flow field and q the phase rate (the identity of the `sphere`
@@ -49,8 +60,9 @@ integration reaches the last step its stencil reads (sample + 4), in the
 moving frame's buffers, which are free between generator builds, and every
 state no later sample reads is then dropped.  One pass forms each
 [G_m, X_m] with F_c in the G U rows; a second sums the residual in those
-rows, rebuilding each F_m.  The end state's Grams take the grid frame F_0,
-which no `SectionSpace` keeps, in the same rows.  So a run holds three
+rows, rebuilding each F_m.  The end state's frame F_T and the grid frame
+F_0, which no `SectionSpace` keeps, share the same rows, and F_T C - F_0 is
+summed in the conjugate rows for `projector_deviation`.  So a run holds three
 frame-sized buffers (U and G U, 2d rows, and their conjugate, d rows: 2.8 MB
 at N = 16, 166 MB at N = 72) and one stencil's states (z, c, C), ~0.8 MB and
 ~11 MB, where storing every sample's took 7.7 MB and 107 MB.
@@ -99,9 +111,13 @@ _DERIV_STENCIL = (
     (-4, -1.0 / 360.0),
 )
 
+# B at t_n + dt/2 from the cubic through B at steps n - 2, n - 1, n, n + 1:
+# exact on cubics, with error -(5/128) dt^4 B'''' for a smooth B(t)
+_MIDPOINT_WEIGHTS = (1.0 / 16.0, -5.0 / 16.0, 15.0 / 16.0, 5.0 / 16.0)
+
 # Largest step count round(t_end / dt) a config may ask for.  A step of one
-# case at the largest transport level N = 72 costs ~0.3 s (0.24-0.34 s
-# measured, 2 vCPU, one BLAS thread), so a case at this bound takes ~25 min
+# case at the largest transport level N = 72 costs ~0.13 s (0.11-0.14 s
+# measured, 2 vCPU, one BLAS thread), so a case at this bound takes ~11 min
 # there; a run's cases share the CPUs, one process each.
 TRANSPORT_STEPS_MAX = 5000
 
@@ -118,7 +134,7 @@ class TransportResult:
     schrodinger: np.ndarray  # S at t_end, exact: exp(t_end B_c) from one eigh
     generator: np.ndarray = field(repr=False)  # B at t = 0 (built from the frame)
     gram_end: np.ndarray = field(repr=False)  # F_T^* F_T
-    cross_end: np.ndarray = field(repr=False)  # F_0^* F_T
+    end_deviation: float  # ||F_T C - F_0||_HS / sqrt(dim), summed on the grid
     gram_defect: float  # max |F*F - I| over every generator build
     generator_drift: float  # max ||B(t) - B_c||_F / ||B_c||_F over every build
     min_coeff_sv: float  # rank monitor for C
@@ -129,14 +145,12 @@ class TransportResult:
         return self.coeffs.shape[0]
 
     def projector_deviation(self) -> float:
-        """||P_T - Pi_0||_HS / sqrt(dim): zero when transport returns home."""
-        c = self.coeffs
-        sq = (
-            np.trace(c.conj().T @ self.gram_end @ c).real
-            - 2.0 * np.trace(self.cross_end @ c).real
-            + self.dim
-        )
-        return math.sqrt(max(sq, 0.0)) / math.sqrt(self.dim)
+        """||P_T - F_0||_HS / sqrt(dim), the parallel frame P_T = F_T C at
+        t_end against the frame F_0 of the range it started from: zero when
+        transport returns home.  It is summed on the grid, as the same norm
+        taken from Grams, a difference of traces of size dim, could not read
+        below ~1e-8."""
+        return self.end_deviation
 
     def isometry_defect(self) -> float:
         """Deviation of C* (F*F) C from the identity (norm preservation)."""
@@ -157,10 +171,11 @@ def schrodinger_propagate(generator: np.ndarray, t_end: float) -> np.ndarray:
 
 class _MovingFrame:
     """Characteristic state and transport coefficients advanced in steps,
-    with the coefficient ODE generator rebuilt from the flowed frame by one
-    sweep of the rows U_k and G U_k into buffers owned here (`products`); the
-    a and q values of a build are handed to the next half step as its first
-    RK4 stage, so each state is evaluated once."""
+    with the coefficient ODE generator rebuilt from the flowed frame at each
+    step state by one sweep of the rows U_k and G U_k into buffers owned here
+    (`products`); the a and q values of a build are handed to the next half
+    step as its first RK4 stage, and a half step from a state that was not
+    built evaluates its own, so each state is evaluated once."""
 
     def __init__(self, ham: HamiltonianField, space: SectionSpace, dt: float):
         self.space = space
@@ -174,7 +189,7 @@ class _MovingFrame:
         self.state = np.stack([n, np.ones_like(n)])
         d = space.dim
         self.coeffs = np.eye(d, dtype=complex)  # C at the current state
-        self.b_here = None  # B at the current state, once built
+        self.builds = ()  # B at the last three steps, the current one last
         self.generator0 = None  # B at t = 0
         # rows 0..d-1: U_k = c sqrtw z^k; rows d..2d-1: G U_k
         self.rows = np.empty((2 * d, len(n)), dtype=complex)
@@ -197,21 +212,28 @@ class _MovingFrame:
 
     def step(self):
         """One full step: the state by two half steps, and C by one RK4 step
-        of Cdot = B C on the generators built at its start, middle and end."""
-        if self.b_here is None:
-            self.b_here = self.generator0 = self.generator_matrix()
+        of Cdot = B C on the generators at its start, middle and end.  The
+        end is built; the middle is the cubic through the builds at this
+        step's end and the three steps before it, and is built only in the
+        first two steps, which have fewer behind them."""
+        if not self.builds:
+            self.generator0 = self.generator_matrix()
+            self.builds = (self.generator0,)
         self.advance_half()
-        b_mid = self.generator_matrix()
+        b_mid = self.generator_matrix() if len(self.builds) < 3 else None
         self.advance_half()
-        b_next = self.generator_matrix()
+        steps = (*self.builds, self.generator_matrix())
+        if b_mid is None:
+            b_mid = sum(w * b for w, b in zip(_MIDPOINT_WEIGHTS, steps))
+        b_here, b_next = steps[-2:]
         dt, c_mat = self.dt, self.coeffs
-        k1 = self.b_here @ c_mat
+        k1 = b_here @ c_mat
         k2 = b_mid @ (c_mat + 0.5 * dt * k1)
         k3 = b_mid @ (c_mat + 0.5 * dt * k2)
         k4 = b_next @ (c_mat + dt * k3)
         # rebound, never written in place, so a held state keeps its C
         self.coeffs = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self.b_here = b_next
+        self.builds = steps[-3:]
 
     def products(self) -> np.ndarray:
         """[F*F, F*(G F)] at the current state, from one sweep of its rows."""
@@ -319,8 +341,10 @@ def parallel_transport(
     rows = space.frame_at(*frame.state, out=frame.rows[:d]).T  # F_T
     grid = space.frame_at(space.grid.points, 1.0, out=frame.rows[d:]).T  # F_0
     gram_end = np.conjugate(rows, out=frame.rows_h) @ rows.T
-    cross_end = np.conjugate(grid, out=frame.rows_h) @ rows.T
     c_mat = frame.coeffs
+    # (F_T C - F_0)^T in the conjugate buffer, free again
+    moved = np.matmul(c_mat.T, rows, out=frame.rows_h)
+    moved -= grid
     return TransportResult(
         ham_name=ham.name,
         N=space.N,
@@ -330,7 +354,7 @@ def parallel_transport(
         schrodinger=schrodinger_propagate(frame.closed_form, t_end),
         generator=frame.generator0,
         gram_end=gram_end,
-        cross_end=cross_end,
+        end_deviation=float(np.linalg.norm(moved)) / math.sqrt(d),
         gram_defect=frame.gram_defect,
         generator_drift=frame.drift,
         min_coeff_sv=float(np.linalg.svd(c_mat, compute_uv=False)[-1]),

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from quantcurv import teichmuller
+from quantcurv.experiments import _check_teichmuller, _slice_errors
 from quantcurv.teichmuller import (
     SlicePoint,
     SliceVariation,
     h_matrix,
     metric_matrix,
     pairing_closed_form,
+    pairing_scale,
     pairing_trace,
     random_slice_point,
     slice_variation,
@@ -124,3 +127,48 @@ def test_slice_variation_fields():
     # variation matrix is real symmetric
     assert np.max(np.abs(u.u - u.u.T)) < 1e-14
     assert np.isrealobj(u.u)
+
+
+def _nearly_parallel_tuple():
+    # v2 leans 1e-7 rad off v1, so Im(v1 conj(v2)) keeps ~1e-7 of |v1| |v2|
+    p = random_slice_point(np.random.default_rng(5))
+    v1 = 1.3 + 0.7j
+    return p, v1, 0.8 * v1 * (1.0 + 1e-7j)
+
+
+def _flat(p):
+    return SlicePoint(sigma=p.sigma, rho0=p.rho0, E0=p.sigma / (p.f0 * p.rho0), f0=p.f0, Phi0=0.0)
+
+
+def test_pairing_checks_scale_by_the_pairing_not_its_cancelled_value():
+    # measured against |closed form| the trace form's rounding reads
+    # 2.5e-10 and 4.9e-10 here, failing both tolerances; against
+    # pairing_scale it reads ~1e-17
+    p, v1, v2 = _nearly_parallel_tuple()
+    tol = _check_teichmuller({"n_tuples": 1})
+    flat = _flat(p)
+    lhs = pairing_trace(p, slice_variation(p, v1), slice_variation(p, v2))
+    rhs = pairing_closed_form(p, v1, v2)
+    wp_lhs = pairing_trace(flat, slice_variation(flat, v1), slice_variation(flat, v2))
+    wp_rhs = wp_integrand(flat.sigma, v1, v2)
+    assert abs(lhs - rhs) / max(abs(rhs), 1e-8) > tol["tol_pairing"]
+    assert abs(wp_lhs - wp_rhs) / max(abs(wp_rhs), 1e-8) > tol["tol_wp"]
+    pair, _sp, _fact, wp = _slice_errors(p, v1, v2)
+    assert pair <= tol["tol_pairing"]
+    assert wp <= tol["tol_wp"]
+    # at a flat point the scale is that of wp_integrand, 8 |v1| |v2| / sigma^2
+    assert pairing_scale(flat, v1, v2) == pytest.approx(8.0 * abs(v1 * v2) / p.sigma**2, rel=1e-14)
+
+
+def test_pairing_off_by_a_part_in_1e9_of_its_scale_still_fails(monkeypatch):
+    p, v1, v2 = _nearly_parallel_tuple()
+    tol = _check_teichmuller({"n_tuples": 1})
+    exact = teichmuller.pairing_trace
+
+    def off(point, u1, u2):
+        return exact(point, u1, u2) + 1e-9 * pairing_scale(point, v1, v2)
+
+    monkeypatch.setattr(teichmuller, "pairing_trace", off)
+    pair, _sp, _fact, wp = _slice_errors(p, v1, v2)
+    assert pair == pytest.approx(1e-9, rel=1e-3) and pair > tol["tol_pairing"]
+    assert wp == pytest.approx(1e-9, rel=1e-3) and wp > tol["tol_wp"]

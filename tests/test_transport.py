@@ -110,6 +110,19 @@ def test_transport_rotation_is_exact(space):
     assert dev < 1e-6
 
 
+def test_projector_deviation_reads_below_the_gram_floor(space16):
+    # a rotation maps the holomorphic range to itself, so F_T C - F_0 is the
+    # coefficient mismatch alone and the deviation is the intertwine
+    # (3.0e-10 here, measured 1.0e-6 relative apart); taken from Grams as a
+    # difference of traces it read 1.4e-8, its rounding floor
+    rot = parallel_transport(rotation_z(), space16, t_end=0.1, dt=1e-3, n_samples=2)
+    assert rot.projector_deviation() == pytest.approx(intertwine_check(rot), rel=1e-3)
+    # far above that floor the two forms agree: harmonic_real moves the range
+    # off its start, 0.045292031782423497 from Grams
+    moved = parallel_transport(harmonic_real(), space16, t_end=0.1, dt=1e-3, n_samples=2)
+    assert moved.projector_deviation() == pytest.approx(0.045292031782423497, rel=1e-9)
+
+
 def test_transport_constant_hamiltonian(space):
     c = 0.6
     res = parallel_transport(_constant_field(c), space, t_end=0.5, dt=2e-3, n_samples=4)
@@ -262,7 +275,7 @@ def test_transport_holds_three_frame_sized_buffers():
 
 @pytest.mark.parametrize(("ham_f", "bound"), [(rotation_z, 1e-14), (harmonic_real, 1e-11)])
 def test_generator_drift_is_rounding(space16, ham_f, bound):
-    # max ||B(t) - B_c||_F / ||B_c||_F over all 201 builds, measured 4.6e-16
+    # max ||B(t) - B_c||_F / ||B_c||_F over all 103 builds, measured 4.6e-16
     # (rotation_z) and 2.7e-13 (harmonic_real); the bounds leave a margin
     # of ~20x and ~40x
     ham = ham_f()
@@ -270,6 +283,37 @@ def test_generator_drift_is_rounding(space16, ham_f, bound):
     b_c = compress_generator(ham, space16)
     first = np.linalg.norm(res.generator - b_c) / np.linalg.norm(b_c)
     assert first <= res.generator_drift <= bound
+
+
+def test_midpoint_weights_are_the_cubic_through_four_steps():
+    # nodes at steps n - 2, n - 1, n, n + 1 in units of dt, read at n + 1/2;
+    # the weights are sixteenths, so every sum below is exact in floating point
+    nodes = (-2.0, -1.0, 0.0, 1.0)
+    for p in range(4):
+        assert sum(w * t**p for w, t in zip(transport._MIDPOINT_WEIGHTS, nodes)) == 0.5**p
+    # on t^4 the cubic is off by its error term -(5/128) dt^4 B'''' with B'''' = 24
+    quartic = sum(w * t**4 for w, t in zip(transport._MIDPOINT_WEIGHTS, nodes))
+    assert 0.5**4 - quartic == -(5.0 / 128.0) * 24.0
+
+
+def test_interpolated_midpoint_matches_a_built_one(space16):
+    # the step builds B at step states only; here each midpoint state is also
+    # built, and the cubic through the four step builds around it must agree.
+    # Over 100 harmonic_real steps the gap measured at most 5.6e-16 of ||B||,
+    # far below the builds' own drift from B_c (2.7e-13), so the cubic adds
+    # nothing to the rounding; the bound leaves a margin of ~18x
+    frame = transport._MovingFrame(harmonic_real(), space16, dt=1e-3)
+    builds = [frame.generator_matrix()]
+    worst = 0.0
+    for _ in range(20):
+        frame.advance_half()
+        built = frame.generator_matrix()
+        frame.advance_half()
+        builds.append(frame.generator_matrix())
+        if len(builds) >= 4:
+            cubic = sum(w * b for w, b in zip(transport._MIDPOINT_WEIGHTS, builds[-4:]))
+            worst = max(worst, np.linalg.norm(cubic - built) / np.linalg.norm(built))
+    assert 0.0 < worst <= 1e-14
 
 
 def test_transport_refines_with_dt(space):
@@ -389,7 +433,9 @@ def test_generator_at_start_is_compressed_generator(space16):
 
 
 def test_stepping_evaluates_two_chart_functions(space, monkeypatch):
-    # the moving-frame generator evaluates a and q only, once per build
+    # the moving-frame generator evaluates a and q only, once per build:
+    # at t = 0, at every step, and at the midpoints of the first two steps,
+    # whose midpoint cubic lacks the builds before them: n + 3 builds
     seen = []
     real_eval_batch = transport.eval_batch
 
@@ -400,13 +446,15 @@ def test_stepping_evaluates_two_chart_functions(space, monkeypatch):
     monkeypatch.setattr(transport, "eval_batch", counting_eval_batch)
     n_steps = 10
     parallel_transport(harmonic_real(), space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
-    assert seen == [2] * (2 * n_steps + 1)
+    assert seen == [2] * (n_steps + 3)
 
 
 def test_each_characteristic_state_is_evaluated_once(space, monkeypatch):
     # the RK4 stages of characteristic_rhs are the only sphere-level
-    # evaluations; the first stage of each half step reuses the a and q
-    # values of the generator built at that state, so 3 of 4 stages remain
+    # evaluations; the first stage of a half step reuses the a and q values
+    # of a generator built at its state, so 3 of 4 stages remain.  A step
+    # state is always built; an interpolated midpoint is not, so the half
+    # step from it takes all 4: 6 in the first two steps, 7 in the others
     seen = []
     real_eval_batch = sphere.eval_batch
 
@@ -417,13 +465,13 @@ def test_each_characteristic_state_is_evaluated_once(space, monkeypatch):
     monkeypatch.setattr(sphere, "eval_batch", counting_eval_batch)
     n_steps = 10
     parallel_transport(harmonic_real(), space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
-    assert seen == [2] * (6 * n_steps)
+    assert seen == [2] * (7 * n_steps - 2)
 
 
 def _result_arrays(res):
     return {
         name: getattr(res, name)
-        for name in ("coeffs", "schrodinger", "generator", "gram_end", "cross_end")
+        for name in ("coeffs", "schrodinger", "generator", "gram_end")
     }
 
 
@@ -438,6 +486,7 @@ def test_repeated_transport_shares_no_buffer_memory(space):
         assert np.array_equal(a, arrays[1][name]), name
     assert first.gram_defect == second.gram_defect
     assert first.generator_drift == second.generator_drift
+    assert first.projector_deviation() == second.projector_deviation()
     assert first.min_coeff_sv == second.min_coeff_sv
     assert first.residuals == second.residuals
     named = [(f"{i}:{name}", a) for i, d in enumerate(arrays) for name, a in d.items()]
