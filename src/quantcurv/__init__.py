@@ -47,7 +47,6 @@ from .transport import (
 )
 from .teichmuller import (
     SlicePoint,
-    SliceVariation,
     h_matrix,
     metric_matrix,
     pairing_closed_form,

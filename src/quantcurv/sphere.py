@@ -120,8 +120,6 @@ class SphereGrid:
 
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    n_radial: int
-    n_angular: int
 
     def __post_init__(self):
         mass = float(np.sum(self.weights))
@@ -133,7 +131,10 @@ class SphereGrid:
         return np.abs(self.points) ** 2
 
     @classmethod
-    def build(cls, n_radial: int, n_angular: int) -> "SphereGrid":
+    def for_level(cls, N: int) -> "SphereGrid":
+        """Grid resolving degree-2N oscillations with exactness margin:
+        2N+16 radial by 4N+8 angular nodes."""
+        n_radial, n_angular = 2 * N + 16, 4 * N + 8
         x, wx = np.polynomial.legendre.leggauss(n_radial)
         t = 0.5 * (x + 1.0)
         wt = 0.5 * wx
@@ -141,12 +142,7 @@ class SphereGrid:
         theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
         zz = np.outer(r, np.exp(1j * theta)).ravel()
         ww = np.outer(0.5 * wt, np.full(n_angular, 2.0 * np.pi / n_angular)).ravel()
-        return cls(points=zz, weights=ww, n_radial=n_radial, n_angular=n_angular)
-
-    @classmethod
-    def for_level(cls, N: int) -> "SphereGrid":
-        """Grid resolving degree-2N oscillations with exactness margin."""
-        return cls.build(n_radial=2 * N + 16, n_angular=4 * N + 8)
+        return cls(points=zz, weights=ww)
 
 
 @dataclass(frozen=True)
@@ -310,21 +306,20 @@ class SectionBasis:
 
 
 class SectionSpace(SectionBasis):
-    """Level-N holomorphic sections sampled on a grid, in half-weighted form.
+    """Level-N holomorphic sections sampled on the level's grid
+    `SphereGrid.for_level(N)`, in half-weighted form.
 
     Vectors carry sqrt(quadrature weight x fiber weight), so the weighted L2
     pairing is the plain complex dot product and the normalized monomial frame
     has an exactly diagonal Gram matrix.  Construction checks that Gram against
-    the identity, refuses a level the grid cannot resolve and keeps no dim x
-    points array: callers form the grid frame with `frame_at(grid.points, 1.0)`.
+    the identity and keeps no dim x points array: callers form the grid frame
+    with `frame_at(grid.points, 1.0)`.
     """
 
-    def __init__(self, N: int, grid: SphereGrid):
-        if grid.n_angular < 4 * N + 8 or grid.n_radial < 2 * N + 16:
-            raise ValueError("grid too coarse for level N (needs 4N+8 x 2N+16)")
+    def __init__(self, N: int):
         super().__init__(N)
         self.norms = dd_exp(self.log_norms)
-        self.grid = grid
+        self.grid = grid = SphereGrid.for_level(N)
         self.sqrtw = np.sqrt(grid.weights * (1.0 + grid.u) ** (-N))
         frame = self.frame_at(grid.points, 1.0)
         gram = frame.conj().T @ frame

@@ -10,20 +10,21 @@ a single tangent plane: a point of the slice is the tuple of scalars
 (sigma, rho0, E0, f0, Phi0), a variation is the derivative of the metric
 matrix along a path in the slice, and the pairing of two variations is the
 natural symplectic form on the deformation directions of the induced complex
-structure.  The closed form depends only on the derivative v = d(f Phi)/dt.
+structure.  A variation is carried as its real symmetric 2x2 matrix
+(`slice_variation`), and the closed form depends only on the derivative
+v = d(f Phi)/dt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TEICHMULLER_TUPLES_MAX",
     "SlicePoint",
-    "SliceVariation",
     "slice_variation",
     "random_slice_point",
     "metric_matrix",
@@ -67,16 +68,9 @@ class SlicePoint:
             )
 
 
-@dataclass(frozen=True)
-class SliceVariation:
-    """Metric derivative along an equal-area path, determined by v = d(f Phi)/dt."""
-
-    v: complex
-    u: np.ndarray = field(repr=False)
-
-
-def slice_variation(p: SlicePoint, v: complex) -> SliceVariation:
-    """Tangent metric variation at p with d(f Phi)/dt = v.
+def slice_variation(p: SlicePoint, v: complex) -> np.ndarray:
+    """Tangent metric variation at p with d(f Phi)/dt = v, as the real
+    symmetric 2x2 derivative of the metric matrix along an equal-area path.
 
     The remaining derivative d(f rho E)/dt is forced by differentiating the
     equal-area constraint: w = 4 Re(conj(f0 Phi0) v) / (f0 rho0 E0).
@@ -84,10 +78,7 @@ def slice_variation(p: SlicePoint, v: complex) -> SliceVariation:
     v = complex(v)
     fp = p.f0 * p.Phi0
     w = 4.0 * (fp.conjugate() * v).real / (p.f0 * p.rho0 * p.E0)
-    u = np.array(
-        [[2 * v.real + w, -2 * v.imag], [-2 * v.imag, -2 * v.real + w]]
-    )
-    return SliceVariation(v=v, u=u)
+    return np.array([[2 * v.real + w, -2 * v.imag], [-2 * v.imag, -2 * v.real + w]])
 
 
 def random_slice_point(rng: np.random.Generator) -> SlicePoint:
@@ -133,20 +124,18 @@ def h_matrix(p: SlicePoint) -> np.ndarray:
     )
 
 
-def pairing_trace(p: SlicePoint, u1, u2) -> float:
-    """Pairing of two variations via the trace form on deformation directions.
+def pairing_trace(p: SlicePoint, u1: np.ndarray, u2: np.ndarray) -> float:
+    """Pairing of two variation matrices (`slice_variation`) via the trace
+    form on deformation directions.
 
     <u1, u2> = -(1/sigma^2) tr(h^{-1} J0 u1 h Z h^{-1} J0 u2 h Z^{-1}) where
     Z rotates by 45 degrees (the invariant complex structure on the symmetric
-    part of sl(2, R)).  Accepts SliceVariation objects or raw 2x2 symmetric
-    variation matrices.
+    part of sl(2, R)).
     """
-    m1 = u1.u if isinstance(u1, SliceVariation) else np.asarray(u1, dtype=float)
-    m2 = u2.u if isinstance(u2, SliceVariation) else np.asarray(u2, dtype=float)
     h = h_matrix(p)
     hinv = np.linalg.inv(h)
-    x1 = hinv @ _J0 @ m1 @ h
-    x2 = hinv @ _J0 @ m2 @ h
+    x1 = hinv @ _J0 @ u1 @ h
+    x2 = hinv @ _J0 @ u2 @ h
     return float(-np.trace(x1 @ _Z @ x2 @ _Z.T) / p.sigma**2)
 
 

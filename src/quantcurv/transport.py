@@ -134,7 +134,11 @@ class TransportResult:
     schrodinger: np.ndarray  # S at t_end, exact: exp(t_end B_c) from one eigh
     generator: np.ndarray = field(repr=False)  # B at t = 0 (built from the frame)
     gram_end: np.ndarray = field(repr=False)  # F_T^* F_T
-    end_deviation: float  # ||F_T C - F_0||_HS / sqrt(dim), summed on the grid
+    # ||P_T - F_0||_HS / sqrt(dim): the parallel frame P_T = F_T C at t_end
+    # against the frame F_0 of the range it started from, zero when transport
+    # returns home; summed on the grid, as the same norm taken from Grams, a
+    # difference of traces of size dim, could not read below ~1e-8
+    projector_deviation: float
     gram_defect: float  # max |F*F - I| over every generator build
     generator_drift: float  # max ||B(t) - B_c||_F / ||B_c||_F over every build
     min_coeff_sv: float  # rank monitor for C
@@ -143,14 +147,6 @@ class TransportResult:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    def projector_deviation(self) -> float:
-        """||P_T - F_0||_HS / sqrt(dim), the parallel frame P_T = F_T C at
-        t_end against the frame F_0 of the range it started from: zero when
-        transport returns home.  It is summed on the grid, as the same norm
-        taken from Grams, a difference of traces of size dim, could not read
-        below ~1e-8."""
-        return self.end_deviation
 
     def isometry_defect(self) -> float:
         """Deviation of C* (F*F) C from the identity (norm preservation)."""
@@ -354,7 +350,7 @@ def parallel_transport(
         schrodinger=schrodinger_propagate(frame.closed_form, t_end),
         generator=frame.generator0,
         gram_end=gram_end,
-        end_deviation=float(np.linalg.norm(moved)) / math.sqrt(d),
+        projector_deviation=float(np.linalg.norm(moved)) / math.sqrt(d),
         gram_defect=frame.gram_defect,
         generator_drift=frame.drift,
         min_coeff_sv=float(np.linalg.svd(c_mat, compute_uv=False)[-1]),

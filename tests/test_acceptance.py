@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from quantcurv.experiments import run_experiment
 from quantcurv.fock import (
     FockTruncation,
     curvature_operator,
@@ -37,20 +38,8 @@ from quantcurv.symplectic import (
     p_minus_basis,
     p_plus_basis,
 )
-from quantcurv.teichmuller import (
-    SlicePoint,
-    h_matrix,
-    metric_matrix,
-    pairing_closed_form,
-    pairing_trace,
-    random_slice_point,
-    slice_variation,
-    wp_integrand,
-)
 from quantcurv.transport import intertwine_check, parallel_transport
 from fock_oracle import project, square, value
-
-_J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 LADDER = [8, 16, 32, 64]
 
@@ -271,7 +260,7 @@ def test_criterion_6_normalized_trace(ladder_rows):
 def test_criterion_7_cross_method_curvature():
     # projector finite differences reproduce the commutator construction
     t0 = time.perf_counter()
-    space = SectionSpace(16, SphereGrid.for_level(16))
+    space = SectionSpace(16)
     y = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
     y_rich = curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3, richardson=True)
     rel = np.linalg.norm(y_rich - y) / np.linalg.norm(y)
@@ -292,7 +281,7 @@ def test_criterion_8_transport_intertwines_flow():
     # rotation field, to truncation accuracy for a non-isometric one;
     # the defining equations hold along both trajectories
     t0 = time.perf_counter()
-    space = SectionSpace(16, SphereGrid.for_level(16))
+    space = SectionSpace(16)
     results = {}
     for ham_f, tol in ((rotation_z, 1e-6), (harmonic_real, 1e-3)):
         ham = ham_f()
@@ -315,29 +304,15 @@ def test_criterion_8_transport_intertwines_flow():
 
 
 def test_criterion_9_slice_pairing_suite():
+    # the teichmuller-symbol experiment's own checks over 1000 tuples drawn
+    # at seed 909, the pairings relative to `teichmuller.pairing_scale`
     t0 = time.perf_counter()
-    rng = np.random.default_rng(909)
-    worst_pair = worst_sp = worst_fact = worst_wp = 0.0
-    for _ in range(1000):
-        p = random_slice_point(rng)
-        v1 = rng.standard_normal() + 1j * rng.standard_normal()
-        v2 = rng.standard_normal() + 1j * rng.standard_normal()
-        lhs = pairing_trace(p, slice_variation(p, v1), slice_variation(p, v2))
-        rhs = pairing_closed_form(p, v1, v2)
-        worst_pair = max(worst_pair, abs(lhs - rhs) / max(abs(rhs), 1e-8))
-
-        h = h_matrix(p)
-        worst_sp = max(worst_sp, float(np.max(np.abs(h.T @ _J0 @ h - _J0))))
-        g = metric_matrix(p)
-        fact = p.sigma * np.linalg.inv(_J0) @ h @ _J0 @ np.linalg.inv(h)
-        worst_fact = max(worst_fact, float(np.max(np.abs(g - fact))))
-
-        flat = SlicePoint(
-            sigma=p.sigma, rho0=p.rho0, E0=p.sigma / (p.f0 * p.rho0), f0=p.f0, Phi0=0.0
-        )
-        wp_lhs = pairing_trace(flat, slice_variation(flat, v1), slice_variation(flat, v2))
-        wp_rhs = wp_integrand(flat.sigma, v1, v2)
-        worst_wp = max(worst_wp, abs(wp_lhs - wp_rhs) / max(abs(wp_rhs), 1e-8))
+    _columns, rows, _passed = run_experiment(
+        "teichmuller-symbol", {"n_tuples": 1000}, np.random.default_rng(909)
+    )
+    worst = {row[0]: row[2] for row in rows}
+    worst_pair, worst_sp = worst["pairing-identity"], worst["sp-membership"]
+    worst_fact, worst_wp = worst["metric-factorization"], worst["wp-reduction"]
     elapsed = time.perf_counter() - t0
     print(
         f"criterion 9: pairing {worst_pair:.3e}, sp {worst_sp:.3e}, "

@@ -97,8 +97,8 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def space(grid):
-    return SectionSpace(8, grid)
+def space():
+    return SectionSpace(8)
 
 
 def test_grid_mass_is_pi(grid):
@@ -113,10 +113,30 @@ def test_grid_polynomial_exactness(grid):
     assert (grid.weights * vals).sum() == pytest.approx(np.pi / 6.0, rel=1e-12)
 
 
-def test_grid_too_coarse_rejected():
-    coarse = SphereGrid.build(6, 10)
-    with pytest.raises(ValueError):
-        SectionSpace(8, coarse)
+def _product_rule(big_n):
+    # the level's rule as it was written when callers passed the grid in:
+    # 2N+16 Gauss-Legendre nodes in t = |z|^2/(1+|z|^2), 4N+8 uniform angles
+    n_radial, n_angular = 2 * big_n + 16, 4 * big_n + 8
+    x, wx = np.polynomial.legendre.leggauss(n_radial)
+    t = 0.5 * (x + 1.0)
+    r = np.sqrt(t / (1.0 - t))
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    points = np.outer(r, np.exp(1j * theta)).ravel()
+    weights = np.outer(0.5 * (0.5 * wx), np.full(n_angular, 2.0 * np.pi / n_angular)).ravel()
+    return points, weights
+
+
+@pytest.mark.parametrize("big_n", [6, 16, GRID_LEVEL_MAX])
+def test_section_space_builds_the_level_grid_to_the_bit(big_n):
+    # SectionSpace(N) takes its grid from the level alone: the points and
+    # half weights equal, bit for bit, those of the rule callers used to pass
+    points, weights = _product_rule(big_n)
+    space = SectionSpace(big_n)
+    assert space.grid.points.size == (2 * big_n + 16) * (4 * big_n + 8)
+    assert np.array_equal(space.grid.points, points)
+    assert np.array_equal(space.grid.weights, weights)
+    sqrtw = np.sqrt(weights * (1.0 + np.abs(points) ** 2) ** (-big_n))
+    assert np.array_equal(space.sqrtw, sqrtw)
 
 
 @pytest.mark.parametrize("big_n", [8, 16])
@@ -158,7 +178,7 @@ def test_section_space_holds_no_frame_sized_array(space):
 def test_section_space_frame_is_normalized_monomials(big_n):
     # reference: each column sqrtw z^k / ||z^k|| formed from its own power,
     # not by the recurrence of `frame_at`
-    space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    space = SectionSpace(big_n)
     z = space.grid.points
     ref = np.column_stack([space.sqrtw * z**k / space.norms[k] for k in range(big_n + 1)])
     assert np.max(np.abs(space.frame_at(z, 1.0) - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -260,8 +280,7 @@ def test_compressed_generator_anti_hermitian(ham_f, space):
 def test_rotation_hamiltonians_have_unit_speed():
     # rotation_z eigenvalues on sections are i*0 .. i*N; rotation_x is
     # conjugate to it, so shares the spectrum shifted symmetrically
-    grid = SphereGrid.for_level(6)
-    space = SectionSpace(6, grid)
+    space = SectionSpace(6)
     gz = compress_generator(rotation_z(), space)
     gx = compress_generator(rotation_x(), space)
     ez = np.sort(np.linalg.eigvals(gz).imag)
@@ -549,7 +568,7 @@ def test_curvature_fd_same_hamiltonian_exact_zero(space):
 def test_curvature_fd_error_halves_as_h_squared_at_n32():
     # the pullback's integration error stays below the h^2 term: with too few
     # steps per h the ratio drifts from 4 (4.13 here with 4 steps)
-    space = SectionSpace(32, SphereGrid.for_level(32))
+    space = SectionSpace(32)
     y = curvature_commutator(harmonic_real(), zonal_harmonic(), space)
     e1 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=2e-3) - y)
     e2 = np.linalg.norm(curvature_fd(harmonic_real(), zonal_harmonic(), space, h=1e-3) - y)
@@ -559,7 +578,7 @@ def test_curvature_fd_error_halves_as_h_squared_at_n32():
 def test_curvature_fd_refuses_an_ill_conditioned_flowed_frame():
     # at h = 0.045 the flow of harmonic_real carries grid points far through
     # the chart, and the flowed frame's Gram is refused
-    space = SectionSpace(16, SphereGrid.for_level(16))
+    space = SectionSpace(16)
     with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
         curvature_fd(rotation_x(), harmonic_real(), space, h=0.045)
 
@@ -568,7 +587,7 @@ def test_pullback_leaving_the_chart_raises_value_error():
     # rotation_x carries the outer grid ring through the far pole before
     # t = 0.1: with 4 steps the flowed points stay finite and z^16 overflows
     # in the frame; with curvature_fd's 16 steps a step itself overflows
-    space = SectionSpace(16, SphereGrid.for_level(16))
+    space = SectionSpace(16)
     with pytest.raises(
         ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0.1 of"
     ):
@@ -602,7 +621,7 @@ def _rel(a, b):
 def test_exact_coeffs_match_grid_on_generator_columns(big_n):
     # the closed-form pairing against the independent quadrature
     # frame^H @ (sqrtw f), on every column G z^k of two generators
-    space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    space = SectionSpace(big_n)
     frame = space.frame_at(space.grid.points, 1.0)
     for ham in (harmonic_real(), zonal_harmonic()):
         for k in range(big_n + 1):
@@ -613,7 +632,7 @@ def test_exact_coeffs_match_grid_on_generator_columns(big_n):
 
 @pytest.mark.parametrize("big_n", [8, 16, 64])
 def test_exact_toeplitz_of_chi_matches_grid(big_n):
-    space = SectionSpace(big_n, SphereGrid.for_level(big_n))
+    space = SectionSpace(big_n)
     chi = chi_field(harmonic_real(), zonal_harmonic())
     grid = space.compress_mult(chi.eval(space.grid.points).real)
     assert _rel(space.toeplitz([chi])[0], grid) <= 1e-11
@@ -633,7 +652,7 @@ def test_symbol_decay_needs_no_grid(monkeypatch):
         raise AssertionError("grid path used")
 
     monkeypatch.setattr(ChartFunction, "eval", forbidden)
-    monkeypatch.setattr(SphereGrid, "build", forbidden)
+    monkeypatch.setattr(SphereGrid, "for_level", forbidden)
     monkeypatch.setattr(SectionSpace, "__init__", forbidden)
     rows = symbol_decay_experiment(harmonic_real(), zonal_harmonic(), [8, 16])
     assert rows[1]["eps"] < rows[0]["eps"]
@@ -665,10 +684,10 @@ def test_phase_average_oracles():
 
 
 def test_grid_frame_gram_checked_at_construction():
-    SectionSpace(GRID_LEVEL_MAX, SphereGrid.for_level(GRID_LEVEL_MAX))
+    SectionSpace(GRID_LEVEL_MAX)
     for big_n in (GRID_LEVEL_MAX + 1, 80):
         with pytest.raises(ValueError, match=f"N={big_n}"):
-            SectionSpace(big_n, SphereGrid.for_level(big_n))
+            SectionSpace(big_n)
 
 
 def _entry(experiment, parameters):

@@ -11,7 +11,6 @@ from quantcurv.sphere import (
     GRID_LEVEL_MAX,
     ChartFunction,
     SectionSpace,
-    SphereGrid,
     compress_generator,
     hamiltonian_from_chart,
     harmonic_real,
@@ -36,12 +35,12 @@ from transport_oracle import (
 
 @pytest.fixture(scope="module")
 def space():
-    return SectionSpace(6, SphereGrid.for_level(6))
+    return SectionSpace(6)
 
 
 @pytest.fixture(scope="module")
 def space16():
-    return SectionSpace(16, SphereGrid.for_level(16))
+    return SectionSpace(16)
 
 
 def _constant_field(value):
@@ -73,7 +72,7 @@ def test_schrodinger_unitary(space):
 @pytest.mark.parametrize("t_end", [1.0, 2.0])
 def test_schrodinger_rotation_is_exact(n, t_end):
     # exp(T B0) with B0 = diag(ik): no integration error at any level or time
-    space = SectionSpace(n, SphereGrid.for_level(n))
+    space = SectionSpace(n)
     s = schrodinger_propagate(compress_generator(rotation_z(), space), t_end)
     expect = np.diag(np.exp(1j * np.arange(n + 1) * t_end))
     assert np.max(np.abs(s - expect)) < 1e-12
@@ -82,7 +81,7 @@ def test_schrodinger_rotation_is_exact(n, t_end):
 @pytest.mark.parametrize("n", [6, 16, 72])
 def test_schrodinger_matches_eig_exponential(n):
     # unitary, and equal to exp(T B0) from a general eigendecomposition of B0
-    space = SectionSpace(n, SphereGrid.for_level(n))
+    space = SectionSpace(n)
     t_end = 2.0
     b0 = compress_generator(harmonic_real(), space)
     s = schrodinger_propagate(b0, t_end)
@@ -103,7 +102,7 @@ def test_rotation_intertwine_is_the_frame_integration_error(space16):
 def test_transport_rotation_is_exact(space):
     res = parallel_transport(rotation_z(), space, t_end=0.5, dt=2e-3, n_samples=4)
     # moving frame stays inside the holomorphic range up to the RK4 error
-    assert res.projector_deviation() < 1e-6
+    assert res.projector_deviation < 1e-6
     assert res.isometry_defect() < 1e-9
     # transported coefficients match the unitary flow
     dev = intertwine_check(res)
@@ -116,11 +115,11 @@ def test_projector_deviation_reads_below_the_gram_floor(space16):
     # (3.0e-10 here, measured 1.0e-6 relative apart); taken from Grams as a
     # difference of traces it read 1.4e-8, its rounding floor
     rot = parallel_transport(rotation_z(), space16, t_end=0.1, dt=1e-3, n_samples=2)
-    assert rot.projector_deviation() == pytest.approx(intertwine_check(rot), rel=1e-3)
+    assert rot.projector_deviation == pytest.approx(intertwine_check(rot), rel=1e-3)
     # far above that floor the two forms agree: harmonic_real moves the range
     # off its start, 0.045292031782423497 from Grams
     moved = parallel_transport(harmonic_real(), space16, t_end=0.1, dt=1e-3, n_samples=2)
-    assert moved.projector_deviation() == pytest.approx(0.045292031782423497, rel=1e-9)
+    assert moved.projector_deviation == pytest.approx(0.045292031782423497, rel=1e-9)
 
 
 def test_transport_constant_hamiltonian(space):
@@ -222,11 +221,11 @@ def test_residuals_on_another_level_fail_loudly(space, space16, transported16):
     dt, stencils = transported16
     with pytest.raises(ValueError, match=r"level N=16 on 3456 points, the space at level N=6 on"):
         transport_residuals(stencils[0][1], space, dt, residual_work(space))
-    # same level, another grid
-    dt, coarse = stencil_states(rotation_z(), space, t_end=0.02, dt=2e-3, n_samples=1)
-    fine = SectionSpace(6, SphereGrid.for_level(16))
-    with pytest.raises(ValueError, match=r"level N=6 on \d+ points, the space at level N=6 on 3456"):
-        transport_residuals(coarse[0][1], fine, dt, residual_work(fine))
+    # same level, states cut to fewer points than the space's grid
+    dt, stencils = stencil_states(rotation_z(), space, t_end=0.02, dt=2e-3, n_samples=1)
+    cut = {m: (z[:100], c[:100], coeff) for m, (z, c, coeff) in stencils[0][1].items()}
+    with pytest.raises(ValueError, match=r"level N=6 on 100 points, the space at level N=6 on 896"):
+        transport_residuals(cut, space, dt, residual_work(space))
 
 
 def test_streamed_residuals_equal_the_stored_route_on_overlapping_stencils(space16):
@@ -262,7 +261,7 @@ def test_transport_holds_three_frame_sized_buffers():
     # end, and the residual is summed in the centre frame's rows; the peak
     # read 4.99 frames with a stored grid frame and a residual buffer, 3.99
     # without (33 rows of 10,880 points at N = 32, numpy 2.4)
-    space = SectionSpace(32, SphereGrid.for_level(32))
+    space = SectionSpace(32)
     frame_bytes = space.dim * space.grid.points.size * 16
     tracemalloc.start()
     try:
@@ -358,7 +357,7 @@ def _chart_hamiltonians():
 def test_generator_matrix_matches_per_column_images(n):
     # reference: each column G e_k evaluated from its symbolic image at the
     # flowed points; the transport code only evaluates a and q there
-    space = SectionSpace(n, SphereGrid.for_level(n))
+    space = SectionSpace(n)
     for ham in _chart_hamiltonians():
         frame = transport._MovingFrame(ham, space, dt=2e-3)
         images = [
@@ -388,7 +387,7 @@ def test_build_product_matches_frame_at_rows_and_column_images(n):
     # step the flows of rotation_x and rotation_y at N = 72 carry the outer
     # ring from |z| = 134 to 154, where q z + N a cancels: a sweep running
     # w = q z + k a up from k = 0 reads 6.9e-13 there, down from k = N 2.5e-14
-    space = SectionSpace(n, SphereGrid.for_level(n))
+    space = SectionSpace(n)
     for ham in _chart_hamiltonians():
         frame = transport._MovingFrame(ham, space, dt=2e-3)
         for _ in range(2):
@@ -486,7 +485,7 @@ def test_repeated_transport_shares_no_buffer_memory(space):
         assert np.array_equal(a, arrays[1][name]), name
     assert first.gram_defect == second.gram_defect
     assert first.generator_drift == second.generator_drift
-    assert first.projector_deviation() == second.projector_deviation()
+    assert first.projector_deviation == second.projector_deviation
     assert first.min_coeff_sv == second.min_coeff_sv
     assert first.residuals == second.residuals
     named = [(f"{i}:{name}", a) for i, d in enumerate(arrays) for name, a in d.items()]
@@ -577,11 +576,11 @@ def test_cli_reports_the_generator_drift(tmp_path):
     for value in row[-3:-1]:
         assert 0.0 < float(value) <= 1e-9
     # harmonic_real moves the holomorphic range off its start: the column is
-    # the run's projector_deviation(), to the bit
+    # the run's projector_deviation, to the bit
     res = parallel_transport(
-        harmonic_real(), SectionSpace(6, SphereGrid.for_level(6)), t_end=0.02, dt=1e-3
+        harmonic_real(), SectionSpace(6), t_end=0.02, dt=1e-3
     )
-    assert float(row[-1]) == res.projector_deviation() > 1e-3
+    assert float(row[-1]) == res.projector_deviation > 1e-3
 
 
 def test_cli_reports_the_step_it_integrated_with(tmp_path):
