@@ -112,12 +112,13 @@ def _nonempty_list(v, label: str) -> list:
 
 
 def _output_path(v, label: str) -> str:
-    """A nonempty path that a CSV can be written to: not a directory, and not
-    under an existing file (checked at the nearest existing ancestor)."""
+    """A nonempty path that a CSV can be written to: not a directory, nor a
+    directory name (ending in a separator, "." or ".."), and not under an
+    existing file (checked at the nearest existing ancestor)."""
     if not isinstance(v, str) or not v or "\0" in v:
         raise ConfigError(f"{label} must be a nonempty string without NUL")
     target = os.path.abspath(v)
-    if os.path.isdir(target):
+    if os.path.basename(v) in ("", ".", "..") or os.path.isdir(target):
         raise ConfigError(f"{label} names a directory: {v!r}")
     parent = os.path.dirname(target)
     while not os.path.exists(parent):

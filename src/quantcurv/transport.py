@@ -55,22 +55,26 @@ The first is summed on the grid, since its norm is a cancellation down to
 data only.  A frame whose Gram has a non-positive eigenvalue or condition
 number above `linalg.GRAM_COND_LIMIT` is refused with a LinAlgError.
 
-The residuals are streamed: a sample's residual is taken as soon as the
-integration reaches the last step its stencil reads (sample + 4), in the
-moving frame's buffers, which are free between generator builds, and every
-state no later sample reads is then dropped.  One pass forms each
-[G_m, X_m] with F_c in the G U rows; a second sums the residual in those
-rows, rebuilding each F_m.  The end state's frame F_T and the grid frame
-F_0, which no `SectionSpace` keeps, share the same rows, and F_T C - F_0 is
-summed in the conjugate rows for `projector_deviation`.  So a run holds three
-frame-sized buffers (U and G U, 2d rows, and their conjugate, d rows: 2.8 MB
-at N = 16, 166 MB at N = 72) and one stencil's states (z, c, C), ~0.8 MB and
-~11 MB, where storing every sample's took 7.7 MB and 107 MB.
+The residuals are streamed from one loop over the steps.  A step's state
+(z, c, C) is held only if a sample's stencil reads it, and the loop knows
+the last sample that does.  The residual of sample j is taken right after
+step j + 4, in the moving frame's buffers, which are free between generator
+builds, and every state whose last reader is j is then dropped.  A held
+state is read by a sample not yet taken, so all lie in the nine steps
+around the next one.  One pass forms each [G_m, X_m] with F_c in the G U
+rows; a second sums the residual in those rows, rebuilding each F_m.  The
+end state's frame F_T and the grid frame F_0, which no `SectionSpace`
+keeps, share the same rows, and F_T C - F_0 is summed in the conjugate rows
+for `projector_deviation`.  So a run holds three frame-sized buffers (U and
+G U, 2d rows, and their conjugate, d rows: 2.8 MB at N = 16, 166 MB at
+N = 72) and one stencil's states, ~0.8 MB and ~11 MB, where storing every
+sample's took 7.7 MB and 107 MB.  The traced peak of a 100-step run with 10
+samples is 4.43 MiB at N = 16 and 182.1 MiB at N = 72 (harmonic_real).
 
 A flow that leaves the chart (a field growing like z^2 at the far pole
-carries grid points through it in finite time) overflows; the integration
-runs under `linalg.in_chart`, which reports that as a `ValueError` naming
-the Hamiltonian, the level and the time reached.  The residuals run outside
+carries grid points through it in finite time) overflows; each step runs
+under `linalg.in_chart`, which reports that as a `ValueError` naming the
+Hamiltonian, the level and the time reached.  The residuals run outside
 it, so their own failures surface unchanged.
 """
 
@@ -254,44 +258,6 @@ class _MovingFrame:
         return b
 
 
-def _stencils(frame: _MovingFrame, n_steps: int, n_samples: int):
-    """Integrate `frame` over n_steps steps, yielding (j, stencil) for each
-    sample step j as soon as step j + 4 is reached.
-
-    `stencil` maps 0 and every offset m of the derivative stencil to the
-    state (z, c, C) at step j + m.  The samples are `n_samples` interior
-    steps, spread evenly and moved inwards so that every stencil lies in
-    [0, n_steps]; once a stencil is yielded, the states no later sample
-    reads are dropped.  Between yields the integration runs under
-    `linalg.in_chart`, and a flow leaving the chart raises ValueError; the
-    consumer's work at a yield runs outside it, while the frame's buffers
-    are free.
-    """
-    offsets = (0, *(m for m, _w in _DERIV_STENCIL))
-    reach = max(offsets)
-    samples = sorted(
-        {
-            min(max(int(round((j + 1) * n_steps / (n_samples + 1))), reach), n_steps - reach)
-            for j in range(n_samples)
-        }
-    )
-    reads = {j + m for j in samples for m in offsets}
-    held = {0: (*frame.state, frame.coeffs)} if 0 in reads else {}
-    step = 0
-    for k, j in enumerate([*samples, None]):
-        last = n_steps if j is None else j + reach
-        with in_chart(frame.label, n_steps * frame.dt, lambda: 0.5 * frame.dt * frame.half_index):
-            while step < last:
-                frame.step()
-                step += 1
-                if step in reads:
-                    held[step] = (*frame.state, frame.coeffs)
-        if j is not None:
-            yield j, {m: held[j + m] for m in offsets}
-            first_read = samples[k + 1] - reach if k + 1 < len(samples) else last + 1
-            held = {i: state for i, state in held.items() if i >= first_read}
-
-
 def parallel_transport(
     ham: HamiltonianField,
     space: SectionSpace,
@@ -306,7 +272,8 @@ def parallel_transport(
     is the coefficient matrix.  The defining equations are residual-checked
     by `transport_residuals` at `n_samples` interior steps while the
     integration runs, each as soon as its derivative stencil has been
-    reached; no state outside the current stencil is kept.
+    reached; a step's state is kept only until the last sample that reads
+    it is taken.
 
     Raises ValueError if the flow leaves the chart (overflow or an invalid
     value while integrating), and otherwise np.linalg.LinAlgError, naming the
@@ -316,18 +283,38 @@ def parallel_transport(
     n_steps = max(8, round(t_end / dt))
     dt = t_end / n_steps
     frame = _MovingFrame(ham, space, dt)
+    offsets = (0, *(m for m, _w in _DERIV_STENCIL))
+    reach = max(offsets)
+    # n_samples interior steps, spread evenly and moved inwards so that every
+    # stencil lies in [0, n_steps]; last_read maps each step a stencil reads
+    # to the last sample reading it
+    samples = {
+        min(max(int(round((j + 1) * n_steps / (n_samples + 1))), reach), n_steps - reach)
+        for j in range(n_samples)
+    }
+    last_read = {j + m: j for j in sorted(samples) for m in offsets}
+    held = {0: (*frame.state, frame.coeffs)} if 0 in last_read else {}
     # the frame's buffers are free between builds, so the residuals borrow them
     work = (frame.rows, frame.rows_h)
     residuals, refused = [], None
-    for j, stencil in _stencils(frame, n_steps, n_samples):
+    for step in range(1, n_steps + 1):
+        with in_chart(frame.label, n_steps * dt, lambda: 0.5 * dt * frame.half_index):
+            frame.step()
+        if step in last_read:
+            held[step] = (*frame.state, frame.coeffs)
+        j = step - reach
+        if j not in samples:
+            continue
         if refused is None:
             try:
-                residuals.append({"t": j * dt, **transport_residuals(stencil, space, dt, work)})
+                row = transport_residuals({m: held[j + m] for m in offsets}, space, dt, work)
+                residuals.append({"t": j * dt, **row})
             except np.linalg.LinAlgError as exc:
                 # a flow leaving the chart later in the run degrades the frames
                 # first; that ValueError, if it comes, names the cause
                 refused = (j * dt, exc)
-        del stencil  # its states go before the integration resumes
+        # the states no later sample reads go before the integration resumes
+        held = {i: state for i, state in held.items() if last_read[i] != j}
     if refused is not None:
         t, exc = refused
         raise np.linalg.LinAlgError(

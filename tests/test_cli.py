@@ -527,7 +527,10 @@ def _two_teichmuller(tmp_path, second_path):
     return path, cfg
 
 
-@pytest.mark.parametrize("layout", ["directory", "under_file", "under_file_deep", "nul"])
+@pytest.mark.parametrize(
+    "layout",
+    ["directory", "under_file", "under_file_deep", "nul", "trailing_slash", "trailing_dot"],
+)
 def test_unwritable_output_path_is_a_config_error(tmp_path, layout):
     (tmp_path / "outdir").mkdir()
     (tmp_path / "plain").write_text("not a directory\n")
@@ -536,12 +539,16 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, layout):
         "under_file": tmp_path / "plain" / "x.csv",
         "under_file_deep": tmp_path / "plain" / "sub" / "x.csv",
         "nul": f"{tmp_path}/x\0.csv",
+        # a directory name, though no such directory exists
+        "trailing_slash": f"{tmp_path}/newdir/",
+        "trailing_dot": f"{tmp_path}/newdir/.",
     }[layout]
     path, cfg = _two_teichmuller(tmp_path, second)
     with pytest.raises(ConfigError, match=r"'output_path' in experiments\[1\]"):
         validate_config(cfg)
     assert run(str(path)) == 2
     assert not (tmp_path / "first.csv").exists()
+    assert not (tmp_path / "newdir").exists()
 
 
 def test_write_failure_exits_1_with_message(tmp_path, capsys):

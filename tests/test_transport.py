@@ -228,13 +228,28 @@ def test_residuals_on_another_level_fail_loudly(space, space16, transported16):
         transport_residuals(cut, space, dt, residual_work(space))
 
 
-def test_streamed_residuals_equal_the_stored_route_on_overlapping_stencils(space16):
-    # 20 steps and 10 samples give 8 distinct sample steps whose stencils
-    # (sample -4..+4) overlap; streaming drops a state only after the last
-    # sample reading it, so every row equals the store-everything route's
-    res = parallel_transport(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=10)
-    ref = stored_residuals(harmonic_real(), space16, t_end=0.02, dt=1e-3, n_samples=10)
-    assert [round(rec["t"] / res.dt) for rec in res.residuals] == [4, 5, 7, 9, 11, 13, 15, 16]
+@pytest.mark.parametrize(
+    ("t_end", "n_samples", "placed"),
+    [
+        # 20 steps: 8 distinct sample steps whose stencils overlap
+        pytest.param(0.02, 10, [4, 5, 7, 9, 11, 13, 15, 16], id="20_steps_10_samples"),
+        # 8 steps: the one sample at step 4 reads every step, 0 and 8 included,
+        # and all 10 placements collapse onto it
+        pytest.param(0.008, 1, [4], id="8_steps_1_sample"),
+        pytest.param(0.008, 10, [4], id="8_steps_10_samples"),
+        # stencils 4..12 and 12..20 share step 12
+        pytest.param(0.024, 2, [8, 16], id="24_steps_2_samples"),
+        # stencils 5..13 and 14..22 are adjacent and share no step
+        pytest.param(0.027, 2, [9, 18], id="27_steps_2_samples"),
+    ],
+)
+def test_streamed_residuals_equal_the_stored_route(space16, t_end, n_samples, placed):
+    # the samples sit at round((j + 1) n_steps / (n_samples + 1)) clamped to
+    # [4, n_steps - 4]; streaming drops a state only after the last sample
+    # reading it, so every row equals the store-everything route's
+    res = parallel_transport(harmonic_real(), space16, t_end=t_end, dt=1e-3, n_samples=n_samples)
+    ref = stored_residuals(harmonic_real(), space16, t_end=t_end, dt=1e-3, n_samples=n_samples)
+    assert [round(rec["t"] / res.dt) for rec in res.residuals] == placed
     assert res.residuals == ref
 
 

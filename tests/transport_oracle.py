@@ -6,18 +6,17 @@ orthonormalized frames, as an oracle for the Gram form of
 projected derivative Q_m Q_m* P_c and the frame-path derivative are summed on
 the grid.
 
-`stored_residuals` is the store-everything route: it integrates the whole
-path first, keeping the state (z, c, C) of every step, and only then forms
-each sample's residual from the stored states with the Gram formulas, as an
-oracle for the bookkeeping of the streamed route in `parallel_transport`.
+`stencil_states` is the store-everything route: it integrates the whole
+path first, keeping the state (z, c, C) of every step, and only then cuts
+each sample's stencil from the stored states.  `stored_residuals` forms
+each sample's residual from those stencils with the Gram formulas, as an
+oracle for the bookkeeping of the streamed route in `parallel_transport`;
+tests that edit a state before the residual is formed take the stencils
+themselves, and `residual_work` the scratch arrays `transport_residuals`
+forms it in.
 
 `orthonormal_columns` is the Loewdin orthonormalization those oracle
 frames go through.
-
-`stencil_states` takes the stencils from the integration path
-`parallel_transport` consumes, for tests that edit a state before the
-residual is formed, and `residual_work` the scratch arrays
-`transport_residuals` forms it in.
 """
 
 import math
@@ -25,7 +24,7 @@ import math
 import numpy as np
 
 from quantcurv.linalg import check_gram_spectrum
-from quantcurv.transport import _DERIV_STENCIL, _MovingFrame, _stencils
+from quantcurv.transport import _DERIV_STENCIL, _MovingFrame
 
 
 def orthonormal_columns(frame: np.ndarray) -> np.ndarray:
@@ -40,17 +39,26 @@ def orthonormal_columns(frame: np.ndarray) -> np.ndarray:
     return frame @ inv_sqrt
 
 
-def _steps(t_end, dt):
-    n_steps = max(8, round(t_end / dt))
-    return n_steps, t_end / n_steps
-
-
 def stencil_states(ham, space, t_end, dt, n_samples):
-    """(dt, [(j, stencil), ...]) of a transport run, stencil mapping each
-    offset m to the state (z, c, C) at step j + m."""
-    n_steps, dt = _steps(t_end, dt)
+    """(dt, [(j, stencil), ...]) of a transport run, one entry per sample
+    step j in ascending order, stencil mapping 0 and each offset m of the
+    derivative stencil to the state (z, c, C) at step j + m."""
+    n_steps = max(8, round(t_end / dt))
+    dt = t_end / n_steps
     frame = _MovingFrame(ham, space, dt)
-    return dt, list(_stencils(frame, n_steps, n_samples))
+    snapshots = {0: (*frame.state, frame.coeffs)}
+    with np.errstate(over="raise", invalid="raise"):
+        for i in range(1, n_steps + 1):
+            frame.step()
+            snapshots[i] = (*frame.state, frame.coeffs)
+    samples = sorted(
+        {
+            min(max(int(round((j + 1) * n_steps / (n_samples + 1))), 4), n_steps - 4)
+            for j in range(n_samples)
+        }
+    )
+    offsets = (0, *(m for m, _w in _DERIV_STENCIL))
+    return dt, [(j, {m: snapshots[j + m] for m in offsets}) for j in samples]
 
 
 def residual_work(space):
@@ -83,27 +91,15 @@ def transport_residuals_reference(stencil, space, dt) -> dict:
 
 def stored_residuals(ham, space, t_end, dt, n_samples) -> list[dict]:
     """The residual rows of a transport run, from a stored copy of every step."""
-    n_steps, dt = _steps(t_end, dt)
-    frame = _MovingFrame(ham, space, dt)
-    snapshots = {0: (*frame.state, frame.coeffs)}
-    with np.errstate(over="raise", invalid="raise"):
-        for i in range(1, n_steps + 1):
-            frame.step()
-            snapshots[i] = (*frame.state, frame.coeffs)
-    samples = sorted(
-        {
-            min(max(int(round((j + 1) * n_steps / (n_samples + 1))), 4), n_steps - 4)
-            for j in range(n_samples)
-        }
-    )
+    dt, stencils = stencil_states(ham, space, t_end, dt, n_samples)
     d = space.dim
     n_points = space.sqrtw.size
     rows = np.empty((2 * d, n_points), dtype=complex)
     rows_h = np.empty((d, n_points), dtype=complex)
     term = np.empty((d, n_points), dtype=complex)
     out = []
-    for j in samples:
-        z, c, coeff = snapshots[j]
+    for j, states in stencils:
+        z, c, coeff = states[0]
         space.frame_at(z, c, out=rows[d:])
         centre, stencil = rows[d:], rows[:d]
         gram_c = np.conjugate(centre, out=rows_h) @ centre.T
@@ -112,7 +108,7 @@ def stored_residuals(ham, space, t_end, dt, n_samples) -> list[dict]:
         resid = np.zeros((d, n_points), dtype=complex)
         range_sum = np.zeros((d, d), dtype=complex)
         for m, w in _DERIV_STENCIL:
-            z, c, coeff_m = snapshots[j + m]
+            z, c, coeff_m = states[m]
             space.frame_at(z, c, out=stencil)
             both = np.conjugate(stencil, out=rows_h) @ rows.T
             gram_m, cross_m = both[:, :d], both[:, d:]
