@@ -328,7 +328,7 @@ def _check_schrodinger(p: dict) -> dict:
         raise ConfigError(
             f"t_end/dt = {t_end / dt:.6g} steps exceeds "
             f"{transport.TRANSPORT_STEPS_MAX}, the transport step bound "
-            "(~0.13 s a step of one case at N = 72, so ~11 min a case there); raise 'dt'"
+            "(~0.11 s a step of one case at N = 72, so ~9 min a case there); raise 'dt'"
         )
     return out
 

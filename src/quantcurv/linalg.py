@@ -7,8 +7,10 @@ so the weighted L2 pairing becomes the ordinary complex dot product and
 adjoints/Hermiticity checks are the plain matrix ones.
 
 Both grid routes that project onto a flowed frame F (`sphere.curvature_fd`,
-`transport`) flow it by `OdeStepper.step` under `in_chart` and use
-F G^{-1} F* with the Gram G = F*F, refused by `check_gram_spectrum`.
+`transport`) flow its points by `OdeStepper.step` under `in_chart`, in
+`sphere.characteristic_step`, which carries the frame's phase in closed
+form, and use F G^{-1} F* with the Gram G = F*F, refused by
+`check_gram_spectrum`.
 """
 
 from __future__ import annotations

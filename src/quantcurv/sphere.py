@@ -55,8 +55,9 @@ matrix of a chart function, several symbols in one pass of
 (`SphereGrid`, `SectionSpace`) is used only where flows leave that algebra:
 flowed frames in transport and in `curvature_fd`, multiplication by sampled
 grid values (`compress_mult`) and the Gram check.  Both flowed-frame routes
-step `characteristic_rhs` with `OdeStepper.step` and project onto a frame F
-as F G^{-1} F* through its Gram G = F*F.
+move their states by `characteristic_step`, the points by two RK4 half
+steps (`OdeStepper.step`) and the prefactor c in closed form, and project
+onto a frame F as F G^{-1} F* through its Gram G = F*F.
 `SectionSpace.monomial_rows` is the one recurrence that builds frames on the
 grid and on its images under a flow (given a and q, also the rows of G on
 them); chart functions are evaluated on points by `eval_batch` alone.
@@ -94,7 +95,7 @@ __all__ = [
     "EXACT_LEVEL_MAX",
     "phase_average",
     "compress_generator",
-    "characteristic_rhs",
+    "characteristic_step",
     "eval_batch",
     "pullback_frame",
     "chi_field",
@@ -385,8 +386,9 @@ def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
     """Evaluate many chart functions at once, sharing the power tables.
 
     Saves the repeated z**a work when the same point set is hit by a family
-    of functions (the flow field and phase rate at each stage of time
-    stepping).  The zeroth powers are ones and are never multiplied by.
+    of functions (the flow field and phase rate at the states where a
+    characteristic step reads both).  The zeroth powers are ones and are
+    never multiplied by.
     """
     z = np.asarray(z, dtype=complex)
     zb = z.conj()
@@ -415,23 +417,46 @@ def eval_batch(cfs: list[ChartFunction], z: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def characteristic_rhs(ham: HamiltonianField, N: int, inverse: bool):
-    """Right-hand side y -> rhs(y) of the (autonomous) characteristic system
-    for the flow pullback.
+def characteristic_step(fields, state, dt: float, inverse: bool, mid_phase: bool = False):
+    """One step of `dt` of the characteristic system of the flow pullback.
 
-    State is (z, c) stacked as a (2, n) complex array: the point moves with
-    -a (inverse=True, the path entering V_t^{-1}) or +a, and the prefactor
-    picks up the matching phase rate q = -N a zbar/(1+|z|^2) + i N h.
+    `fields` are the chart functions (a, q), the flow field and the phase
+    rate `phase_rate`, and a state is (z, c, av, qv): points, prefactors and
+    the values of a and q at the points.  The points move with -a
+    (inverse=True, the path entering V_t^{-1}) or +a by two RK4 half steps
+    (`OdeStepper.step`), each starting from the a value of its first state,
+    so that its other three stages evaluate a alone.  The prefactor solves
+    cdot = -+q(z) c in closed form, c exp(-+int q), with the integral by
+    Simpson's rule on q at the step's start, midpoint and end,
+    (dt/6)(q_0 + 4 q_1/2 + q_1), the two states where (a, q) is evaluated.
+
+    Returns the midpoint and end states.  The midpoint's c is None unless
+    `mid_phase`; then the first half's integral is Simpson's rule too, on q
+    at the cubic Hermite midpoint of the first half step, from z and a at
+    its ends: one evaluation of q more, and an O(dt^5) error, where the
+    first half of the step's quadratic in q errs by O(dt^4).
     """
-    q = phase_rate(ham, N)
+    a, q = fields
     sign = -1.0 if inverse else 1.0
+    z, c, av, qv = state
+    half = OdeStepper(dt=0.5 * dt)
 
-    def rhs(y):
-        z, c = y
-        av, qv = eval_batch([ham.a, q], z)
-        return np.stack([sign * av, sign * qv * c])
+    def velocity(y):
+        (v,) = eval_batch([a], y)
+        v *= sign
+        return v
 
-    return rhs
+    z_mid = half.step(velocity, z, k1=sign * av)
+    a_mid, q_mid = eval_batch(fields, z_mid)
+    z_end = half.step(velocity, z_mid, k1=sign * a_mid)
+    a_end, q_end = eval_batch(fields, z_end)
+    c_mid = None
+    if mid_phase:
+        z_quarter = 0.5 * (z + z_mid) + (sign * dt / 16.0) * (av - a_mid)
+        (q_quarter,) = eval_batch([q], z_quarter)
+        c_mid = c * np.exp((sign * dt / 12.0) * (qv + 4.0 * q_quarter + q_mid))
+    c_end = c * np.exp((sign * dt / 6.0) * (qv + 4.0 * q_mid + q_end))
+    return (z_mid, c_mid, a_mid, q_mid), (z_end, c_end, a_end, q_end)
 
 
 def phase_rate(ham: HamiltonianField, N: int) -> ChartFunction:
@@ -456,20 +481,23 @@ def pullback_frame(
     the opposite sign.  A negative t gives V_{|t|} e_k, since V_{-t} = V_t^{-1}.
     The columns span the range of Pi_t = V_t^{-1} Pi_0 V_t, and their Gram
     stays the identity up to integration error because V_t is unitary.
-    The characteristics take `n_steps` RK4 steps of |t| / n_steps; a flow
-    leaving the chart (in them or in the frame) raises ValueError.
+    The characteristics take `n_steps` steps of |t| / n_steps
+    (`characteristic_step`: two RK4 half steps of the points, and c in
+    closed form, with the integral of q by Simpson's rule); a flow leaving
+    the chart (in them or in the frame) raises ValueError.
     """
     if t == 0.0:
         return space.frame_at(space.grid.points, 1.0)
-    rhs = characteristic_rhs(ham, space.N, inverse=t > 0)
-    y = np.stack([space.grid.points, np.ones_like(space.grid.points)])
+    fields = (ham.a, phase_rate(ham, space.N))
+    z = space.grid.points
+    state = (z, np.ones_like(z), *eval_batch(fields, z))
     n_steps = max(n_steps, 1)
-    stepper = OdeStepper(dt=abs(t) / n_steps)
+    dt = abs(t) / n_steps
     with in_chart(f"pullback of {ham.name} at N={space.N}", t, lambda: t * done / n_steps):
         for done in range(n_steps):
-            y = stepper.step(rhs, y)
+            _mid, state = characteristic_step(fields, state, dt, inverse=t > 0)
         done = n_steps  # z^k of far points can overflow in the frame itself
-        return space.frame_at(*y)
+        return space.frame_at(*state[:2])
 
 
 def chi_field(h1: HamiltonianField, h2: HamiltonianField) -> ChartFunction:
@@ -503,8 +531,9 @@ def curvature_commutator(
     return y.copy()  # not a view, so that the pass's other matrices are freed
 
 
-# RK4 steps per pullback of `curvature_fd`: the error ratio from h = 2e-3 to
-# 1e-3 stays within 0.01 of the h^2 value 4 to N = 72 (7.43 there with 4).
+# Characteristic steps per pullback of `curvature_fd`: the error ratio from
+# h = 2e-3 to 1e-3 reads 3.99990-4.00007 at N = 8..72, the h^2 value 4 to
+# 1e-4, and reads the same with 4 steps.
 _FD_STEPS = 16
 
 

@@ -27,9 +27,17 @@ not built: it is the cubic through the builds at steps n - 2 .. n + 1,
 
 whose error -(5/128) dt^4 B'''' keeps the step fourth order for any smooth
 B(t), so a step costs one build, not two.  The first two steps have fewer
-builds behind them and build their midpoint too.  The state (z, c) still
-moves by two RK4 half steps of dt/2, so every step state, and with it every
-step build, is the one a midpoint build would see.
+builds behind them and build their midpoint too.  The points z still move
+by two RK4 half steps of dt/2, so every step state, and with it every step
+build, is the one a midpoint build would see.  The prefactor is not
+integrated: cdot = -q(z) c is linear in c, so c moves to c exp(-int q),
+with the integral by Simpson's rule on q at the step's start, midpoint and
+end (`sphere.characteristic_step`), states the step evaluates anyway.  So
+the RK4 stages evaluate a alone, and c carries no error of its own beyond
+Simpson's O(dt^5) a step; an RK4 step of c was the run's largest
+integration error (zonal_harmonic at N = 16, t_end = 0.1: gram_defect
+5.4e-10, eq_deriv 3.8e-8, where the closed form reads 3.0e-14 and
+3.3e-10).
 
 On holomorphic sections the generator acts as G z^k = k a z^(k-1) + q z^k,
 with a the flow field and q the phase rate (the identity of the `sphere`
@@ -69,7 +77,7 @@ for `projector_deviation`.  So a run holds three frame-sized buffers (U and
 G U, 2d rows, and their conjugate, d rows: 2.8 MB at N = 16, 166 MB at
 N = 72) and one stencil's states, ~0.8 MB and ~11 MB, where storing every
 sample's took 7.7 MB and 107 MB.  The traced peak of a 100-step run with 10
-samples is 4.43 MiB at N = 16 and 182.1 MiB at N = 72 (harmonic_real).
+samples is 4.34 MiB at N = 16 and 181.0 MiB at N = 72 (harmonic_real).
 
 A flow that leaves the chart (a field growing like z^2 at the far pole
 carries grid points through it in finite time) overflows; each step runs
@@ -85,11 +93,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import OdeStepper, check_gram_spectrum, in_chart
+from .linalg import check_gram_spectrum, in_chart
 from .sphere import (
     HamiltonianField,
     SectionSpace,
-    characteristic_rhs,
+    characteristic_step,
     compress_generator,
     eval_batch,
     phase_rate,
@@ -120,8 +128,8 @@ _DERIV_STENCIL = (
 _MIDPOINT_WEIGHTS = (1.0 / 16.0, -5.0 / 16.0, 15.0 / 16.0, 5.0 / 16.0)
 
 # Largest step count round(t_end / dt) a config may ask for.  A step of one
-# case at the largest transport level N = 72 costs ~0.13 s (0.11-0.14 s
-# measured, 2 vCPU, one BLAS thread), so a case at this bound takes ~11 min
+# case at the largest transport level N = 72 costs ~0.11 s (0.107-0.114 s
+# measured, 2 vCPU, one BLAS thread), so a case at this bound takes ~9 min
 # there; a run's cases share the CPUs, one process each.
 TRANSPORT_STEPS_MAX = 5000
 
@@ -170,23 +178,20 @@ def schrodinger_propagate(generator: np.ndarray, t_end: float) -> np.ndarray:
 
 
 class _MovingFrame:
-    """Characteristic state and transport coefficients advanced in steps,
-    with the coefficient ODE generator rebuilt from the flowed frame at each
-    step state by one sweep of the rows U_k and G U_k into buffers owned here
-    (`products`); the a and q values of a build are handed to the next half
-    step as its first RK4 stage, and a half step from a state that was not
-    built evaluates its own, so each state is evaluated once."""
+    """Characteristic state and transport coefficients advanced in steps
+    (`sphere.characteristic_step`), with the coefficient ODE generator
+    rebuilt from the flowed frame at each step state by one sweep of the
+    rows U_k and G U_k into buffers owned here (`products`).  A state
+    carries the a and q values the step evaluated there, which the build
+    reads, so each state is evaluated once."""
 
     def __init__(self, ham: HamiltonianField, space: SectionSpace, dt: float):
         self.space = space
         self.label = f"transport of {ham.name} at N={space.N}"
         self.dt = dt
-        self.a = ham.a
-        self.q = phase_rate(ham, space.N)
-        self.rhs = characteristic_rhs(ham, space.N, inverse=True)
-        self.stepper = OdeStepper(dt=0.5 * dt)
+        self.fields = (ham.a, phase_rate(ham, space.N))
         n = space.grid.points
-        self.state = np.stack([n, np.ones_like(n)])
+        self.state = (n, np.ones_like(n), *eval_batch(self.fields, n))  # (z, c, a, q)
         d = space.dim
         self.coeffs = np.eye(d, dtype=complex)  # C at the current state
         self.builds = ()  # B at the last three steps, the current one last
@@ -195,35 +200,39 @@ class _MovingFrame:
         self.rows = np.empty((2 * d, len(n)), dtype=complex)
         self.rows_h = np.empty((d, len(n)), dtype=complex)
         self.w = np.empty(len(n), dtype=complex)  # the row w = q z + k a of a sweep
-        self.k1 = None  # self.rhs at self.state, once a build has evaluated it
         # entry (j, k) of U*[U, G U] times 1/(||z^j|| ||z^k||): F_k = U_k / ||z^k||
         self.norm_scale = np.outer(1.0 / space.norms, np.tile(1.0 / space.norms, 2))
-        self.half_index = 0
+        self.steps = 0
         self.gram_defect = 0.0
         self.closed_form = compress_generator(ham, space)  # B_c
         # the drift is absolute for a generator B_c = 0
         self.closed_norm = float(np.linalg.norm(self.closed_form)) or 1.0
         self.drift = 0.0
 
-    def advance_half(self):
-        self.state = self.stepper.step(self.rhs, self.state, k1=self.k1)
-        self.k1 = None
-        self.half_index += 1
+    def advance(self, mid_phase: bool = False) -> tuple:
+        """Move the state one step; return the midpoint state, with its c
+        only if `mid_phase`."""
+        mid, self.state = characteristic_step(
+            self.fields, self.state, self.dt, inverse=True, mid_phase=mid_phase
+        )
+        self.steps += 1
+        return mid
 
     def step(self):
-        """One full step: the state by two half steps, and C by one RK4 step
-        of Cdot = B C on the generators at its start, middle and end.  The
-        end is built; the middle is the cubic through the builds at this
-        step's end and the three steps before it, and is built only in the
-        first two steps, which have fewer behind them."""
+        """One full step: the state by `advance`, and C by one RK4 step of
+        Cdot = B C on the generators at its start, middle and end.  The end
+        is built; the middle is the cubic through the builds at this step's
+        end and the three steps before it, and is built only in the first
+        two steps, which have fewer behind them."""
         if not self.builds:
-            self.generator0 = self.generator_matrix()
+            self.generator0 = self.generator_matrix(self.state)
             self.builds = (self.generator0,)
-        self.advance_half()
-        b_mid = self.generator_matrix() if len(self.builds) < 3 else None
-        self.advance_half()
-        steps = (*self.builds, self.generator_matrix())
-        if b_mid is None:
+        first = len(self.builds) < 3
+        mid = self.advance(mid_phase=first)
+        steps = (*self.builds, self.generator_matrix(self.state))
+        if first:
+            b_mid = self.generator_matrix(mid)
+        else:
             b_mid = sum(w * b for w, b in zip(_MIDPOINT_WEIGHTS, steps))
         b_here, b_next = steps[-2:]
         dt, c_mat = self.dt, self.coeffs
@@ -235,20 +244,17 @@ class _MovingFrame:
         self.coeffs = c_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         self.builds = steps[-3:]
 
-    def products(self) -> np.ndarray:
-        """[F*F, F*(G F)] at the current state, from one sweep of its rows."""
-        z, c = self.state
-        av, qv = eval_batch([self.a, self.q], z)
-        # characteristic_rhs(inverse=True) at this state
-        self.k1 = np.stack([-av, -qv * c])
+    def products(self, state: tuple) -> np.ndarray:
+        """[F*F, F*(G F)] at a state (z, c, a, q), from one sweep of its rows."""
+        z, c, av, qv = state
         rows = self.space.monomial_rows(z, c, self.rows, av, qv, self.w)
         return (np.conjugate(rows[: self.space.dim], out=self.rows_h) @ rows.T) * self.norm_scale
 
-    def generator_matrix(self) -> np.ndarray:
-        """B = (F*F)^{-1} F*(G F) at the current state; records the Gram defect
-        and the drift from B_c."""
+    def generator_matrix(self, state: tuple) -> np.ndarray:
+        """B = (F*F)^{-1} F*(G F) at a state; records the Gram defect and the
+        drift from B_c."""
         d = self.space.dim
-        both = self.products()
+        both = self.products(state)
         gram = both[:, :d]
         defect = float(np.max(np.abs(gram - np.eye(d))))
         self.gram_defect = max(self.gram_defect, defect)
@@ -293,15 +299,15 @@ def parallel_transport(
         for j in range(n_samples)
     }
     last_read = {j + m: j for j in sorted(samples) for m in offsets}
-    held = {0: (*frame.state, frame.coeffs)} if 0 in last_read else {}
+    held = {0: (*frame.state[:2], frame.coeffs)} if 0 in last_read else {}
     # the frame's buffers are free between builds, so the residuals borrow them
     work = (frame.rows, frame.rows_h)
     residuals, refused = [], None
     for step in range(1, n_steps + 1):
-        with in_chart(frame.label, n_steps * dt, lambda: 0.5 * dt * frame.half_index):
+        with in_chart(frame.label, n_steps * dt, lambda: dt * frame.steps):
             frame.step()
         if step in last_read:
-            held[step] = (*frame.state, frame.coeffs)
+            held[step] = (*frame.state[:2], frame.coeffs)
         j = step - reach
         if j not in samples:
             continue
@@ -321,7 +327,7 @@ def parallel_transport(
             f"transport of {ham.name} at N={space.N}: the frame at t={t:.4g} is refused ({exc})"
         ) from exc
     d = space.dim
-    rows = space.frame_at(*frame.state, out=frame.rows[:d]).T  # F_T
+    rows = space.frame_at(*frame.state[:2], out=frame.rows[:d]).T  # F_T
     grid = space.frame_at(space.grid.points, 1.0, out=frame.rows[d:]).T  # F_0
     gram_end = np.conjugate(rows, out=frame.rows_h) @ rows.T
     c_mat = frame.coeffs

@@ -203,6 +203,18 @@ def test_pullback_frame_of_rotation_is_a_phase(space, t):
     assert np.max(np.abs(pullback_frame(rotation_z(), space, t) - expect)) <= 1e-12
 
 
+def test_pullback_frame_of_a_constant_is_a_phase():
+    # h = 0.7 gives a = 0 and q = iNh, so V_t^{-1} e_k = e^(-iN 0.7 t) e_k:
+    # the closed-form phase reads it to 1.7e-15, where RK4 on c erred by
+    # 1.4e-8
+    space = SectionSpace(16)
+    ham = hamiltonian_from_chart("const", ChartFunction({(0, 0): 0.7}, 0))
+    t = 0.1
+    expect = space.frame_at(space.grid.points, 1.0) * np.exp(-1j * 16 * 0.7 * t)
+    got = pullback_frame(ham, space, t)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
 def test_projector_properties(space):
     frame = space.frame_at(space.grid.points, 1.0)
     p = frame @ frame.conj().T
@@ -575,25 +587,44 @@ def test_curvature_fd_error_halves_as_h_squared_at_n32():
     assert 3.95 <= e1 / e2 <= 4.05
 
 
-def test_curvature_fd_refuses_an_ill_conditioned_flowed_frame():
-    # at h = 0.045 the flow of harmonic_real carries grid points far through
-    # the chart, and the flowed frame's Gram is refused
+def test_curvature_fd_refuses_an_ill_conditioned_flowed_frame(monkeypatch):
+    # no flowed frame of rotation_x and harmonic_real at N = 16 is refused
+    # at any h in 0.04-0.0525, beyond which the flow leaves the chart, so
+    # the refusal is forced: the third of the four flowed Grams at h = 0.045
+    # gets a condition number of 1e9
+    real_check = sphere.check_gram_spectrum
+    calls = []
+
+    def refuse_the_third(evals):
+        calls.append(evals)
+        if len(calls) == 3:
+            evals = np.concatenate([[1e-9 * evals[-1]], evals[1:]])
+        real_check(evals)
+
+    monkeypatch.setattr(sphere, "check_gram_spectrum", refuse_the_third)
     space = SectionSpace(16)
     with pytest.raises(np.linalg.LinAlgError, match="ill-conditioned"):
         curvature_fd(rotation_x(), harmonic_real(), space, h=0.045)
+    assert len(calls) == 3
 
 
 def test_pullback_leaving_the_chart_raises_value_error():
-    # rotation_x carries the outer grid ring through the far pole before
-    # t = 0.1: with 4 steps the flowed points stay finite and z^16 overflows
-    # in the frame; with curvature_fd's 16 steps a step itself overflows
+    # rotation_x carries the outer grid ring through the far pole at
+    # t ~ 0.0505: in 4 steps to t = 0.1, as in curvature_fd's 16, a step
+    # overflows after t = 0.05.  One step of 0.1025 lands the points finite
+    # (|z| <= 7.5e13, |c| <= 2.7e291), and c z^16 overflows in the frame at
+    # t_end; that holds for one step to t in 0.10242-0.10258
     space = SectionSpace(16)
     with pytest.raises(
-        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0.1 of"
+        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0\.05 of"
     ):
         pullback_frame(rotation_x(), space, 0.1, n_steps=4)
     with pytest.raises(
-        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0\.0"
+        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0\.1025 of"
+    ):
+        pullback_frame(rotation_x(), space, 0.1025, n_steps=1)
+    with pytest.raises(
+        ValueError, match=r"^pullback of rotation_x at N=16: the flow left the chart after t=0\.05 of"
     ):
         curvature_fd(rotation_x(), harmonic_real(), space, h=0.1)
 

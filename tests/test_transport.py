@@ -16,6 +16,7 @@ from quantcurv.sphere import (
     harmonic_real,
     rotation_x,
     rotation_z,
+    zonal_harmonic,
 )
 from quantcurv.transport import (
     TRANSPORT_STEPS_MAX,
@@ -289,9 +290,9 @@ def test_transport_holds_three_frame_sized_buffers():
 
 @pytest.mark.parametrize(("ham_f", "bound"), [(rotation_z, 1e-14), (harmonic_real, 1e-11)])
 def test_generator_drift_is_rounding(space16, ham_f, bound):
-    # max ||B(t) - B_c||_F / ||B_c||_F over all 103 builds, measured 4.6e-16
-    # (rotation_z) and 2.7e-13 (harmonic_real); the bounds leave a margin
-    # of ~20x and ~40x
+    # max ||B(t) - B_c||_F / ||B_c||_F over all 103 builds, measured 5.0e-16
+    # (rotation_z) and 3.4e-15 (harmonic_real; 2.7e-13 with an RK4 phase);
+    # the bounds leave a margin of ~20x and ~3000x
     ham = ham_f()
     res = parallel_transport(ham, space16, t_end=0.1, dt=1e-3, n_samples=2)
     b_c = compress_generator(ham, space16)
@@ -313,17 +314,17 @@ def test_midpoint_weights_are_the_cubic_through_four_steps():
 def test_interpolated_midpoint_matches_a_built_one(space16):
     # the step builds B at step states only; here each midpoint state is also
     # built, and the cubic through the four step builds around it must agree.
-    # Over 100 harmonic_real steps the gap measured at most 5.6e-16 of ||B||,
-    # far below the builds' own drift from B_c (2.7e-13), so the cubic adds
-    # nothing to the rounding; the bound leaves a margin of ~18x
+    # Over 100 harmonic_real steps the gap measured at most 6.1e-16 of ||B||,
+    # below the builds' own drift from B_c (3.4e-15), so the cubic adds
+    # nothing to the rounding; the bound leaves a margin of ~16x.  With the
+    # midpoint's phase from the first half of the step's quadratic in q,
+    # whose error is O(dt^4), the gap read 1.2e-14
     frame = transport._MovingFrame(harmonic_real(), space16, dt=1e-3)
-    builds = [frame.generator_matrix()]
+    builds = [frame.generator_matrix(frame.state)]
     worst = 0.0
     for _ in range(20):
-        frame.advance_half()
-        built = frame.generator_matrix()
-        frame.advance_half()
-        builds.append(frame.generator_matrix())
+        built = frame.generator_matrix(frame.advance(mid_phase=True))
+        builds.append(frame.generator_matrix(frame.state))
         if len(builds) >= 4:
             cubic = sum(w * b for w, b in zip(transport._MIDPOINT_WEIGHTS, builds[-4:]))
             worst = max(worst, np.linalg.norm(cubic - built) / np.linalg.norm(built))
@@ -379,7 +380,7 @@ def test_generator_matrix_matches_per_column_images(n):
             generator_apply(ham, ChartFunction.monomial(k), n) for k in range(space.dim)
         ]
         for _ in range(3):
-            z, c = frame.state
+            z, c = frame.state[:2]
             f = space.frame_at(z, c)
             weighted = (space.sqrtw * c)[:, None]
             g_cols = weighted * np.column_stack(
@@ -387,10 +388,9 @@ def test_generator_matrix_matches_per_column_images(n):
             )
             fh = f.conj().T
             ref = np.linalg.solve(fh @ f, fh @ g_cols)
-            got = frame.generator_matrix()
+            got = frame.generator_matrix(frame.state)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), ham.name
-            frame.advance_half()
-            frame.advance_half()
+            frame.advance()
 
 
 @pytest.mark.parametrize("n", [6, 16, GRID_LEVEL_MAX])
@@ -406,33 +406,32 @@ def test_build_product_matches_frame_at_rows_and_column_images(n):
     for ham in _chart_hamiltonians():
         frame = transport._MovingFrame(ham, space, dt=2e-3)
         for _ in range(2):
-            z, c = frame.state
+            z, c = frame.state[:2]
             f = space.frame_at(z, c).T
-            av, qv = eval_batch_reference([frame.a, frame.q], z)
+            av, qv = eval_batch_reference(list(frame.fields), z)
             g = np.empty_like(f)
             for k in range(space.dim):
                 image = qv * z**k + (k * av * z ** (k - 1) if k else 0.0)
                 g[k] = image * (space.sqrtw * c) / space.norms[k]
             ref = np.concatenate([f.conj() @ f.T, f.conj() @ g.T], axis=1)
             del g
-            got = frame.products()
+            got = frame.products(frame.state)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), ham.name
-            frame.advance_half()
-            frame.advance_half()
+            frame.advance()
 
 
 def test_build_allocates_no_frame_sized_buffer(space16):
     # the bound is the tracemalloc peak of ten harmonic_real builds at N = 16
     # when G F was formed from the normalized frame rows in a row loop
     # (638,904 bytes, 11.55 rows of 3456 complex points, numpy 2.4); the
-    # sweep writes into the frame's own buffers and eval_batch writes each
-    # function's first term and scales it in place (583,448 bytes)
+    # sweep writes into the frame's own buffers, and the a and q values come
+    # with the state, so a build evaluates nothing (55,728 bytes)
     frame = transport._MovingFrame(harmonic_real(), space16, dt=1e-3)
-    frame.generator_matrix()
+    frame.generator_matrix(frame.state)
     tracemalloc.start()
     try:
         for _ in range(10):
-            frame.generator_matrix()
+            frame.generator_matrix(frame.state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,40 +445,52 @@ def test_generator_at_start_is_compressed_generator(space16):
         assert np.max(np.abs(res.generator - ref)) <= 1e-12 * np.max(np.abs(ref)), ham.name
 
 
-def test_stepping_evaluates_two_chart_functions(space, monkeypatch):
-    # the moving-frame generator evaluates a and q only, once per build:
-    # at t = 0, at every step, and at the midpoints of the first two steps,
-    # whose midpoint cubic lacks the builds before them: n + 3 builds
+def _counting_eval_batch(module, monkeypatch, names):
+    """Patch `module.eval_batch` to append, per call, the names in `names`
+    (a dict (terms, denom) -> name) of the chart functions it evaluates."""
     seen = []
-    real_eval_batch = transport.eval_batch
+    real_eval_batch = module.eval_batch
 
     def counting_eval_batch(cfs, z):
-        seen.append(len(cfs))
+        seen.append("".join(names.get((tuple(cf.terms.items()), cf.denom), "?") for cf in cfs))
         return real_eval_batch(cfs, z)
 
-    monkeypatch.setattr(transport, "eval_batch", counting_eval_batch)
+    monkeypatch.setattr(module, "eval_batch", counting_eval_batch)
+    return seen
+
+
+def _field_names(ham, N):
+    fields = {"a": ham.a, "q": sphere.phase_rate(ham, N)}
+    return {(tuple(cf.terms.items()), cf.denom): name for name, cf in fields.items()}
+
+
+def test_stepping_evaluates_two_chart_functions(space, monkeypatch):
+    # transport evaluates the flow field a and the phase rate q only: the
+    # moving frame both at t = 0, and each step both at its midpoint and
+    # end, a alone at its other RK4 stages and, in the first two steps,
+    # whose midpoints are built, q alone at a quarter point
+    ham = harmonic_real()
+    names = _field_names(ham, space.N)
+    seen = _counting_eval_batch(transport, monkeypatch, names)
+    seen_steps = _counting_eval_batch(sphere, monkeypatch, names)
     n_steps = 10
-    parallel_transport(harmonic_real(), space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
-    assert seen == [2] * (n_steps + 3)
+    parallel_transport(ham, space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
+    assert seen == ["aq"]
+    assert set(seen_steps) == {"a", "aq", "q"}
+    assert seen_steps.count("aq") == 2 * n_steps
 
 
 def test_each_characteristic_state_is_evaluated_once(space, monkeypatch):
-    # the RK4 stages of characteristic_rhs are the only sphere-level
-    # evaluations; the first stage of a half step reuses the a and q values
-    # of a generator built at its state, so 3 of 4 stages remain.  A step
-    # state is always built; an interpolated midpoint is not, so the half
-    # step from it takes all 4: 6 in the first two steps, 7 in the others
-    seen = []
-    real_eval_batch = sphere.eval_batch
-
-    def counting_eval_batch(cfs, z):
-        seen.append(len(cfs))
-        return real_eval_batch(cfs, z)
-
-    monkeypatch.setattr(sphere, "eval_batch", counting_eval_batch)
+    # the first RK4 stage of a half step reuses the a value evaluated at its
+    # start, with q for the phase and the build, so 3 of 4 stages remain: 8
+    # evaluations a step, 2 of them of (a, q), and one of q more in each of
+    # the first two steps
+    ham = harmonic_real()
+    seen = _counting_eval_batch(sphere, monkeypatch, _field_names(ham, space.N))
     n_steps = 10
-    parallel_transport(harmonic_real(), space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
-    assert seen == [2] * (7 * n_steps - 2)
+    parallel_transport(ham, space, t_end=n_steps * 2e-3, dt=2e-3, n_samples=1)
+    step = ["a"] * 3 + ["aq"] + ["a"] * 3 + ["aq"]
+    assert seen == (step + ["q"]) * 2 + step * (n_steps - 2)
 
 
 def _result_arrays(res):
@@ -516,19 +527,59 @@ def test_flow_leaving_chart_fails_loudly(space16):
         parallel_transport(rotation_x(), space16, t_end=0.1, dt=1e-3)
 
 
-def test_frame_refusal_inside_the_chart_stays_a_linalg_error(space16):
-    # at t_end = 0.048 the flow stays in the chart, but the frame around the
-    # last sample (step 44) is ill-conditioned; at t_end = 0.1 the same
-    # stencil is reached first and the run still reports the flow leaving
-    # the chart (test above), since a refusal is raised only at the end,
-    # naming the Hamiltonian, the level and the sample time, with its cause
+def test_frame_refusal_inside_the_chart_stays_a_linalg_error(space16, monkeypatch):
+    # rotation_x to t_end = 0.048 stays in the chart and passes (largest
+    # eq_deriv 2.1e-6), so the refusal is forced: the centre frame of the
+    # last sample (step 44) gets a Gram condition number of 1e9.  At
+    # t_end = 0.1 the run still reports the flow leaving the chart (test
+    # above), since a refusal is raised only at the end, naming the
+    # Hamiltonian, the level and the sample time, with its cause
+    real_check = transport.check_gram_spectrum
+    calls = []
+
+    def refuse_the_last_sample(evals):
+        calls.append(evals)
+        # seven frames a sample: the centre, then the six of its stencil
+        if len(calls) == 9 * 7 + 1:
+            evals = np.concatenate([[1e-9 * evals[-1]], evals[1:]])
+        real_check(evals)
+
+    monkeypatch.setattr(transport, "check_gram_spectrum", refuse_the_last_sample)
     with pytest.raises(np.linalg.LinAlgError) as info:
         parallel_transport(rotation_x(), space16, t_end=0.048, dt=1e-3, n_samples=10)
+    assert len(calls) == 9 * 7 + 1
     assert str(info.value).startswith(
         "transport of rotation_x at N=16: the frame at t=0.044 is refused "
         "(frame Gram matrix is ill-conditioned"
     )
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_constant_hamiltonian_phase_is_exact(space16, monkeypatch):
+    # h = 0.7 gives a = 0 and q = iNh, so the end state's c is e^(-iN 0.7 t):
+    # the closed-form phase reads it to rounding, 4.0e-15 after 100 steps,
+    # where RK4 on c erred by 9.2e-12
+    ends = []
+    real_step = transport.characteristic_step
+
+    def recording_step(*args, **kwargs):
+        mid, end = real_step(*args, **kwargs)
+        ends.append(end)
+        return mid, end
+
+    monkeypatch.setattr(transport, "characteristic_step", recording_step)
+    t_end = 0.1
+    parallel_transport(_constant_field(0.7), space16, t_end=t_end, dt=1e-3, n_samples=2)
+    assert len(ends) == 100
+    assert np.max(np.abs(ends[-1][1] - np.exp(-1j * 16 * 0.7 * t_end))) <= 1e-13
+
+
+def test_zonal_harmonic_transport_is_sharp(space16):
+    # measured: gram_defect 3.0e-14 and largest eq_deriv 3.3e-10, where RK4
+    # on c read 5.4e-10 and 3.8e-8
+    res = parallel_transport(zonal_harmonic(), space16, t_end=0.1, dt=1e-3)
+    assert res.gram_defect <= 1e-12
+    assert max(rec["eq_deriv"] for rec in res.residuals) <= 1e-8
 
 
 def test_short_rotation_x_transport_intertwines(space16):
@@ -558,6 +609,17 @@ def test_cli_flow_leaving_chart_exits_one_without_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rotation_x at N=16: the flow left the chart" in err
     assert not out_path.exists()
+
+
+def test_cli_passes_rotation_x_near_the_chart_edge(tmp_path):
+    # the outer grid ring reaches the far pole at t ~ 0.0505; at
+    # t_end = 0.046 the run reads max eq_deriv 6.8e-8 and gram_defect
+    # 1.3e-7, where RK4 on c read 4.3e-2 and 7.1e-2 and the run failed
+    out_path = tmp_path / "transport.csv"
+    path = tmp_path / "config.json"
+    entry = _transport_entry(out_path, t_end=0.046, tol_residual=1e-5)
+    path.write_text(json.dumps({"seed": 1, "experiments": [entry]}))
+    assert run(str(path)) == 0
 
 
 def test_step_count_bound_at_validation():

@@ -46,11 +46,11 @@ def stencil_states(ham, space, t_end, dt, n_samples):
     n_steps = max(8, round(t_end / dt))
     dt = t_end / n_steps
     frame = _MovingFrame(ham, space, dt)
-    snapshots = {0: (*frame.state, frame.coeffs)}
+    snapshots = {0: (*frame.state[:2], frame.coeffs)}
     with np.errstate(over="raise", invalid="raise"):
         for i in range(1, n_steps + 1):
             frame.step()
-            snapshots[i] = (*frame.state, frame.coeffs)
+            snapshots[i] = (*frame.state[:2], frame.coeffs)
     samples = sorted(
         {
             min(max(int(round((j + 1) * n_steps / (n_samples + 1))), 4), n_steps - 4)
